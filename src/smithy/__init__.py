@@ -3,12 +3,11 @@ with streamed change-of-basis transcripts, cochain cohomology with explicit
 cocycle bases, and the level arithmetic that predicts and cross-checks the
 computations."""
 
-from .gfp import FieldSpec, pack_reversed, unpack_reversed
+from .gfp import FieldSpec
 from .sparse import (MatrixFormatError, ShapeError, SparseMatrix, axpy,
                      read_matrix, write_matrix)
 from .transcript import COL, ROW, ElementaryOp, Transcript, TranscriptError
-from .reduce import (HnfStats, SnfOptions, SnfResult, disk_hnf,
-                     markowitz_pivot, snf)
+from .reduce import HnfStats, SnfOptions, SnfResult, disk_hnf, snf
 from .cohomo import (ComplexSlice, CohomologyWorkspace, NotACocycleError,
                      NotAComplexError, build_eta, compute_h5, hecke_matrix,
                      load_workspace, reduce_cocycle)
@@ -23,12 +22,11 @@ from .predict import (GAMMA, GAMMA_CONJ, BettiRow, ConjugatePair,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldSpec", "pack_reversed", "unpack_reversed",
+    "FieldSpec",
     "MatrixFormatError", "ShapeError", "SparseMatrix", "axpy",
     "read_matrix", "write_matrix",
     "COL", "ROW", "ElementaryOp", "Transcript", "TranscriptError",
-    "HnfStats", "SnfOptions", "SnfResult", "disk_hnf", "markowitz_pivot",
-    "snf",
+    "HnfStats", "SnfOptions", "SnfResult", "disk_hnf", "snf",
     "ComplexSlice", "CohomologyWorkspace", "NotACocycleError",
     "NotAComplexError", "build_eta", "compute_h5", "hecke_matrix",
     "load_workspace", "reduce_cocycle",

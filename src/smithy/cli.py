@@ -40,13 +40,8 @@ def _spec_arg(args) -> FieldSpec | None:
     return FieldSpec(args.prime) if args.prime is not None else None
 
 
-def _read(path, spec):
-    # a --prime that disagrees with the file header is caught in the parser
-    return read_matrix(path, spec)
-
-
 def cmd_snf(args) -> int:
-    a = _read(args.matrix, _spec_arg(args))
+    a = read_matrix(args.matrix, _spec_arg(args))
     workdir = args.workdir
     opts = SnfOptions(
         emit_p=args.emit_p,
@@ -76,8 +71,8 @@ def cmd_snf(args) -> int:
 
 def cmd_cohomology(args) -> int:
     spec = _spec_arg(args)
-    d_top = _read(args.d5, spec)
-    d_bottom = _read(args.d4, spec)
+    d_top = read_matrix(args.d5, spec)
+    d_bottom = read_matrix(args.d4, spec)
     for mat in (d_top, d_bottom):
         if mat.spec.p in (2, 3, 5):
             raise ValueError(
@@ -96,15 +91,12 @@ def cmd_cohomology(args) -> int:
 
 def cmd_reduce(args) -> int:
     ws = load_workspace(args.workdir)
-    vec = _read(args.cocycle, ws.basis.spec)
+    vec = read_matrix(args.cocycle, ws.basis.spec)
     if vec.n != 1 or vec.m != ws.n5:
         raise ShapeError(
             "cocycle file must be a %d x 1 column, got %d x %d"
             % (ws.n5, vec.m, vec.n))
-    y = [0] * ws.n5
-    for e in vec.cols[0]:
-        y[e >> vec.spec.k] = e & vec.spec.mask
-    s = reduce_cocycle(ws, y)
+    s = reduce_cocycle(ws, vec.dense_col(0))
     for j, sj in enumerate(s):
         _emit("s%d" % (j + 1), sj)
     return 0

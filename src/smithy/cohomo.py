@@ -17,8 +17,10 @@ processes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .gfp import FieldSpec
@@ -119,7 +121,9 @@ def build_eta(q5: Transcript, d_bottom: SparseMatrix, rho5: int) -> SparseMatrix
     if not 0 <= rho5 <= d_bottom.m:
         raise ValueError("rho5 out of range")
     folded = q5.apply_mat_left(d_bottom)
-    bad = [i for i in range(rho5) if folded.row_counts[i]]
+    k = folded.spec.k
+    bad = sorted({e >> k for col in folded.cols
+                  for e in col[:bisect_left(col, rho5 << k)]})
     if bad:
         raise NotAComplexError(
             "not a complex / transcript mismatch: %d nonzero rows among the "
@@ -150,11 +154,7 @@ class CohomologyWorkspace:
     workdir: str
 
     def basis_column(self, j: int) -> list[int]:
-        k, mask = self.basis.spec.k, self.basis.spec.mask
-        out = [0] * self.n5
-        for e in self.basis.cols[j]:
-            out[e >> k] = e & mask
-        return out
+        return self.basis.dense_col(j)
 
 
 def _meta_path(workdir: str) -> str:
@@ -162,12 +162,15 @@ def _meta_path(workdir: str) -> str:
 
 
 def _write_meta(ws: CohomologyWorkspace) -> None:
-    with open(_meta_path(ws.workdir), "w", newline="\n") as f:
+    """Write meta last and atomically: its presence marks a complete run."""
+    path = _meta_path(ws.workdir)
+    with open(path + ".tmp", "w", newline="\n") as f:
         for key, val in (
             ("p", ws.basis.spec.p), ("n4", ws.n4), ("n5", ws.n5), ("n6", ws.n6),
             ("rho5", ws.rho5), ("rhoEta", ws.rho_eta), ("h5", ws.h5), ("h6", ws.h6),
         ):
             f.write("%s: %d\n" % (key, val))
+    os.replace(path + ".tmp", path)
 
 
 def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
@@ -179,12 +182,18 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     basis must be kept); tau applies to the eta reduction, whose column
     operations are discarded anyway.  The input matrices are written to
     the work directory up front since snf consumes them.
+
+    Any earlier meta in workdir is removed before the first file is
+    written, and meta is written last, so a run that fails leaves a
+    directory that load_workspace refuses.
     """
     os.makedirs(workdir, exist_ok=True)
     if validate:
         slice_.validate()
     spec = slice_.d_top.spec
     n4, n5, n6 = slice_.n4, slice_.n5, slice_.n6
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(_meta_path(workdir))
     write_matrix(slice_.d_top, os.path.join(workdir, "d5.sms"))
     write_matrix(slice_.d_bottom, os.path.join(workdir, "d4.sms"))
 
@@ -277,13 +286,7 @@ def hecke_matrix(ws: CohomologyWorkspace,
         if translates.m != ws.n5:
             raise ShapeError("translates have %d rows, expected %d"
                              % (translates.m, ws.n5))
-        vecs = []
-        k, mask = translates.spec.k, translates.spec.mask
-        for j in range(translates.n):
-            col = [0] * ws.n5
-            for e in translates.cols[j]:
-                col[e >> k] = e & mask
-            vecs.append(col)
+        vecs = [translates.dense_col(j) for j in range(translates.n)]
     else:
         vecs = list(translates)
     if len(vecs) != ws.h5:

@@ -13,20 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .predict import is_prime
+
 WORD_BITS = 64
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -50,7 +39,7 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int):
             raise TypeError("modulus must be an int")
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
+        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError("modulus must be an odd prime, got %r" % (self.p,))
         if self.p >= 1 << 15:
             raise ValueError("modulus must be below 2**15, got %d" % self.p)
@@ -59,17 +48,8 @@ class FieldSpec:
 
     # -- scalar arithmetic ------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def neg(self, a: int) -> int:
         return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by extended Euclid."""
@@ -93,21 +73,3 @@ class FieldSpec:
     def unpack(self, e: int) -> tuple[int, int]:
         return e >> self.k, e & self.mask
 
-
-def pack_reversed(i: int, v: int, nrows: int, spec: FieldSpec) -> int:
-    """Historical narrow-word variant: pack (nrows-i-1) instead of i.
-
-    Stores the row complement so that entries sort in reverse row order.
-    Kept only for reading data produced by that convention; the live
-    encoding is FieldSpec.pack.
-    """
-    if not 0 <= i < nrows:
-        raise ValueError("row index %d outside [0, %d)" % (i, nrows))
-    if not 0 < v < spec.p:
-        raise ValueError("value %d outside [1, %d)" % (v, spec.p))
-    return (nrows - i - 1) << spec.k | v
-
-
-def unpack_reversed(e: int, nrows: int, spec: FieldSpec) -> tuple[int, int]:
-    comp, v = e >> spec.k, e & spec.mask
-    return nrows - comp - 1, v

@@ -20,6 +20,12 @@ with no divisibility bookkeeping.  The input matrix is overwritten with
 that diagonal; the row and column operations stream to transcripts when
 requested, and replaying them against the diagonal restores the input.
 
+The engine (_Engine) is the one owner of the pivoting bookkeeping: it
+builds the per-row and per-column nonzero counts and the row pattern (per
+row, the set of columns holding an entry of that row) from the matrix's
+columns on entry, and every column edit during the reduction goes through
+it.  The matrix itself keeps only columns and its nonzero total.
+
 Rows are never physically moved: the engine keeps a row permutation and
 stores entries under stable physical ids, translating to current indices
 at the edges (pivot search, transcript records, the final overwrite).
@@ -31,37 +37,12 @@ from __future__ import annotations
 import os
 import tempfile
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import FieldSpec
-from .sparse import ShapeError, SparseMatrix, axpy
+from .sparse import SparseMatrix, axpy
 from .transcript import COL, ROW, ElementaryOp, Transcript
-
-
-def markowitz_pivot(a: SparseMatrix, c: int) -> tuple[int, int] | None:
-    """Reference pivot search: scan every active nonzero.
-
-    r_i and c_j count nonzeros in the full current row and column.  Returns
-    None when the active region is empty of nonzeros.
-    """
-    if not 0 <= c <= min(a.m, a.n):
-        raise ValueError("pivot index %d outside [0, %d]" % (c, min(a.m, a.n)))
-    k = a.spec.k
-    rc = a.row_counts
-    best = None
-    for j in range(c, a.n):
-        col = a.cols[j]
-        if not col:
-            continue
-        cj1 = a.col_counts[j] - 1
-        for e in col[bisect_left(col, c << k):]:
-            i = e >> k
-            cand = ((rc[i] - 1) * cj1, i, j)
-            if best is None or cand < best:
-                best = cand
-    return (best[1], best[2]) if best else None
 
 
 @dataclass
@@ -88,7 +69,6 @@ class HnfStats:
     peak_echelon_nnz: int
     final_echelon_nnz: int
     spill_path: str
-    spill_kept: bool
 
 
 @dataclass
@@ -106,7 +86,8 @@ SPILL_DIR_ENV = "SMITHY_SPILL_DIR"
 
 
 class _Engine:
-    """Working state for one reduction; owns the matrix until finalized."""
+    """Working state for one reduction; owns the matrix until finalized,
+    and alone keeps the counts and row pattern that pivoting reads."""
 
     __slots__ = (
         "mat", "spec", "p", "k", "mask", "m", "n", "cols", "rows_pat",
@@ -122,11 +103,16 @@ class _Engine:
         self.m = mat.m
         self.n = mat.n
         self.cols = mat.cols
-        self.rows_pat = mat.rows_pat
-        self.row_cnt = np.array(mat.row_counts, dtype=np.int64)
-        self.col_cnt = np.array(mat.col_counts, dtype=np.int64)
+        k = self.k
+        rows_pat: list[set[int]] = [set() for _ in range(mat.m)]
+        for j, col in enumerate(mat.cols):
+            for e in col:
+                rows_pat[e >> k].add(j)
+        self.rows_pat = rows_pat
+        self.row_cnt = np.array([len(s) for s in rows_pat], dtype=np.int64)
+        self.col_cnt = np.array([len(col) for col in mat.cols], dtype=np.int64)
         self.col_min_phys = np.array(
-            [(col[0] >> self.k) if col else mat.m for col in mat.cols], dtype=np.int64
+            [(col[0] >> k) if col else mat.m for col in mat.cols], dtype=np.int64
         )
         self.phys_of = np.arange(mat.m, dtype=np.int64)
         self.cur_of = np.arange(mat.m, dtype=np.int64)
@@ -313,27 +299,12 @@ class _Engine:
         rank = len(diag)
         for t in range(self.n):
             mat.cols[t] = [t << k | diag[t]] if t < rank else []
-        mat.row_counts = [1 if i < rank else 0 for i in range(self.m)]
-        mat.col_counts = [1 if j < rank else 0 for j in range(self.n)]
-        for i in range(self.m):
-            mat.rows_pat[i] = {i} if i < rank else set()
         mat.nnz = rank
 
-    def sync_back(self) -> None:
-        """Restore matrix-level counters (no row relabeling performed)."""
-        mat = self.mat
-        mat.row_counts = [int(x) for x in self.row_cnt]
-        mat.col_counts = [int(x) for x in self.col_cnt]
-        mat.nnz = self.total
 
-
-def _resolve_spill_dir(opts: SnfOptions, workdir: str) -> str:
-    if opts.spill_dir:
-        return opts.spill_dir
-    env = os.environ.get(SPILL_DIR_ENV)
-    if env:
-        return env
-    return workdir
+def _resolve_spill_dir(spill_dir: str | None, default: str) -> str:
+    """An explicit spill_dir, else $SMITHY_SPILL_DIR, else default."""
+    return spill_dir or os.environ.get(SPILL_DIR_ENV) or default
 
 
 def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
@@ -354,139 +325,133 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
     os.makedirs(spill_dir, exist_ok=True)
     fd, spill = tempfile.mkstemp(prefix="spill-", suffix=".sms", dir=spill_dir)
     streamed = 0
-    try:
-        with os.fdopen(fd, "w", newline="\n") as f:
-            f.write("%d %d %d\n" % (m_loc, n_loc, p))
-            for j in range(c, eng.n):
-                col = eng.cols[j]
-                if not col:
-                    continue
-                streamed += 1
-                jl = j - c + 1
-                rows = [(int(eng.cur_of[e >> k]), e & eng.mask) for e in col]
-                if check_region and min(r for r, _ in rows) < c:
-                    raise ValueError(
-                        "column %d holds entries above the active region" % j)
-                for i_cur, v in sorted(rows):
-                    f.write("%d %d %d\n" % (i_cur - c + 1, jl, v))
-            f.write("0 0 0\n")
+    with os.fdopen(fd, "w", newline="\n") as f:
+        f.write("%d %d %d\n" % (m_loc, n_loc, p))
         for j in range(c, eng.n):
-            if eng.cols[j]:
-                eng.set_col(j, [])
-
-        # echelon state, all in 0-based local coordinates
-        ech_vec: list[list[int]] = []  # packed local columns
-        ech_piv: list[int] = []  # owned pivot row of each echelon column
-        ech_col: list[int] = []  # global column where the ops left it
-        piv_owner: dict[int, int] = {}
-        row_hits: dict[int, set[int]] = {}  # local row -> echelon indices
-        peak = 0
-
-        def vec_value(vec: list[int], r: int) -> int:
-            idx = bisect_left(vec, r << k)
-            return vec[idx] & eng.mask if idx < len(vec) and vec[idx] >> k == r else 0
-
-        def absorb(j_loc: int, entries: list[int]) -> None:
-            nonlocal peak
-            gcol = c + j_loc - 1
-            y = sorted(entries)
-            hits = sorted(r for r in set(e >> k for e in y) if r in piv_owner)
-            for r in hits:
-                idx = piv_owner[r]
-                coeff = vec_value(y, r) * spec.inv(vec_value(ech_vec[idx], r)) % p
-                y = axpy(y, ech_vec[idx], p - coeff, spec)
-                if q is not None:
-                    q.append(ElementaryOp.transvection(ech_col[idx], gcol, coeff))
-            if not y:
-                return
-            pivr = y[0] >> k
-            mine = len(ech_vec)
-            y_inv = spec.inv(y[0] & eng.mask)
-            for idx in sorted(row_hits.get(pivr, ())):
-                vec = ech_vec[idx]
-                coeff = vec_value(vec, pivr) * y_inv % p
-                new = axpy(vec, y, p - coeff, spec)
-                old_rows = set(e >> k for e in vec)
-                new_rows = set(e >> k for e in new)
-                for r in old_rows - new_rows:
-                    row_hits[r].discard(idx)
-                for r in new_rows - old_rows:
-                    row_hits.setdefault(r, set()).add(idx)
-                ech_vec[idx] = new
-                if q is not None:
-                    q.append(ElementaryOp.transvection(gcol, ech_col[idx], coeff))
-            ech_vec.append(y)
-            ech_piv.append(pivr)
-            ech_col.append(gcol)
-            piv_owner[pivr] = mine
-            for e in y:
-                row_hits.setdefault(e >> k, set()).add(mine)
-            peak = max(peak, sum(len(v) for v in ech_vec))
-
-        with open(spill, "rb") as f:
-            f.readline()
-            cur_j = None
-            entries: list[int] = []
-            for raw in f:
-                parts = raw.split()
-                if not parts:
-                    continue
-                i_loc, j_loc, v = int(parts[0]), int(parts[1]), int(parts[2])
-                if (i_loc, j_loc, v) == (0, 0, 0):
-                    break
-                if j_loc != cur_j:
-                    if cur_j is not None:
-                        absorb(cur_j, entries)
-                    cur_j = j_loc
-                    entries = []
-                entries.append((i_loc - 1) << k | v)
-            if cur_j is not None:
-                absorb(cur_j, entries)
-
-        # ordering permutation: echelon columns by ascending pivot row,
-        # zero columns after; emitted as explicit swaps
-        order = sorted(range(len(ech_vec)), key=lambda t: ech_piv[t])
-        occupant = {ech_col[idx] - c: idx for idx in range(len(ech_vec))}
-        where = {idx: ech_col[idx] - c for idx in range(len(ech_vec))}
-        for t, idx in enumerate(order):
-            src = where[idx]
-            if src == t:
+            col = eng.cols[j]
+            if not col:
                 continue
-            other = occupant.get(t)
-            occupant[t] = idx
-            where[idx] = t
-            if other is not None:
-                occupant[src] = other
-                where[other] = src
-            else:
-                del occupant[src]
-            if q is not None:
-                q.append(ElementaryOp.swap(c + t, c + src))
-            eng.swap_cols(c + t, c + src)  # both empty; keeps mirrors trivially
+            streamed += 1
+            jl = j - c + 1
+            rows = [(int(eng.cur_of[e >> k]), e & eng.mask) for e in col]
+            if check_region and min(r for r, _ in rows) < c:
+                raise ValueError(
+                    "column %d holds entries above the active region" % j)
+            for i_cur, v in sorted(rows):
+                f.write("%d %d %d\n" % (i_cur - c + 1, jl, v))
+        f.write("0 0 0\n")
+    for j in range(c, eng.n):
+        if eng.cols[j]:
+            eng.set_col(j, [])
 
-        phys_of = eng.phys_of
-        final_nnz = 0
-        for t, idx in enumerate(order):
+    # echelon state, all in 0-based local coordinates
+    ech_vec: list[list[int]] = []  # packed local columns
+    ech_piv: list[int] = []  # owned pivot row of each echelon column
+    ech_col: list[int] = []  # global column where the ops left it
+    piv_owner: dict[int, int] = {}
+    row_hits: dict[int, set[int]] = {}  # local row -> echelon indices
+    peak = 0
+
+    def vec_value(vec: list[int], r: int) -> int:
+        idx = bisect_left(vec, r << k)
+        return vec[idx] & eng.mask if idx < len(vec) and vec[idx] >> k == r else 0
+
+    def absorb(j_loc: int, entries: list[int]) -> None:
+        nonlocal peak
+        gcol = c + j_loc - 1
+        y = sorted(entries)
+        hits = sorted(r for r in set(e >> k for e in y) if r in piv_owner)
+        for r in hits:
+            idx = piv_owner[r]
+            coeff = vec_value(y, r) * spec.inv(vec_value(ech_vec[idx], r)) % p
+            y = axpy(y, ech_vec[idx], p - coeff, spec)
+            if q is not None:
+                q.append(ElementaryOp.transvection(ech_col[idx], gcol, coeff))
+        if not y:
+            return
+        pivr = y[0] >> k
+        mine = len(ech_vec)
+        y_inv = spec.inv(y[0] & eng.mask)
+        for idx in sorted(row_hits.get(pivr, ())):
             vec = ech_vec[idx]
-            final_nnz += len(vec)
-            packed = sorted(
-                int(phys_of[(e >> k) + c]) << k | (e & eng.mask) for e in vec
-            )
-            eng.set_col(c + t, packed)
-        os.unlink(spill)
-        return HnfStats(
-            pivot_index=c,
-            columns_streamed=streamed,
-            echelon_columns=len(ech_vec),
-            peak_echelon_nnz=peak,
-            final_echelon_nnz=final_nnz,
-            spill_path=spill,
-            spill_kept=False,
+            coeff = vec_value(vec, pivr) * y_inv % p
+            new = axpy(vec, y, p - coeff, spec)
+            old_rows = set(e >> k for e in vec)
+            new_rows = set(e >> k for e in new)
+            for r in old_rows - new_rows:
+                row_hits[r].discard(idx)
+            for r in new_rows - old_rows:
+                row_hits.setdefault(r, set()).add(idx)
+            ech_vec[idx] = new
+            if q is not None:
+                q.append(ElementaryOp.transvection(gcol, ech_col[idx], coeff))
+        ech_vec.append(y)
+        ech_piv.append(pivr)
+        ech_col.append(gcol)
+        piv_owner[pivr] = mine
+        for e in y:
+            row_hits.setdefault(e >> k, set()).add(mine)
+        peak = max(peak, sum(len(v) for v in ech_vec))
+
+    with open(spill, "rb") as f:
+        f.readline()
+        cur_j = None
+        entries: list[int] = []
+        for raw in f:
+            parts = raw.split()
+            if not parts:
+                continue
+            i_loc, j_loc, v = int(parts[0]), int(parts[1]), int(parts[2])
+            if (i_loc, j_loc, v) == (0, 0, 0):
+                break
+            if j_loc != cur_j:
+                if cur_j is not None:
+                    absorb(cur_j, entries)
+                cur_j = j_loc
+                entries = []
+            entries.append((i_loc - 1) << k | v)
+        if cur_j is not None:
+            absorb(cur_j, entries)
+
+    # ordering permutation: echelon columns by ascending pivot row,
+    # zero columns after; emitted as explicit swaps
+    order = sorted(range(len(ech_vec)), key=lambda t: ech_piv[t])
+    occupant = {ech_col[idx] - c: idx for idx in range(len(ech_vec))}
+    where = {idx: ech_col[idx] - c for idx in range(len(ech_vec))}
+    for t, idx in enumerate(order):
+        src = where[idx]
+        if src == t:
+            continue
+        other = occupant.get(t)
+        occupant[t] = idx
+        where[idx] = t
+        if other is not None:
+            occupant[src] = other
+            where[other] = src
+        else:
+            del occupant[src]
+        if q is not None:
+            q.append(ElementaryOp.swap(c + t, c + src))
+        eng.swap_cols(c + t, c + src)  # both empty
+
+    phys_of = eng.phys_of
+    final_nnz = 0
+    for t, idx in enumerate(order):
+        vec = ech_vec[idx]
+        final_nnz += len(vec)
+        packed = sorted(
+            int(phys_of[(e >> k) + c]) << k | (e & eng.mask) for e in vec
         )
-    except BaseException:
-        if os.path.exists(spill):
-            pass  # keep the spill file for post-mortem
-        raise
+        eng.set_col(c + t, packed)
+    os.unlink(spill)
+    return HnfStats(
+        pivot_index=c,
+        columns_streamed=streamed,
+        echelon_columns=len(ech_vec),
+        peak_echelon_nnz=peak,
+        final_echelon_nnz=final_nnz,
+        spill_path=spill,
+    )
 
 
 def disk_hnf(a: SparseMatrix, c: int = 0, q: Transcript | None = None,
@@ -499,9 +464,9 @@ def disk_hnf(a: SparseMatrix, c: int = 0, q: Transcript | None = None,
     if not 0 <= c <= min(a.m, a.n):
         raise ValueError("pivot index %d outside [0, %d]" % (c, min(a.m, a.n)))
     eng = _Engine(a, start=c)
-    sdir = spill_dir or os.environ.get(SPILL_DIR_ENV) or tempfile.gettempdir()
-    stats = _disk_echelon(eng, q, sdir, check_region=True)
-    eng.sync_back()
+    stats = _disk_echelon(eng, q, _resolve_spill_dir(spill_dir, tempfile.gettempdir()),
+                          check_region=True)
+    a.nnz = eng.total
     return stats
 
 
@@ -535,7 +500,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
         while True:
             active = eng.total - eng.c
             if (hnf_stats is None and opts.tau is not None and active >= opts.tau):
-                hnf_stats = _disk_echelon(eng, q_tr, _resolve_spill_dir(opts, workdir))
+                hnf_stats = _disk_echelon(eng, q_tr, _resolve_spill_dir(opts.spill_dir, workdir))
                 active = eng.total - eng.c
             fill_log.append(active)
             if fill_file:
@@ -591,21 +556,14 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 eng.set_col(c, [pr << eng.k | d])
             diag.append(d)
             eng.c += 1
-    except BaseException:
+        eng.overwrite_with_diagonal(diag)
+    finally:
         if p_tr is not None:
             p_tr.finalize()
         if q_tr is not None:
             q_tr.finalize()
         if fill_file:
             fill_file.close()
-        raise
-    eng.overwrite_with_diagonal(diag)
-    if p_tr is not None:
-        p_tr.finalize()
-    if q_tr is not None:
-        q_tr.finalize()
-    if fill_file:
-        fill_file.close()
     return SnfResult(
         rank=len(diag),
         diag=diag,

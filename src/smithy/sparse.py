@@ -1,15 +1,14 @@
-"""Column-major sparse matrices over GF(p) with exact nonzero bookkeeping.
+"""Column-major sparse matrices over GF(p).
 
 A column is a Python list of packed entries (see gfp.FieldSpec.pack),
 strictly increasing in row index, never storing zeros.  The matrix keeps
-per-row and per-column nonzero counts plus, per row, the set of columns
-holding an entry of that row; all three are maintained by every mutation so
-pivot searches never rescan the matrix.  Values live only in the columns;
-the row pattern holds indices alone.
+only its columns and the total nonzero count.  Per-row and per-column
+counts and the row pattern that Markowitz pivoting needs are built and
+maintained by the reduction engine (reduce._Engine), the only code that
+pivots.
 
-Row operations walk the row's column set and edit each column in place.
-Batched row operations are cheaper on the transpose: transpose, apply the
-ops as column operations, transpose back.
+Only column operations are offered.  Row operations are column
+operations on the transpose: transpose, apply them, transpose back.
 """
 
 from __future__ import annotations
@@ -83,28 +82,10 @@ def axpy(dst: list[int], src: list[int], s: int, spec: FieldSpec) -> list[int]:
     return out
 
 
-def vec_from_pairs(pairs, spec: FieldSpec) -> list[int]:
-    """Packed vector from (index, value) pairs; values reduced mod p."""
-    out = []
-    for i, v in pairs:
-        v %= spec.p
-        if v:
-            out.append(spec.pack(i, v))
-    out.sort()
-    for a, b in zip(out, out[1:]):
-        if a >> spec.k == b >> spec.k:
-            raise ValueError("duplicate index %d" % (a >> spec.k))
-    return out
-
-
-def vec_to_pairs(vec: list[int], spec: FieldSpec) -> list[tuple[int, int]]:
-    return [(e >> spec.k, e & spec.mask) for e in vec]
-
-
 class SparseMatrix:
     """m x n matrix over GF(p), columns stored as sorted packed lists."""
 
-    __slots__ = ("m", "n", "spec", "cols", "row_counts", "col_counts", "rows_pat", "nnz")
+    __slots__ = ("m", "n", "spec", "cols", "nnz")
 
     def __init__(self, m: int, n: int, spec: FieldSpec):
         if m < 0 or n < 0:
@@ -113,21 +94,9 @@ class SparseMatrix:
         self.n = n
         self.spec = spec
         self.cols: list[list[int]] = [[] for _ in range(n)]
-        self.row_counts: list[int] = [0] * m
-        self.col_counts: list[int] = [0] * n
-        self.rows_pat: list[set[int]] = [set() for _ in range(m)]
         self.nnz = 0
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, m: int, n: int, spec: FieldSpec, pairs) -> "SparseMatrix":
-        a = cls(m, n, spec)
-        for i, j, v in pairs:
-            if a.get(i, j) != 0:
-                raise ValueError("duplicate entry (%d, %d)" % (i, j))
-            a.set(i, j, v)
-        return a
 
     @classmethod
     def from_dense(cls, rows, spec: FieldSpec) -> "SparseMatrix":
@@ -153,9 +122,6 @@ class SparseMatrix:
     def copy(self) -> "SparseMatrix":
         a = SparseMatrix(self.m, self.n, self.spec)
         a.cols = [list(c) for c in self.cols]
-        a.row_counts = list(self.row_counts)
-        a.col_counts = list(self.col_counts)
-        a.rows_pat = [set(s) for s in self.rows_pat]
         a.nnz = self.nnz
         return a
 
@@ -187,53 +153,23 @@ class SparseMatrix:
                 col[idx] = i << k | v
             else:
                 col.insert(idx, i << k | v)
-                self.row_counts[i] += 1
-                self.col_counts[j] += 1
-                self.rows_pat[i].add(j)
                 self.nnz += 1
         elif present:
             del col[idx]
-            self.row_counts[i] -= 1
-            self.col_counts[j] -= 1
-            self.rows_pat[i].discard(j)
             self.nnz -= 1
 
     def set_col(self, j: int, new: list[int]) -> None:
-        """Replace column j with a packed list, syncing all counts."""
-        old = self.cols[j]
-        k = self.spec.k
-        # two-pointer diff over sorted packed lists
-        a = b = 0
-        na, nb = len(old), len(new)
-        while a < na and b < nb:
-            ra, rb = old[a] >> k, new[b] >> k
-            if ra < rb:
-                self.row_counts[ra] -= 1
-                self.rows_pat[ra].discard(j)
-                a += 1
-            elif ra > rb:
-                self.row_counts[rb] += 1
-                self.rows_pat[rb].add(j)
-                b += 1
-            else:
-                a += 1
-                b += 1
-        while a < na:
-            ra = old[a] >> k
-            self.row_counts[ra] -= 1
-            self.rows_pat[ra].discard(j)
-            a += 1
-        while b < nb:
-            rb = new[b] >> k
-            self.row_counts[rb] += 1
-            self.rows_pat[rb].add(j)
-            b += 1
-        self.nnz += nb - na
-        self.col_counts[j] = nb
+        """Replace column j with a sorted packed list."""
+        self.nnz += len(new) - len(self.cols[j])
         self.cols[j] = new
 
-    def col_pairs(self, j: int) -> list[tuple[int, int]]:
-        return vec_to_pairs(self.cols[j], self.spec)
+    def dense_col(self, j: int) -> list[int]:
+        """Column j as a dense list of length m."""
+        k, mask = self.spec.k, self.spec.mask
+        out = [0] * self.m
+        for e in self.cols[j]:
+            out[e >> k] = e & mask
+        return out
 
     def entries(self):
         """Yield (i, j, v) column-major, rows ascending within a column."""
@@ -250,19 +186,7 @@ class SparseMatrix:
             raise ValueError("swap needs distinct columns")
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise IndexError("column swap (%d, %d) outside %d columns" % (a, b, self.n))
-        k = self.spec.k
-        rows_a = [e >> k for e in self.cols[a]]
-        rows_b = [e >> k for e in self.cols[b]]
-        for r in rows_a:
-            self.rows_pat[r].discard(a)
-        for r in rows_b:
-            self.rows_pat[r].discard(b)
-        for r in rows_a:
-            self.rows_pat[r].add(b)
-        for r in rows_b:
-            self.rows_pat[r].add(a)
         self.cols[a], self.cols[b] = self.cols[b], self.cols[a]
-        self.col_counts[a], self.col_counts[b] = self.col_counts[b], self.col_counts[a]
 
     def add_col_multiple(self, src: int, dst: int, s: int) -> None:
         """col[dst] += s * col[src]."""
@@ -279,54 +203,6 @@ class SparseMatrix:
         p = self.spec.p
         self.cols[j] = [(e >> k) << k | (e & mask) * u % p for e in self.cols[j]]
 
-    def swap_rows(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("swap needs distinct rows")
-        if not (0 <= a < self.m and 0 <= b < self.m):
-            raise IndexError("row swap (%d, %d) outside %d rows" % (a, b, self.m))
-        k = self.spec.k
-        for j in self.rows_pat[a] | self.rows_pat[b]:
-            col = self.cols[j]
-            ia = bisect_left(col, a << k)
-            va = col[ia] & self.spec.mask if ia < len(col) and col[ia] >> k == a else 0
-            ib = bisect_left(col, b << k)
-            vb = col[ib] & self.spec.mask if ib < len(col) and col[ib] >> k == b else 0
-            if va:
-                del col[ia]
-            ib = bisect_left(col, b << k)
-            if vb:
-                del col[ib]
-            if vb:
-                col.insert(bisect_left(col, a << k), a << k | vb)
-            if va:
-                col.insert(bisect_left(col, b << k), b << k | va)
-        self.rows_pat[a], self.rows_pat[b] = self.rows_pat[b], self.rows_pat[a]
-        self.row_counts[a], self.row_counts[b] = self.row_counts[b], self.row_counts[a]
-
-    def add_row_multiple(self, src: int, dst: int, s: int) -> None:
-        """row[dst] += s * row[src]."""
-        if src == dst:
-            raise ValueError("transvection needs distinct rows")
-        s %= self.spec.p
-        if s == 0:
-            return
-        spec = self.spec
-        for j in sorted(self.rows_pat[src]):
-            va = self.get(src, j)
-            self.set(dst, j, (self.get(dst, j) + s * va) % spec.p)
-
-    def scale_row(self, i: int, u: int) -> None:
-        u %= self.spec.p
-        if u == 0:
-            raise ValueError("dilation scalar must be nonzero")
-        k = self.spec.k
-        mask = self.spec.mask
-        p = self.spec.p
-        for j in self.rows_pat[i]:
-            col = self.cols[j]
-            idx = bisect_left(col, i << k)
-            col[idx] = i << k | (col[idx] & mask) * u % p
-
     # -- whole-matrix operations ----------------------------------------------
 
     def transpose(self) -> "SparseMatrix":
@@ -339,25 +215,8 @@ class SparseMatrix:
             for e in col:
                 tcols[e >> k].append(jk | (e & mask))
         # source columns ascend in j, so each target column is already sorted
-        for i, col in enumerate(tcols):
-            t.col_counts[i] = len(col)
-            for e in col:
-                r = e >> k
-                t.row_counts[r] += 1
-                t.rows_pat[r].add(i)
         t.nnz = self.nnz
         return t
-
-    def nnz_active(self, c: int) -> int:
-        """Nonzeros in the region with row >= c and column >= c."""
-        if not 0 <= c <= min(self.m, self.n):
-            raise ValueError("active index %d outside [0, %d]" % (c, min(self.m, self.n)))
-        k = self.spec.k
-        total = 0
-        for j in range(c, self.n):
-            col = self.cols[j]
-            total += len(col) - bisect_left(col, c << k)
-        return total
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.n for _ in range(self.m)]
@@ -375,9 +234,6 @@ class SparseMatrix:
         assert len(self.cols) == self.n
         k = self.spec.k
         mask = self.spec.mask
-        rc = [0] * self.m
-        cc = [0] * self.n
-        pat: list[set[int]] = [set() for _ in range(self.m)]
         total = 0
         for j, col in enumerate(self.cols):
             prev = -1
@@ -387,13 +243,7 @@ class SparseMatrix:
                 assert 0 < v < self.spec.p, "stored zero or out-of-range value"
                 assert i < self.m
                 prev = i
-                rc[i] += 1
-                cc[j] += 1
-                pat[i].add(j)
                 total += 1
-        assert rc == self.row_counts, "row counts drifted"
-        assert cc == self.col_counts, "column counts drifted"
-        assert pat == self.rows_pat, "row pattern drifted"
         assert total == self.nnz
 
 

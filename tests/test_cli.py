@@ -189,6 +189,23 @@ def test_reduce_not_a_cocycle(tmp_path, capsys):
     assert "not a cocycle" in err
 
 
+def test_reduce_incomplete_workspace(tmp_path, capsys):
+    d5, d4 = write_circle(str(tmp_path))
+    wd = str(tmp_path / "ws")
+    code, _, _ = run(capsys, "cohomology", d5, d4, "--workdir", wd)
+    assert code == 0
+    zfile = str(tmp_path / "z1.sms")
+    write_column(zfile, smithy.load_workspace(wd).basis_column(0))
+    spec = FieldSpec(7)
+    bad = smithy.ComplexSlice(SparseMatrix.from_dense([[1, 1, 0]], spec),
+                              SparseMatrix.from_dense([[1], [0], [0]], spec))
+    with pytest.raises(smithy.NotAComplexError):
+        smithy.compute_h5(bad, wd, validate=False)
+    code, _, err = run(capsys, "reduce", wd, zfile)
+    assert code == EXIT_PARSE
+    assert "io error" in err
+
+
 def test_predict_prime(capsys):
     code, out, _ = run(capsys, "predict", "53")
     assert code == 0

@@ -205,6 +205,19 @@ def test_workspace_files_and_reload(tmp_path):
     assert reduce_cocycle(ws2, z1) == [1]
 
 
+def test_failed_rerun_leaves_no_meta(tmp_path):
+    wd = str(tmp_path / "ws")
+    compute_h5(circle_slice(), wd)
+    spec = FieldSpec(7)
+    bad = ComplexSlice(SparseMatrix.from_dense([[1, 1]], spec),
+                       SparseMatrix.from_dense([[1], [0]], spec))
+    with pytest.raises(NotAComplexError):
+        compute_h5(bad, wd, validate=False)
+    assert not (tmp_path / "ws" / "meta").exists()
+    with pytest.raises(OSError):
+        load_workspace(wd)
+
+
 def test_tau_applies_to_eta(tmp_path):
     rng = random.Random(67)
     sl, _, _ = make_slice(rng, 6, 12, 8, 7)

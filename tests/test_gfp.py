@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from smithy import FieldSpec, pack_reversed, unpack_reversed
+from smithy import FieldSpec
 
 
 def test_bit_width():
@@ -52,17 +52,14 @@ def test_modulus_validation():
 
 def test_field_ops():
     spec = FieldSpec(7)
-    assert spec.add(5, 4) == 2
-    assert spec.sub(2, 5) == 4
     assert spec.neg(3) == 4
     assert spec.neg(0) == 0
-    assert spec.mul(4, 5) == 6
 
 
 def test_inverse_exhaustive_small():
     spec = FieldSpec(7)
     for a in range(1, 7):
-        assert spec.mul(a, spec.inv(a)) == 1
+        assert a * spec.inv(a) % spec.p == 1
     with pytest.raises(ZeroDivisionError):
         spec.inv(0)
 
@@ -74,15 +71,3 @@ def test_inverse_random_large():
         a = rng.randrange(1, spec.p)
         assert a * spec.inv(a) % spec.p == 1
 
-
-def test_pack_reversed_roundtrip():
-    spec = FieldSpec(12379)
-    nrows = 1000
-    rng = random.Random(3)
-    for _ in range(100):
-        i, v = rng.randrange(nrows), rng.randrange(1, spec.p)
-        e = pack_reversed(i, v, nrows, spec)
-        assert unpack_reversed(e, nrows, spec) == (i, v)
-    # the historical variant sorts by DESCENDING row index
-    packed = [pack_reversed(i, 1, nrows, spec) for i in range(nrows)]
-    assert packed == sorted(packed, reverse=True)

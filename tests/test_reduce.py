@@ -4,7 +4,8 @@ import random
 import pytest
 
 from smithy import (COL, FieldSpec, SnfOptions, SparseMatrix, Transcript,
-                    disk_hnf, markowitz_pivot, snf)
+                    disk_hnf, snf)
+from smithy.reduce import _Engine
 
 from conftest import dense_rank, random_dense
 
@@ -29,15 +30,17 @@ def run_snf(rows, p, tmp_path, tag, **kw):
 
 
 def test_markowitz_examples(f7):
-    assert markowitz_pivot(SparseMatrix.identity(2, f7), 0) == (0, 0)
+    def pivots(a, c):
+        eng = _Engine(a, start=c)
+        return eng.find_pivot(), eng.reference_pivot()
+
+    assert pivots(SparseMatrix.identity(2, f7), 0) == ((0, 0), (0, 0))
     a = SparseMatrix.from_dense([[1, 1, 1], [1, 0, 0]], f7)
-    assert markowitz_pivot(a, 0) == (0, 1)
-    assert markowitz_pivot(SparseMatrix(3, 3, f7), 0) is None
+    assert pivots(a, 0) == ((0, 1), (0, 1))
+    assert pivots(SparseMatrix(3, 3, f7), 0) == (None, None)
     b = SparseMatrix.from_dense([[1, 0], [0, 1]], f7)
-    assert markowitz_pivot(b, 1) == (1, 1)
-    assert markowitz_pivot(b, 2) is None
-    with pytest.raises(ValueError):
-        markowitz_pivot(b, 3)
+    assert pivots(b, 1) == ((1, 1), (1, 1))
+    assert pivots(b, 2) == (None, None)
 
 
 def test_zero_matrix(tmp_path):

@@ -60,11 +60,6 @@ def test_get_set(f7):
     assert a.get(0, 0) == 0
 
 
-def test_from_pairs_duplicate(f7):
-    with pytest.raises(ValueError):
-        SparseMatrix.from_pairs(2, 2, f7, [(0, 0, 1), (0, 0, 2)])
-
-
 def test_identity_and_eq(f7):
     i3 = SparseMatrix.identity(3, f7)
     assert i3.to_dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -78,36 +73,23 @@ def test_elementary_ops_against_dense(f7):
         m, n = rng.randrange(2, 7), rng.randrange(2, 7)
         rows = random_dense(rng, m, n, 7, 0.5)
         a = SparseMatrix.from_dense(rows, f7)
-        op = rng.randrange(6)
+        op = rng.randrange(3)
         if op == 0:
             x, y = rng.sample(range(n), 2)
             a.swap_cols(x, y)
             for r in rows:
                 r[x], r[y] = r[y], r[x]
         elif op == 1:
-            x, y = rng.sample(range(m), 2)
-            a.swap_rows(x, y)
-            rows[x], rows[y] = rows[y], rows[x]
-        elif op == 2:
             x, y = rng.sample(range(n), 2)
             s = rng.randrange(7)
             a.add_col_multiple(x, y, s)
             for r in rows:
                 r[y] = (r[y] + s * r[x]) % 7
-        elif op == 3:
-            x, y = rng.sample(range(m), 2)
-            s = rng.randrange(7)
-            a.add_row_multiple(x, y, s)
-            rows[y] = [(b + s * c) % 7 for b, c in zip(rows[y], rows[x])]
-        elif op == 4:
+        else:
             x, u = rng.randrange(n), rng.randrange(1, 7)
             a.scale_col(x, u)
             for r in rows:
                 r[x] = r[x] * u % 7
-        else:
-            x, u = rng.randrange(m), rng.randrange(1, 7)
-            a.scale_row(x, u)
-            rows[x] = [v * u % 7 for v in rows[x]]
         a.check()
         assert a.to_dense() == rows
 
@@ -117,13 +99,6 @@ def test_swap_cols_shared_rows(f7):
     a.swap_cols(0, 1)
     a.check()
     assert a.to_dense() == [[2, 1], [4, 3]]
-
-
-def test_swap_rows_both_present(f7):
-    a = SparseMatrix.from_dense([[1, 0, 2], [0, 3, 4]], f7)
-    a.swap_rows(0, 1)
-    a.check()
-    assert a.to_dense() == [[0, 3, 4], [1, 0, 2]]
 
 
 def test_transpose(f7):
@@ -149,19 +124,9 @@ def test_set_col_and_counts(f7):
     a.set_col(0, [0 << 3 | 4, 2 << 3 | 1])
     a.check()
     assert a.to_dense() == [[4, 0], [0, 0], [1, 3]]
-    assert a.row_counts == [1, 0, 2]
-    assert a.col_counts == [2, 1]
     a.set_col(0, [])
     a.check()
     assert a.nnz == 1
-
-
-def test_nnz_active(f7):
-    a = SparseMatrix.from_dense([[1, 1, 0], [0, 2, 0], [0, 0, 3]], f7)
-    assert a.nnz_active(0) == 4
-    assert a.nnz_active(1) == 2
-    assert a.nnz_active(2) == 1
-    assert a.nnz_active(3) == 0
 
 
 def test_write_read_roundtrip(f12379):
