@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from importlib import resources
 
 from .cohomo import (ComplexSlice, NotACocycleError, NotAComplexError,
@@ -42,7 +43,7 @@ def _spec_arg(args) -> FieldSpec | None:
 
 def cmd_snf(args) -> int:
     a = read_matrix(args.matrix, _spec_arg(args))
-    workdir = args.workdir
+    workdir = args.workdir or tempfile.mkdtemp(prefix="smithy-")
     opts = SnfOptions(
         emit_p=args.emit_p,
         emit_q=args.emit_q,
@@ -53,13 +54,13 @@ def cmd_snf(args) -> int:
     )
     nnz_in = a.nnz
     res = snf(a, opts)
-    write_matrix(a, os.path.join(res.workdir, "d.sms"))
+    write_matrix(a, os.path.join(workdir, "d.sms"))
     _emit("m", a.m)
     _emit("n", a.n)
     _emit("rank", res.rank)
     _emit("nnz", nnz_in)
     _emit("peakActive", max(res.fill_log))
-    _emit("workdir", res.workdir)
+    _emit("workdir", workdir)
     if res.p is not None:
         _emit("pTranscript", res.p.path)
     if res.q is not None:

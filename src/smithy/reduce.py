@@ -52,7 +52,7 @@ class SnfOptions:
     tau: int | None = None  # active-nonzero threshold for the disk fallback
     normalize_pivots: bool = False
     fill_log_path: str | None = None
-    workdir: str | None = None  # transcripts and spill live here; temp dir if unset
+    workdir: str | None = None  # transcripts and spill live here; see snf
     p_path: str | None = None
     q_path: str | None = None
     spill_dir: str | None = None  # overrides workdir for the spill file
@@ -79,7 +79,7 @@ class SnfResult:
     q: Transcript | None
     fill_log: list[int]
     hnf_stats: HnfStats | None
-    workdir: str
+    workdir: str | None
 
 
 SPILL_DIR_ENV = "SMITHY_SPILL_DIR"
@@ -210,15 +210,16 @@ class _Engine:
         changing the selected position.
         """
         c = self.c
-        if self.total - c == 0:
+        # masked minima: filtered copies of the counts, made and freed on
+        # every pivot, cost the reduction a page fault per page they touched
+        big = np.iinfo(np.int64).max
+        ccnt = self.col_cnt[c:self.n]
+        cmin = int(ccnt.min(initial=big, where=ccnt > 0))
+        if cmin == big:
             return None
         cur_rows = self.phys_of[c:self.m]
         rcnt = self.row_cnt[cur_rows]
-        ccnt = self.col_cnt[c:self.n]
-        rpos = rcnt[rcnt > 0]
-        cpos = ccnt[ccnt > 0]
-        rmin = int(rpos.min())
-        cmin = int(cpos.min())
+        rmin = int(rcnt.min(initial=big, where=rcnt > 0))
 
         if rmin == 1 or cmin == 1:
             cand = None
@@ -237,7 +238,7 @@ class _Engine:
             return cand
 
         bound = (ccnt - 1) * (rmin - 1)
-        bound[ccnt == 0] = np.iinfo(np.int64).max
+        bound[ccnt == 0] = big
         j0 = int(bound.argmin())
         best = self._scan_col(c + j0, None)
         for rel in np.flatnonzero(bound <= best[0]):
@@ -476,12 +477,19 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     The caller gives up the matrix: on return it holds the diagonal.  With
     emit_p/emit_q set, replaying the row transcript on the left and the
     column transcript on the right of the diagonal restores the input.
+    The transcripts get their trailers only if the reduction completes.
+
+    Without a workdir, a fresh temp dir is made only for a transcript that
+    has no path of its own, and the spill file goes to the system temp dir.
     """
     opts = opts or SnfOptions()
     if opts.tau is not None and opts.tau < 0:
         raise ValueError("tau must be nonnegative")
-    workdir = opts.workdir or tempfile.mkdtemp(prefix="smithy-")
-    os.makedirs(workdir, exist_ok=True)
+    workdir = opts.workdir
+    if workdir:
+        os.makedirs(workdir, exist_ok=True)
+    elif (opts.emit_p and not opts.p_path) or (opts.emit_q and not opts.q_path):
+        workdir = tempfile.mkdtemp(prefix="smithy-")
     spec = a.spec
     p_tr = q_tr = None
     if opts.emit_p:
@@ -496,11 +504,13 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     diag: list[int] = []
     fill_log: list[int] = []
     hnf_stats = None
+    done = False
     try:
         while True:
             active = eng.total - eng.c
             if (hnf_stats is None and opts.tau is not None and active >= opts.tau):
-                hnf_stats = _disk_echelon(eng, q_tr, _resolve_spill_dir(opts.spill_dir, workdir))
+                hnf_stats = _disk_echelon(eng, q_tr, _resolve_spill_dir(
+                    opts.spill_dir, workdir or tempfile.gettempdir()))
                 active = eng.total - eng.c
             fill_log.append(active)
             if fill_file:
@@ -557,11 +567,16 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             diag.append(d)
             eng.c += 1
         eng.overwrite_with_diagonal(diag)
+        done = True
     finally:
-        if p_tr is not None:
-            p_tr.finalize()
-        if q_tr is not None:
-            q_tr.finalize()
+        # a transcript of an unfinished reduction gets no trailer
+        for tr in (p_tr, q_tr):
+            if tr is None:
+                continue
+            if done:
+                tr.finalize()
+            else:
+                tr.abandon()
         if fill_file:
             fill_file.close()
     return SnfResult(

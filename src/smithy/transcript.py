@@ -1,4 +1,4 @@
-"""Streamed change-of-basis transcripts: elementary operations on disk.
+"""Change-of-basis transcripts: elementary operations on disk.
 
 A transcript is an append-only text file holding one header line
 
@@ -10,6 +10,11 @@ followed by one record per elementary operation, 0-based indices:
     T a b v           add v times line a to line b   (0 < v < p)
     D a u             scale line a by u              (0 < u < p)
 
+and, once finalized, one trailer line
+
+    E count crc       the number of records and the CRC-32 of every
+                      byte before this line
+
 "Line" means row for a ROW transcript and column for a COL transcript.
 Each record stands for the elementary matrix performing that operation on
 its side; for a record with matrix E, a ROW transcript represents the
@@ -20,15 +25,18 @@ A <- E_row^-1 A and A <- A E_col^-1, so replaying a ROW transcript against
 the reduced matrix on the left and a COL transcript on the right restores
 the original matrix.
 
-Records are never materialized in memory as a whole; application streams
-the file in whichever direction the requested product needs, using a byte
-offset index built in one forward pass.  Every application opens its own
-file handle, so concurrent readers are safe; a finalized transcript is
-immutable.
+A finalized transcript is immutable and is decoded once: by open, or for
+one made by create, by its first replay.  The decoder checks the trailer,
+so a file cut short, damaged or never finalized is refused, and keeps the
+records as four parallel typed arrays (kind, a, b, v), 11 bytes per
+record.  Every replay walks those arrays in whichever direction the
+requested product needs.
 """
 
 from __future__ import annotations
 
+import zlib
+from array import array
 from dataclasses import dataclass
 
 from .gfp import FieldSpec
@@ -95,24 +103,77 @@ class ElementaryOp:
         return "D %d %d\n" % (self.a, self.v)
 
 
-def _parse_record(text: str, line_no: int) -> ElementaryOp:
-    parts = text.split()
-    try:
-        if parts and parts[0] == "S" and len(parts) == 3:
-            return ElementaryOp("S", int(parts[1]), int(parts[2]))
-        if parts and parts[0] == "T" and len(parts) == 4:
-            return ElementaryOp("T", int(parts[1]), int(parts[2]), int(parts[3]))
-        if parts and parts[0] == "D" and len(parts) == 3:
-            return ElementaryOp("D", int(parts[1]), None, int(parts[2]))
-    except ValueError as exc:
-        raise TranscriptError("record %d: %s" % (line_no, exc)) from None
-    raise TranscriptError("record %d: unrecognized %r" % (line_no, text.strip()))
+# record kinds as the decoded kind array stores them
+_S, _T, _D = b"STD"
+_MAKE = {(b"S", 3): ElementaryOp.swap, (b"T", 4): ElementaryOp.transvection,
+         (b"D", 3): ElementaryOp.dilation}
+
+
+def _decode(path, spec: FieldSpec | None = None):
+    """Read a transcript file in one pass into (side, dim, spec, ops), ops
+    being the records as parallel arrays (kind, a, b, v); a dilation keeps
+    its line in both index slots and a swap has v = 0."""
+    ops = kind, la, lb, val = array("B"), array("i"), array("i"), array("H")
+    with open(path, "rb") as f:
+        header = f.readline()
+        parts = header.split()
+        if len(parts) != 3 or parts[0] not in (b"ROW", b"COL"):
+            raise TranscriptError("bad header %r" % header)
+        side = parts[0].decode()
+        try:
+            dim, p = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise TranscriptError("bad header %r" % header) from None
+        file_spec = FieldSpec(p)
+        if spec is not None and spec.p != p:
+            raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
+        crc = zlib.crc32(header)
+        for no, raw in enumerate(f, 1):
+            if raw.startswith(b"E"):
+                if raw != b"E %d %d\n" % (len(kind), crc):
+                    raise TranscriptError("%s: trailer %r does not match %d records "
+                                          "with CRC-32 %d" % (path, raw, len(kind), crc))
+                if f.read(1):
+                    raise TranscriptError("%s: bytes after the trailer" % path)
+                if kind and (max(max(la), max(lb)) >= dim or max(val) >= p):
+                    raise TranscriptError("%s: a record exceeds dimension %d or "
+                                          "modulus %d" % (path, dim, p))
+                return side, dim, file_spec, ops
+            crc = zlib.crc32(raw, crc)
+            parts = raw.split()
+            if not parts:
+                continue
+            try:
+                op = _MAKE[parts[0], len(parts)](*map(int, parts[1:]))
+                kind.append(ord(op.kind))
+                la.append(op.a)
+                lb.append(op.a if op.b is None else op.b)
+                val.append(op.v or 0)
+            except KeyError:
+                raise TranscriptError("record %d: unrecognized %r" % (no, raw.strip())) from None
+            except (ValueError, OverflowError) as exc:
+                raise TranscriptError("record %d: %s" % (no, exc)) from None
+    raise TranscriptError("%s has no trailer: it was cut short or never finalized" % path)
+
+
+def _op(kind: int, a: int, b: int, v: int) -> ElementaryOp:
+    return ElementaryOp(chr(kind), a, None if kind == _D else b, None if kind == _S else v)
+
+
+def _run_col_ops(target: SparseMatrix, ops) -> None:
+    for k, src, dst, v in ops:
+        if k == _T:
+            target.add_col_multiple(src, dst, v)
+        elif k == _S:
+            target.swap_cols(src, dst)
+        else:
+            target.scale_col(dst, v)
 
 
 class Transcript:
     """One side of a change of basis, as a file of elementary ops."""
 
-    def __init__(self, path, side: str, dim: int, spec: FieldSpec, _writer=None, _offsets=None):
+    def __init__(self, path, side: str, dim: int, spec: FieldSpec, _writer=None, _ops=None):
         if side not in (ROW, COL):
             raise ValueError("side must be ROW or COL")
         self.path = str(path)
@@ -120,41 +181,21 @@ class Transcript:
         self.dim = dim
         self.spec = spec
         self._writer = _writer
-        self._offsets = _offsets if _offsets is not None else []
+        self._ops = _ops  # the decoded (kind, a, b, v) arrays
+        self._count = len(_ops[0]) if _ops else 0
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
     def create(cls, path, side: str, dim: int, spec: FieldSpec) -> "Transcript":
         f = open(path, "w", newline="\n")
-        header = "%s %d %d\n" % (side, dim, spec.p)
-        f.write(header)
-        t = cls(path, side, dim, spec, _writer=f)
-        t._pos = len(header)
-        return t
+        f.write("%s %d %d\n" % (side, dim, spec.p))
+        return cls(path, side, dim, spec, _writer=f)
 
     @classmethod
     def open(cls, path, spec: FieldSpec | None = None) -> "Transcript":
-        offsets = []
-        with open(path, "rb") as f:
-            header = f.readline()
-            parts = header.split()
-            if len(parts) != 3 or parts[0] not in (b"ROW", b"COL"):
-                raise TranscriptError("bad header %r" % header)
-            side = parts[0].decode()
-            try:
-                dim, p = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise TranscriptError("bad header %r" % header) from None
-            file_spec = FieldSpec(p)
-            if spec is not None and spec.p != p:
-                raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
-            pos = len(header)
-            for raw in f:
-                if raw.strip():
-                    offsets.append(pos)
-                pos += len(raw)
-        return cls(path, side, dim, file_spec, _offsets=offsets)
+        side, dim, file_spec, ops = _decode(path, spec)
+        return cls(path, side, dim, file_spec, _ops=ops)
 
     def append(self, op: ElementaryOp) -> None:
         if self._writer is None:
@@ -163,77 +204,78 @@ class Transcript:
             raise TranscriptError("line index outside dimension %d" % self.dim)
         if op.v is not None and not 0 < op.v < self.spec.p:
             raise TranscriptError("scalar %d outside [1, %d)" % (op.v, self.spec.p))
-        text = op.encode()
-        self._writer.write(text)
-        self._offsets.append(self._pos)
-        self._pos += len(text)
+        self._writer.write(op.encode())
+        self._count += 1
 
     def finalize(self) -> "Transcript":
+        """Close the file with its trailer line: the record count and the
+        CRC-32 of every byte before it."""
+        if self._writer is not None:
+            self._writer.flush()
+            crc = 0
+            with open(self.path, "rb") as f:
+                for chunk in iter(lambda: f.read(1 << 16), b""):
+                    crc = zlib.crc32(chunk, crc)
+            self._writer.write("E %d %d\n" % (self._count, crc))
+            self.abandon()
+        return self
+
+    def abandon(self) -> None:
+        """Close the file without a trailer, so that it never decodes."""
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-        return self
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return self._count
 
-    # -- streaming ---------------------------------------------------------
+    # -- records -------------------------------------------------------------
 
     def records(self):
-        """Yield ops in file order."""
-        self._require_final()
-        with open(self.path, "rb") as f:
-            f.readline()
-            no = 0
-            for raw in f:
-                if not raw.strip():
-                    continue
-                no += 1
-                yield _parse_record(raw.decode("ascii"), no)
+        """Ops in file order."""
+        return map(_op, *self._decoded())
 
     def records_reversed(self):
-        self._require_final()
-        with open(self.path, "rb") as f:
-            for idx in range(len(self._offsets) - 1, -1, -1):
-                f.seek(self._offsets[idx])
-                yield _parse_record(f.readline().decode("ascii"), idx + 1)
+        return map(_op, *[reversed(arr) for arr in self._decoded()])
 
-    def _require_final(self) -> None:
+    def _decoded(self):
         if self._writer is not None:
             raise TranscriptError("transcript is still being written")
+        if self._ops is None:
+            self._ops = _decode(self.path, self.spec)[3]
+        return self._ops
 
-    def _stream(self, forward: bool, inverse: bool):
-        src = self.records() if forward else self.records_reversed()
+    def _replay(self, left: bool, inverse: bool):
+        """The records as (kind, src, dst, v) column operations that multiply
+        a target by M (or M^-1) on the left or right.  A ROW record applied
+        on the right, or a COL record on the left, exchanges the roles of
+        T a b v (col[b] += v*col[a]) and walks the file forward; the
+        inverse walks it the other way with inverted scalars."""
+        kind, a, b, v = self._decoded()
+        flip = (self.side == COL) == left
+        if flip:
+            a, b = b, a
         if inverse:
-            spec = self.spec
-            return (op.inverse(spec) for op in src)
-        return src
+            p, inv = self.spec.p, self.spec.inv
+            v = [inv(s) if k == _D else p - s for k, s in zip(kind, v)]
+        if flip != inverse:
+            return zip(kind, a, b, v)
+        return zip(reversed(kind), reversed(a), reversed(b), reversed(v))
 
     # -- application --------------------------------------------------------
-    #
-    # Every elementary matrix acts on a concrete target as a column
-    # operation; only the (source, destination) roles of a transvection
-    # depend on which side the record lives on and which side of the
-    # operand the product places it.  "direct" keeps T a b v as
-    # col[b] += v*col[a]; "flip" exchanges the roles.
 
     def apply_vec(self, x: list[int], inverse: bool = False) -> list[int]:
         """x <- M x (or M^-1 x), mutating and returning the list x."""
         if len(x) != self.dim:
             raise ShapeError("vector length %d, transcript dimension %d" % (len(x), self.dim))
         p = self.spec.p
-        flip = self.side == COL
-        forward = (self.side == COL) != inverse
-        for op in self._stream(forward, inverse):
-            if op.kind == "T":
-                if flip:
-                    x[op.a] = (x[op.a] + op.v * x[op.b]) % p
-                else:
-                    x[op.b] = (x[op.b] + op.v * x[op.a]) % p
-            elif op.kind == "S":
-                x[op.a], x[op.b] = x[op.b], x[op.a]
+        for k, src, dst, v in self._replay(True, inverse):
+            if k == _T:
+                x[dst] = (x[dst] + v * x[src]) % p
+            elif k == _S:
+                x[src], x[dst] = x[dst], x[src]
             else:
-                x[op.a] = x[op.a] * op.v % p
+                x[dst] = x[dst] * v % p
         return x
 
     def apply_mat_left(self, a: SparseMatrix, inverse: bool = False) -> SparseMatrix:
@@ -244,29 +286,15 @@ class Transcript:
         if a.m != self.dim:
             raise ShapeError("matrix has %d rows, transcript dimension %d" % (a.m, self.dim))
         w = a.transpose()
-        forward = (self.side == COL) != inverse
-        self._run_col_ops(w, forward, inverse, flip=(self.side == COL))
+        _run_col_ops(w, self._replay(True, inverse))
         return w.transpose()
 
     def apply_mat_right(self, a: SparseMatrix, inverse: bool = False) -> SparseMatrix:
         """a <- a M (or a M^-1), mutating and returning the given matrix."""
         if a.n != self.dim:
             raise ShapeError("matrix has %d columns, transcript dimension %d" % (a.n, self.dim))
-        forward = (self.side == ROW) != inverse
-        self._run_col_ops(a, forward, inverse, flip=(self.side == ROW))
+        _run_col_ops(a, self._replay(False, inverse))
         return a
-
-    def _run_col_ops(self, target: SparseMatrix, forward: bool, inverse: bool, flip: bool) -> None:
-        for op in self._stream(forward, inverse):
-            if op.kind == "T":
-                if flip:
-                    target.add_col_multiple(op.b, op.a, op.v)
-                else:
-                    target.add_col_multiple(op.a, op.b, op.v)
-            elif op.kind == "S":
-                target.swap_cols(op.a, op.b)
-            else:
-                target.scale_col(op.a, op.v)
 
     def materialize(self, bound: int = 4096) -> SparseMatrix:
         """The represented matrix, for dimensions small enough to afford."""

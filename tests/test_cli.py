@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -56,6 +57,15 @@ def test_snf_fixture(tmp_path, capsys):
     assert os.path.exists(rep["pTranscript"])
     assert os.path.exists(rep["qTranscript"])
     assert "diskEchelonAt" not in rep
+
+
+def test_snf_default_workdir(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    code, out, _ = run(capsys, "snf", FIXTURE)
+    assert code == 0
+    wd = parse_report(out)["workdir"]
+    assert os.path.dirname(wd) == str(tmp_path)
+    assert os.listdir(wd) == ["d.sms"]
 
 
 def test_snf_tau_and_fill_log(tmp_path, capsys):
@@ -204,6 +214,25 @@ def test_reduce_incomplete_workspace(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", wd, zfile)
     assert code == EXIT_PARSE
     assert "io error" in err
+
+
+def test_reduce_truncated_transcript(tmp_path, capsys):
+    d5, d4 = write_circle(str(tmp_path))
+    wd = str(tmp_path / "ws")
+    code, _, _ = run(capsys, "cohomology", d5, d4, "--workdir", wd)
+    assert code == 0
+    zfile = str(tmp_path / "z1.sms")
+    write_column(zfile, smithy.load_workspace(wd).basis_column(0))
+    peta = os.path.join(wd, "peta.trn")
+    with open(peta, "rb") as f:
+        lines = f.readlines()
+    assert len(lines) > 3
+    with open(peta, "wb") as f:
+        f.writelines(lines[:-2])  # cut at a record boundary
+    code, out, err = run(capsys, "reduce", wd, zfile)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "transcript error" in err
 
 
 def test_predict_prime(capsys):

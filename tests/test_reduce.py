@@ -1,10 +1,11 @@
 import os
 import random
+import tempfile
 
 import pytest
 
 from smithy import (COL, FieldSpec, SnfOptions, SparseMatrix, Transcript,
-                    disk_hnf, snf)
+                    TranscriptError, disk_hnf, reduce, snf)
 from smithy.reduce import _Engine
 
 from conftest import dense_rank, random_dense
@@ -41,6 +42,9 @@ def test_markowitz_examples(f7):
     b = SparseMatrix.from_dense([[1, 0], [0, 1]], f7)
     assert pivots(b, 1) == ((1, 1), (1, 1))
     assert pivots(b, 2) == (None, None)
+    # the pivot-free start column holds no entry, so total - c undercounts
+    z = SparseMatrix.from_dense([[0, 0], [0, 1]], f7)
+    assert pivots(z, 1) == ((1, 1), (1, 1))
 
 
 def test_zero_matrix(tmp_path):
@@ -241,3 +245,36 @@ def test_spill_dir_env(tmp_path, monkeypatch, f7):
     res = snf(a, SnfOptions(tau=1, workdir=str(tmp_path / "wd")))
     assert res.hnf_stats.spill_path.startswith(str(spill))
     assert not os.path.exists(res.hnf_stats.spill_path)  # removed on success
+
+
+def test_snf_without_workdir_leaves_no_temp_dir(tmp_path, monkeypatch, f7):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.delenv(reduce.SPILL_DIR_ENV, raising=False)
+    for opts in (None, SnfOptions(), SnfOptions(tau=1),
+                 SnfOptions(emit_q=True, q_path=str(tmp_path / "q.trn"))):
+        a = SparseMatrix.from_dense([[0, 2], [3, 0]], f7)
+        res = snf(a, opts)
+        assert res.rank == 2 and res.workdir is None
+    assert os.listdir(tmp_path) == ["q.trn"]
+
+
+def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
+    real_axpy = reduce.axpy
+    calls = []
+
+    def failing_axpy(*args):
+        calls.append(args)
+        if len(calls) == 12:
+            raise OSError("write failed")
+        return real_axpy(*args)
+
+    monkeypatch.setattr(reduce, "axpy", failing_axpy)
+    rows = random_dense(random.Random(31), 6, 8, 7, 0.7)
+    wd = tmp_path / "wd"
+    with pytest.raises(OSError):
+        run_snf(rows, 7, tmp_path, "wd", fill_log_path=str(tmp_path / "fill"))
+    assert len(calls) == 12
+    for name in ("p.trn", "q.trn"):
+        assert (wd / name).read_text().count("\n") > 1  # records were written
+        with pytest.raises(TranscriptError):
+            Transcript.open(wd / name)

@@ -1,8 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import zlib
 
 import numpy as np
 import pytest
 
+import smithy
 from smithy import (COL, ROW, ElementaryOp, FieldSpec, SparseMatrix,
                     Transcript, TranscriptError)
 
@@ -198,3 +204,120 @@ def test_concurrent_record_streams(tmp_path, f7):
     assert next(it2) == ops[1]
     assert list(it1) == [ops[2]]
     assert list(it2) == [ops[0]]
+
+
+DAMAGE_OPS = [ElementaryOp.transvection(0, 1, 3), ElementaryOp.swap(1, 2),
+              ElementaryOp.dilation(2, 5), ElementaryOp.transvection(2, 0, 6)]
+
+
+def test_trailer_counts_and_checksums(tmp_path, f7):
+    path = tmp_path / "t.trn"
+    write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
+    body, trailer = path.read_bytes().rsplit(b"\n", 2)[0:2]
+    assert trailer == b"E 4 %d" % zlib.crc32(body + b"\n")
+    assert body.splitlines()[1:] == [op.encode().strip().encode()
+                                     for op in DAMAGE_OPS]
+
+
+def test_damaged_transcripts_are_refused(tmp_path, f7):
+    path = tmp_path / "t.trn"
+    write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
+    good = path.read_bytes()
+    lines = good.splitlines(keepends=True)
+    assert lines[1] == b"T 0 1 3\n"
+    damaged = {
+        "record boundary cut": b"".join(lines[:3]),
+        "mid-record cut": b"".join(lines[:4]) + lines[4][:4],
+        "flipped digit": lines[0] + b"T 0 1 4\n" + b"".join(lines[2:]),
+        "missing trailer": b"".join(lines[:-1]),
+        "bytes after trailer": good + b"S 0 1\n",
+        "blank line after trailer": good + b"\n",
+        "wrong count": b"".join(lines[:-1]) + lines[-1].replace(b"E 4", b"E 3"),
+    }
+    for name, data in damaged.items():
+        path.write_bytes(data)
+        with pytest.raises(TranscriptError):
+            Transcript.open(path, f7)
+            pytest.fail("accepted a transcript with a " + name)
+    path.write_bytes(good)
+    assert list(Transcript.open(path, f7).records()) == DAMAGE_OPS
+
+
+def test_out_of_range_records_are_refused(tmp_path, f7):
+    path = tmp_path / "t.trn"
+    for record in (b"S 0 3\n", b"T 3 0 1\n", b"T 0 1 7\n", b"D 2 9\n"):
+        body = b"ROW 3 7\nS 0 1\n" + record
+        path.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
+        with pytest.raises(TranscriptError):
+            Transcript.open(path, f7)
+    path.write_bytes(b"ROW 3 7\nS 0 2\nE 1 %d\n" % zlib.crc32(b"ROW 3 7\nS 0 2\n"))
+    assert list(Transcript.open(path, f7).records()) == [ElementaryOp.swap(0, 2)]
+
+
+def test_unfinalized_transcript_is_refused(tmp_path, f7):
+    path = tmp_path / "t.trn"
+    tr = Transcript.create(path, COL, 3, f7)
+    tr.append(ElementaryOp.swap(0, 1))
+    with pytest.raises(TranscriptError):
+        tr.apply_vec([1, 2, 3])
+    tr.abandon()
+    with pytest.raises(TranscriptError):
+        tr.apply_vec([1, 2, 3])
+    with pytest.raises(TranscriptError):
+        Transcript.open(path, f7)
+
+
+def test_each_transcript_is_decoded_once(tmp_path, f7):
+    rng = random.Random(25)
+    for trial, side in enumerate((ROW, COL, ROW, COL)):
+        dim = 5
+        ops = [ElementaryOp.transvection(0, 1, 2)] + random_ops(rng, dim, 7)
+        path = tmp_path / ("d%d.trn" % trial)
+        created = Transcript.create(path, side, dim, f7)
+        for op in ops:
+            created.append(op)
+        created.finalize()
+        opened = Transcript.open(path, f7)
+        x = [rng.randrange(7) for _ in range(dim)]
+        rows = random_dense(rng, dim, 3, 7, 0.6)
+
+        def replays(tr):
+            return (tr.apply_vec(list(x)), tr.apply_vec(list(x), inverse=True),
+                    tr.apply_mat_left(SparseMatrix.from_dense(rows, f7)).cols,
+                    list(tr.records_reversed()))
+
+        first = [replays(tr) for tr in (created, opened)]
+        assert first[0] == first[1]
+        os.remove(path)
+        assert [replays(tr) for tr in (created, opened)] == first
+
+
+def test_benchmark_tracer_still_hooks_the_library(tmp_path):
+    """The benchmark's traced run wraps Transcript methods by name."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smithy.__file__)))
+    code = """
+import json, sys
+sys.path[:0] = [%r, %r]
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+tracer.enabled = True
+from smithy import FieldSpec, SparseMatrix, reduce
+a = SparseMatrix.from_dense([[0, 2, 1], [3, 0, 1], [1, 1, 0]], FieldSpec(7))
+res = reduce.snf(a, reduce.SnfOptions(emit_p=True, emit_q=True, workdir="wd"))
+res.q.apply_vec([1, 2, 3])
+decoded = len(list(res.p.records_reversed()))
+print(json.dumps([tracer.layer_metrics(), decoded, len(res.p) + len(res.q)]))
+""" % (os.path.join(root, "perfbench"), src)
+    out = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    metrics, decoded, written = json.loads(out.stdout.splitlines()[-1])
+    assert metrics["transcript.records_written"] == written > 0
+    assert metrics["transcript.apply_s"] > 0
+    assert metrics["transcript.records_decoded"] == decoded > 0
+    assert metrics["transcript.bytes_written"] == sum(
+        os.path.getsize(os.path.join(tmp_path, "wd", name))
+        for name in ("p.trn", "q.trn"))
