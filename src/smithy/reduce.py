@@ -9,7 +9,10 @@ The reduction loop, for pivot index c starting at 0:
   2. stop when the active region is empty;
   3. pick the active nonzero minimizing the Markowitz count
      (r_i - 1)(c_j - 1) over the whole region, ties to the smallest (i, j),
-     and move it to (c, c) with one row swap and one column swap;
+     and move it to (c, c) with one row swap and one column swap.  The
+     search does not scan: each column caches its own minimum in a heap,
+     and only columns whose entries, or whose rows' counts or positions,
+     changed since the last pivot are rescanned;
   4. clear the pivot row with column transvections;
   5. clear the pivot column with row transvections -- after step 4 the
      pivot row is a singleton, so each of these touches only column c;
@@ -21,10 +24,10 @@ that diagonal; the row and column operations stream to transcripts when
 requested, and replaying them against the diagonal restores the input.
 
 The engine (_Engine) is the one owner of the pivoting bookkeeping: it
-builds the per-row and per-column nonzero counts and the row pattern (per
-row, the set of columns holding an entry of that row) from the matrix's
-columns on entry, and every column edit during the reduction goes through
-it.  The matrix itself keeps only columns and its nonzero total.
+builds the row pattern (per row, the set of columns holding an entry of
+that row) from the matrix's columns on entry, keeps the pivot keys, and
+every column edit during the reduction goes through it.  The matrix itself
+keeps only columns and its nonzero total.
 
 Rows are never physically moved: the engine keeps a row permutation and
 stores entries under stable physical ids, translating to current indices
@@ -38,10 +41,9 @@ import os
 import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-import numpy as np
-
-from .sparse import SparseMatrix, axpy
+from .sparse import MatrixFormatError, SparseMatrix, axpy
 from .transcript import COL, ROW, ElementaryOp, Transcript
 
 
@@ -87,11 +89,19 @@ SPILL_DIR_ENV = "SMITHY_SPILL_DIR"
 
 class _Engine:
     """Working state for one reduction; owns the matrix until finalized,
-    and alone keeps the counts and row pattern that pivoting reads."""
+    and alone keeps the row pattern and the pivot keys that pivoting reads.
+
+    A row's count is the size of its pattern and a column's the length of
+    its list.  Each column j >= c with entries has a cached key, its
+    minimum (cost, current row, j) packed as (cost*m + i)*n + j, in a heap
+    with lazy deletion.  Edits only mark dirty state (the changed columns
+    and every row whose count or current index changed); find_pivot
+    rescans just the columns that are dirty or lie in a dirty row.
+    """
 
     __slots__ = (
         "mat", "spec", "p", "k", "mask", "m", "n", "cols", "rows_pat",
-        "row_cnt", "col_cnt", "col_min_phys", "phys_of", "cur_of", "total", "c",
+        "phys_of", "cur_of", "total", "c", "key", "heap", "dirty_cols", "dirty_rows",
     )
 
     def __init__(self, mat: SparseMatrix, start: int = 0):
@@ -109,76 +119,64 @@ class _Engine:
             for e in col:
                 rows_pat[e >> k].add(j)
         self.rows_pat = rows_pat
-        self.row_cnt = np.array([len(s) for s in rows_pat], dtype=np.int64)
-        self.col_cnt = np.array([len(col) for col in mat.cols], dtype=np.int64)
-        self.col_min_phys = np.array(
-            [(col[0] >> k) if col else mat.m for col in mat.cols], dtype=np.int64
-        )
-        self.phys_of = np.arange(mat.m, dtype=np.int64)
-        self.cur_of = np.arange(mat.m, dtype=np.int64)
+        self.phys_of = list(range(mat.m))
+        self.cur_of = list(range(mat.m))
         self.total = mat.nnz
         self.c = start
+        self.key = [-1] * mat.n  # -1: no entry
+        self.heap: list[int] = []
+        self.dirty_cols = set(range(start, mat.n))
+        self.dirty_rows: set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
 
     def set_col(self, j: int, new: list[int]) -> None:
         old = self.cols[j]
         k = self.k
-        row_cnt = self.row_cnt
         pat = self.rows_pat
+        dirty = self.dirty_rows
         a = b = 0
         na, nb = len(old), len(new)
         while a < na and b < nb:
             ra, rb = old[a] >> k, new[b] >> k
             if ra < rb:
-                row_cnt[ra] -= 1
                 pat[ra].discard(j)
+                dirty.add(ra)
                 a += 1
             elif ra > rb:
-                row_cnt[rb] += 1
                 pat[rb].add(j)
+                dirty.add(rb)
                 b += 1
             else:
                 a += 1
                 b += 1
         while a < na:
             ra = old[a] >> k
-            row_cnt[ra] -= 1
             pat[ra].discard(j)
+            dirty.add(ra)
             a += 1
         while b < nb:
             rb = new[b] >> k
-            row_cnt[rb] += 1
             pat[rb].add(j)
+            dirty.add(rb)
             b += 1
+        self.dirty_cols.add(j)
         self.total += nb - na
-        self.col_cnt[j] = nb
-        self.col_min_phys[j] = (new[0] >> k) if nb else self.m
         self.cols[j] = new
 
     def swap_rows(self, a: int, b: int) -> None:
-        pa, pb = int(self.phys_of[a]), int(self.phys_of[b])
+        pa, pb = self.phys_of[a], self.phys_of[b]
         self.phys_of[a], self.phys_of[b] = pb, pa
         self.cur_of[pa], self.cur_of[pb] = b, a
+        self.dirty_rows.update((pa, pb))
 
     def swap_cols(self, a: int, b: int) -> None:
-        k = self.k
-        rows_a = [e >> k for e in self.cols[a]]
-        rows_b = [e >> k for e in self.cols[b]]
-        pat = self.rows_pat
-        for r in rows_a:
-            pat[r].discard(a)
-        for r in rows_b:
-            pat[r].discard(b)
-        for r in rows_a:
-            pat[r].add(b)
-        for r in rows_b:
-            pat[r].add(a)
+        k, pat = self.k, self.rows_pat
+        # a row holding exactly one of the two columns trades it for the other
+        for r in {e >> k for e in self.cols[a]} ^ {e >> k for e in self.cols[b]}:
+            pat[r] ^= {a, b}
         self.cols[a], self.cols[b] = self.cols[b], self.cols[a]
-        ca, cb = int(self.col_cnt[a]), int(self.col_cnt[b])
-        self.col_cnt[a], self.col_cnt[b] = cb, ca
-        ma, mb = int(self.col_min_phys[a]), int(self.col_min_phys[b])
-        self.col_min_phys[a], self.col_min_phys[b] = mb, ma
+        self.dirty_cols.update((a, b))
 
     def value_at_phys(self, pr: int, j: int) -> int:
         col = self.cols[j]
@@ -202,95 +200,86 @@ class _Engine:
     # -- pivot search --------------------------------------------------------
 
     def find_pivot(self) -> tuple[int, int] | None:
-        """Exact Markowitz minimum with lexicographic tie-break.
+        """Exact Markowitz minimum (r_i - 1)(c_j - 1) over the active
+        columns, ties to the smallest (i, j).
 
-        Equivalent to scanning every active nonzero; singleton rows and
-        columns resolve through the maintained counts, and otherwise a
-        per-column lower bound (c_j - 1)(rmin - 1) prunes the scan without
-        changing the selected position.
+        Refreshes the cached key of each dirty column and of each column
+        in a dirty row's pattern, pushing keys that changed, then pops heap
+        entries that are stale or belong to a finished column (j < c).
+        The heap is rebuilt from the live keys once it outgrows 2(n - c).
         """
-        c = self.c
-        # masked minima: filtered copies of the counts, made and freed on
-        # every pivot, cost the reduction a page fault per page they touched
-        big = np.iinfo(np.int64).max
-        ccnt = self.col_cnt[c:self.n]
-        cmin = int(ccnt.min(initial=big, where=ccnt > 0))
-        if cmin == big:
-            return None
-        cur_rows = self.phys_of[c:self.m]
-        rcnt = self.row_cnt[cur_rows]
-        rmin = int(rcnt.min(initial=big, where=rcnt > 0))
-
-        if rmin == 1 or cmin == 1:
-            cand = None
-            if rmin == 1:
-                rel = int(np.flatnonzero(rcnt == 1)[0])
-                pr = int(cur_rows[rel])
-                cand = (c + rel, min(self.rows_pat[pr]))
-            if cmin == 1:
-                rel = np.flatnonzero(ccnt == 1)
-                prs = self.col_min_phys[c + rel]
-                curs = self.cur_of[prs]
-                i2 = int(curs.min())
-                j2 = c + int(rel[curs == i2].min())
-                if cand is None or (i2, j2) < cand:
-                    cand = (i2, j2)
-            return cand
-
-        bound = (ccnt - 1) * (rmin - 1)
-        bound[ccnt == 0] = big
-        j0 = int(bound.argmin())
-        best = self._scan_col(c + j0, None)
-        for rel in np.flatnonzero(bound <= best[0]):
-            rel = int(rel)
-            if rel != j0:
-                best = self._scan_col(c + rel, best)
-        return (best[1], best[2])
-
-    def _scan_col(self, j: int, best):
-        cj1 = int(self.col_cnt[j]) - 1
-        k = self.k
-        cur_of = self.cur_of
-        row_cnt = self.row_cnt
-        for e in self.cols[j]:
-            pr = e >> k
-            cand = ((int(row_cnt[pr]) - 1) * cj1, int(cur_of[pr]), j)
-            if best is None or cand < best:
-                best = cand
-        return best
+        c, m, n, k = self.c, self.m, self.n, self.k
+        cols, pat, cur_of, key, heap = self.cols, self.rows_pat, self.cur_of, self.key, self.heap
+        todo = self.dirty_cols
+        for pr in self.dirty_rows:
+            todo |= pat[pr]
+        self.dirty_rows.clear()
+        for j in todo:
+            if j < c:
+                continue
+            col = cols[j]
+            new = -1
+            if col:
+                w = (len(col) - 1) * m
+                for e in col:
+                    pr = e >> k
+                    v = (len(pat[pr]) - 1) * w + cur_of[pr]
+                    if new < 0 or v < new:
+                        new = v
+                new = new * n + j
+            if new != key[j]:
+                key[j] = new
+                if new >= 0:
+                    heappush(heap, new)
+        todo.clear()
+        if len(heap) > 2 * (n - c):
+            heap[:] = [kj for kj in key[c:] if kj >= 0]
+            heapify(heap)
+        while heap:
+            top = heap[0]
+            j = top % n
+            if j >= c and key[j] == top:
+                return (top // n % m, j)
+            heappop(heap)
+        return None
 
     def reference_pivot(self) -> tuple[int, int] | None:
         best = None
         for j in range(self.c, self.n):
-            cj1 = int(self.col_cnt[j]) - 1
+            cj1 = len(self.cols[j]) - 1
             for e in self.cols[j]:
                 pr = e >> self.k
-                cand = ((int(self.row_cnt[pr]) - 1) * cj1, int(self.cur_of[pr]), j)
+                cand = ((len(self.rows_pat[pr]) - 1) * cj1, self.cur_of[pr], j)
                 if best is None or cand < best:
                     best = cand
         return (best[1], best[2]) if best else None
 
     def recheck(self) -> None:
-        """Recount everything from the columns; paranoid mode only."""
-        rc = np.zeros(self.m, dtype=np.int64)
+        """Check the pattern, the permutation and, after a flush, every
+        live column's cached key against a fresh scan; paranoid mode only."""
         total = 0
         for j, col in enumerate(self.cols):
-            assert int(self.col_cnt[j]) == len(col)
             prev = -1
             for e in col:
                 pr = e >> self.k
                 assert prev < pr
                 prev = pr
                 assert e & self.mask
-                rc[pr] += 1
                 assert j in self.rows_pat[pr]
                 total += 1
-            if col:
-                assert int(self.col_min_phys[j]) == col[0] >> self.k
-        assert (rc == self.row_cnt).all()
-        assert total == self.total
-        for pr in range(self.m):
-            assert len(self.rows_pat[pr]) == int(self.row_cnt[pr])
+        assert sum(map(len, self.rows_pat)) == total == self.total
+        assert all(self.cur_of[pr] == i for i, pr in enumerate(self.phys_of))
+        self.find_pivot()  # flush the dirty state
+        live = set(self.heap)
+        for j in range(self.c, self.n):
+            col = self.cols[j]
+            if not col:
+                assert self.key[j] == -1
+                continue
+            cost, i, _ = min(((len(self.rows_pat[e >> self.k]) - 1) * (len(col) - 1),
+                              self.cur_of[e >> self.k], j) for e in col)
+            assert self.key[j] == (cost * self.m + i) * self.n + j
+            assert self.key[j] in live
 
     # -- completion -----------------------------------------------------------
 
@@ -315,8 +304,9 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
     echelon columns first (ascending pivot row) and zero columns after.
 
     Memory holds only the accumulated echelon set, whose size stays small
-    when the region has low co-rank.  The spill file is removed on success
-    and kept for inspection on failure.
+    when the region has low co-rank.  A spill that ends before its "0 0 0"
+    terminator raises MatrixFormatError.  The spill file is removed on
+    success and kept for inspection on failure.
     """
     spec = eng.spec
     p, k = eng.p, eng.k
@@ -334,7 +324,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
                 continue
             streamed += 1
             jl = j - c + 1
-            rows = [(int(eng.cur_of[e >> k]), e & eng.mask) for e in col]
+            rows = [(eng.cur_of[e >> k], e & eng.mask) for e in col]
             if check_region and min(r for r, _ in rows) < c:
                 raise ValueError(
                     "column %d holds entries above the active region" % j)
@@ -398,7 +388,8 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
         f.readline()
         cur_j = None
         entries: list[int] = []
-        for raw in f:
+        line_no = 1
+        for line_no, raw in enumerate(f, 2):
             parts = raw.split()
             if not parts:
                 continue
@@ -411,6 +402,9 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
                 cur_j = j_loc
                 entries = []
             entries.append((i_loc - 1) << k | v)
+        else:
+            raise MatrixFormatError(line_no, "spill file %s ends before its 0 0 0 terminator"
+                                    % spill)
         if cur_j is not None:
             absorb(cur_j, entries)
 
@@ -441,7 +435,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
         vec = ech_vec[idx]
         final_nnz += len(vec)
         packed = sorted(
-            int(phys_of[(e >> k) + c]) << k | (e & eng.mask) for e in vec
+            phys_of[(e >> k) + c] << k | (e & eng.mask) for e in vec
         )
         eng.set_col(c + t, packed)
     os.unlink(spill)
@@ -532,7 +526,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 eng.swap_cols(c, j)
                 if q_tr is not None:
                     q_tr.append(ElementaryOp.swap(c, j))
-            pr = int(eng.phys_of[c])
+            pr = eng.phys_of[c]
             d = eng.value_at_phys(pr, c)
             assert d, "pivot vanished"
             if opts.normalize_pivots and d != 1:
@@ -557,7 +551,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             col = eng.cols[c]
             if len(col) > 1:
                 others = sorted(
-                    (int(eng.cur_of[e >> eng.k]), e & eng.mask)
+                    (eng.cur_of[e >> eng.k], e & eng.mask)
                     for e in col if e >> eng.k != pr
                 )
                 if p_tr is not None:

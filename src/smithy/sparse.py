@@ -2,10 +2,9 @@
 
 A column is a Python list of packed entries (see gfp.FieldSpec.pack),
 strictly increasing in row index, never storing zeros.  The matrix keeps
-only its columns and the total nonzero count.  Per-row and per-column
-counts and the row pattern that Markowitz pivoting needs are built and
-maintained by the reduction engine (reduce._Engine), the only code that
-pivots.
+only its columns and the total nonzero count.  The row pattern and the
+pivot keys that Markowitz pivoting needs are built and maintained by the
+reduction engine (reduce._Engine), the only code that pivots.
 
 Only column operations are offered.  Row operations are column
 operations on the transpose: transpose, apply them, transpose back.

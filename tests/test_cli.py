@@ -338,3 +338,35 @@ def test_console_script(tmp_path):
         out = subprocess.run(cmd + ["predict", "1"], capture_output=True,
                              text=True, cwd=tmp_path, env=env)
         assert out.returncode == EXIT_PARSE, (cmd, out.stderr)
+
+
+NO_NUMPY_RUN = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.path.insert(0, sys.argv[1])
+from smithy import (ComplexSlice, FieldSpec, SnfOptions, SparseMatrix,
+                    compute_h5, reduce_cocycle, snf)
+spec = FieldSpec(7)
+rows = [[0, 2, 1, 0], [3, 0, 0, 1], [3, 2, 1, 1]]
+a = SparseMatrix.from_dense(rows, spec)
+res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir="snf"))
+res.q.apply_mat_right(a)
+print(res.rank, res.p.apply_mat_left(a).to_dense() == rows)
+circle = SparseMatrix.from_dense([[6, 1, 0], [0, 6, 1], [1, 0, 6]], spec)
+ws = compute_h5(ComplexSlice(SparseMatrix(1, 3, spec), circle), "ws")
+print(ws.h5, reduce_cocycle(ws, ws.basis_column(0)))
+"""
+
+
+def test_library_runs_without_numpy(tmp_path):
+    """numpy is a test dependency only: the library runs with it
+    unimportable, and pyproject does not require it at run time."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path) as f:
+        project = f.read().partition("\n[project]\n")[2].partition("\n[")[0]
+    assert "numpy" not in project
+    pkg_root = os.path.dirname(os.path.dirname(smithy.__file__))
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN, pkg_root],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2", "True", "1", "[1]"]

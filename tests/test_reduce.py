@@ -1,14 +1,20 @@
+import hashlib
+import io
 import os
 import random
 import tempfile
 
 import pytest
 
-from smithy import (COL, FieldSpec, SnfOptions, SparseMatrix, Transcript,
-                    TranscriptError, disk_hnf, reduce, snf)
+from smithy import (COL, FieldSpec, MatrixFormatError, SnfOptions,
+                    SparseMatrix, Transcript, TranscriptError, disk_hnf,
+                    read_matrix, reduce, snf)
+from smithy.cli import EXIT_PARSE, main
 from smithy.reduce import _Engine
 
 from conftest import dense_rank, random_dense
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture30x40.sms")
 
 
 def replay(res, d):
@@ -45,6 +51,33 @@ def test_markowitz_examples(f7):
     # the pivot-free start column holds no entry, so total - c undercounts
     z = SparseMatrix.from_dense([[0, 0], [0, 1]], f7)
     assert pivots(z, 1) == ((1, 1), (1, 1))
+
+
+# SHA-256 of p.trn and q.trn for the 30x40 fixture, recorded before the
+# cached-key pivot search replaced the scanning one: any change to the pivot
+# order, the tie-break or the record format shows here
+FIXTURE_TRANSCRIPTS = {
+    "plain": ({},
+              "df347c04d864f6e9e03aed8c657bf0ef092d39963cd3b7ac959458bad0e1083f",
+              "300dd39d328b0cd2b5260dcf7b0590962e51c7666b0392ca5e2eae320f8de68d"),
+    "tau0": ({"tau": 0},
+             "49e903cc9489dfaba44574d31da1c120314812edcb09d2990db06d315356b76b",
+             "5f54fece1f8f9ed0226d280138533482542f3533bcd68ec84168811bbad571aa"),
+    "normalized": ({"normalize_pivots": True},
+                   "22ed964621316b10e28c5b6f2506fa8af2b074dc0cb58dec7e9cd7cddbd2400d",
+                   "300dd39d328b0cd2b5260dcf7b0590962e51c7666b0392ca5e2eae320f8de68d"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(FIXTURE_TRANSCRIPTS))
+def test_fixture_transcripts_are_pinned(tmp_path, tag):
+    kw, p_sha, q_sha = FIXTURE_TRANSCRIPTS[tag]
+    a = read_matrix(FIXTURE)
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path), **kw))
+    assert res.rank == 29
+    for path, want in ((res.p.path, p_sha), (res.q.path, q_sha)):
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == want
 
 
 def test_zero_matrix(tmp_path):
@@ -124,15 +157,45 @@ def test_normalize_pivots(tmp_path):
             assert replay(res, a).to_dense() == [[0, 2], [3, 0]]
 
 
+def tie_heavy(p):
+    """Two matrices whose pivots are mostly decided by the (i, j) tie-break:
+    the vertex-by-edge incidence of the 4x4 torus grid (two entries per
+    column, four per row) and the 16x16 circulant with entries at offsets
+    0, 1, 3, 7 (four per row and column), whose fill rises for a few pivots."""
+    grid = [[0] * 32 for _ in range(16)]
+    for v in range(16):
+        x, y = divmod(v, 4)
+        for t, w in enumerate((((x + 1) % 4) * 4 + y, x * 4 + (y + 1) % 4)):
+            grid[v][2 * v + t] = p - 1
+            grid[w][2 * v + t] = 1
+    circ = [[0] * 16 for _ in range(16)]
+    for j in range(16):
+        for t, off in enumerate((0, 1, 3, 7)):
+            circ[(j + off) % 16][j] = t + 1
+    return grid, circ
+
+
 def test_oracle_batch_small(tmp_path):
     rng = random.Random(31)
+    cases = []
     for trial in range(60):
         p = 7 if trial % 2 else 12379
         m, n = rng.randrange(1, 14), rng.randrange(1, 14)
         rows = random_dense(rng, m, n, p, rng.uniform(0.1, 0.5))
-        tau = rng.choice([None, 1, 8])
+        cases.append((rows, p, rng.choice([None, 1, 8]), False))
+    for p in (7, 12379):
+        grid, circ = tie_heavy(p)
+        # a tau at the circulant's peak fill spills after some pivots, so
+        # Markowitz resumes on keys cached before the disk echelon ran
+        peak = max(run_snf(circ, p, tmp_path, "peak%d" % p)[1].fill_log)
+        cases += [(grid, p, None, False), (grid, p, 1, False),
+                  (circ, p, None, False), (circ, p, peak, True)]
+    for trial, (rows, p, tau, mid) in enumerate(cases):
+        m, n = len(rows), len(rows[0])
         a, res = run_snf(rows, p, tmp_path, "o%d" % trial, tau=tau,
                          paranoid=True)
+        if mid:
+            assert res.hnf_stats.pivot_index > 0
         assert res.rank == dense_rank(rows, p)
         assert replay(res, a).to_dense() == rows
         assert res.fill_log[-1] == 0
@@ -278,3 +341,33 @@ def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
         assert (wd / name).read_text().count("\n") > 1  # records were written
         with pytest.raises(TranscriptError):
             Transcript.open(wd / name)
+
+
+def test_cut_spill_is_refused(tmp_path, monkeypatch):
+    """A spill that lost its last line between write and read (its "0 0 0"
+    terminator) fails the reduction instead of being reduced as complete."""
+    real_open = open
+    served = []
+
+    def cutting_open(path, mode="r", *args, **kwargs):
+        if mode == "rb" and os.path.basename(path).startswith("spill-"):
+            with real_open(path, "rb") as f:
+                data = f.read()
+            served.append(path)
+            return io.BytesIO(data[:data.rindex(b"\n", 0, -1) + 1])
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(reduce, "open", cutting_open, raising=False)
+    monkeypatch.delenv(reduce.SPILL_DIR_ENV, raising=False)
+    rows = random_dense(random.Random(37), 6, 8, 7, 0.5)
+    with pytest.raises(MatrixFormatError, match="terminator"):
+        run_snf(rows, 7, tmp_path, "lib", tau=1)
+    wd = tmp_path / "cli"
+    assert main(["snf", FIXTURE, "--workdir", str(wd), "--emit-p", "--emit-q",
+                 "--tau", "1"]) == EXIT_PARSE
+    assert len(served) == 2
+    for spill in served:
+        assert os.path.exists(spill)  # kept for inspection
+    for name in ("lib/q.trn", "cli/q.trn"):
+        with pytest.raises(TranscriptError):
+            Transcript.open(tmp_path / name)
