@@ -4,15 +4,25 @@ The slice is C4 --dBottom--> C5 --dTop--> C6.  Diagonalize dTop = P D Q;
 in the coordinates y = Q x on C5 the cocycles are exactly the vectors
 whose first rho5 coordinates vanish (D is invertible there), so the
 coboundary map folds down to eta = the last n5 - rho5 rows of Q dBottom.
-A second reduction eta = P' D' Q' splits those coordinates into rho_eta
+
+Every transvection and dilation of Q writes a pivot line, one of the first
+rho5, so the last n5 - rho5 coordinates of Q y are coordinates of y moved
+by Q's swaps alone: (Q y)[rho5 + t] = y[tail[t]].  eta is thus a row
+selection of dBottom, and "Q y vanishes on its first rho5 coordinates",
+the certificate that y is a cocycle, is the exact check dTop y = 0.
+Neither needs Q replayed; the scan that takes tail from Q's records also
+checks that no written line ends in the tail.
+
+A second reduction eta = P' D' Q' splits the tail coordinates into rho_eta
 coboundary directions and h5 = n5 - rho5 - rho_eta survivors, which is
 the Betti number.  An explicit cocycle basis comes back through the two
 changes of coordinates, and reducing any cocycle to its coefficients
-modulo coboundaries is two transcript replays and a truncation.
+modulo coboundaries is the check dTop y = 0, the row selection, one
+replay of P'^-1 and a truncation.
 
-Everything the later reduction steps need (both transcripts, the basis,
-the ranks) is persisted in a work directory so they can run in separate
-processes.
+Everything the later reduction steps need (dTop, both transcripts, the
+basis, the ranks) is persisted in a work directory so they can run in
+separate processes.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import os
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -29,7 +40,7 @@ from .sparse import ShapeError, SparseMatrix, axpy, read_matrix, write_matrix
 from .transcript import COL, ROW, Transcript
 
 META_NAME = "meta"
-EXACT_CHECK_LIMIT = 1_000_000  # dTop.nnz * n4 above this switches to sampling
+EXACT_CHECK_LIMIT = 1_000_000  # dTop entries the exact check merges; above, it samples
 PROBE_COUNT = 8
 
 
@@ -38,17 +49,34 @@ class NotAComplexError(ValueError):
 
 
 class NotACocycleError(ValueError):
-    """Vector not in ker dTop: Q5.y has support in the first rho5 slots."""
+    """Vector not in ker dTop."""
 
 
-def _mat_vec(a: SparseMatrix, x: list[int]) -> list[int]:
-    p, k, mask = a.spec.p, a.spec.k, a.spec.mask
-    out = [0] * a.m
-    for j, xj in enumerate(x):
-        if xj:
-            for e in a.cols[j]:
-                out[e >> k] = (out[e >> k] + (e & mask) * xj) % p
-    return out
+class PackedMatrix:
+    """A read-only copy of a SparseMatrix in two typed arrays: column j is
+    entries[ptr[j]:ptr[j + 1]], packed as in SparseMatrix."""
+
+    __slots__ = ("m", "n", "spec", "entries", "ptr")
+
+    def __init__(self, a: SparseMatrix):
+        self.m, self.n, self.spec = a.m, a.n, a.spec
+        self.entries = array("q")
+        self.ptr = array("q", [0])
+        for col in a.cols:
+            self.entries.extend(col)
+            self.ptr.append(len(self.entries))
+
+    def mat_vec(self, x: list[int]) -> list[int]:
+        """self . x, reduced mod p."""
+        k, mask = self.spec.k, self.spec.mask
+        entries, ptr = self.entries, self.ptr
+        out = [0] * self.m
+        for j, xj in enumerate(x):
+            if xj:
+                for e in entries[ptr[j]:ptr[j + 1]]:
+                    out[e >> k] += (e & mask) * xj
+        p = self.spec.p
+        return [v % p for v in out]
 
 
 @dataclass
@@ -80,12 +108,16 @@ class ComplexSlice:
         return self.d_bottom.n
 
     def validate(self, exact: bool | None = None, seed: int = 2021) -> None:
-        """Check dTop . dBottom = 0; exact up to a size cutoff, after that
+        """Check dTop . dBottom = 0; exact up to a cost cutoff, after that
         probabilistically on random vectors (a false pass needs dTop.dBottom
-        to kill several independent uniform vectors)."""
-        if exact is None:
-            exact = self.d_top.nnz * max(self.n4, 1) <= EXACT_CHECK_LIMIT
+        to kill several independent uniform vectors).  The exact check's
+        cost is the dTop entries it merges: per dBottom entry, the length
+        of the dTop column that entry's row selects."""
         spec = self.d_top.spec
+        if exact is None:
+            lengths = [len(col) for col in self.d_top.cols]
+            cost = sum(lengths[e >> spec.k] for col in self.d_bottom.cols for e in col)
+            exact = cost <= EXACT_CHECK_LIMIT
         if exact:
             for j in range(self.n4):
                 acc: list[int] = []
@@ -98,11 +130,53 @@ class ComplexSlice:
                         "dTop.dBottom has a nonzero column at index %d" % j)
             return
         rng = random.Random(seed)
+        top, bottom = PackedMatrix(self.d_top), PackedMatrix(self.d_bottom)
         for _ in range(PROBE_COUNT):
             r = [rng.randrange(spec.p) for _ in range(self.n4)]
-            mid = _mat_vec(self.d_bottom, r)
-            if any(_mat_vec(self.d_top, mid)):
+            if any(top.mat_vec(bottom.mat_vec(r))):
                 raise NotAComplexError("dTop.(dBottom.r) != 0 for a random r")
+
+
+def _tail_rows(q5: Transcript, rho5: int) -> array:
+    """tail with (Q5 y)[rho5 + t] = y[tail[t]] for every y, from one scan
+    of Q5's records.
+
+    Replayed on the left, a T or D record writes the line it names first
+    and an S record swaps two lines.  One dirty flag per line follows the
+    writes through the swaps; a line at or above rho5 that ends dirty is
+    not a moved coordinate of y, and the transcript is refused.
+    """
+    kind, a, b, _ = q5.decoded()
+    swap = ord("S")
+    src = list(range(q5.dim))
+    dirty = bytearray(q5.dim)
+    for k, x, y in zip(kind, a, b):
+        if k == swap:
+            src[x], src[y] = src[y], src[x]
+            dirty[x], dirty[y] = dirty[y], dirty[x]
+        else:
+            dirty[x] = 1
+    first = dirty.find(1, rho5)
+    if first >= 0:
+        raise NotAComplexError(
+            "transcript mismatch: Q5 writes line %d, at or above rho5 = %d"
+            % (first, rho5))
+    return array("I", src[rho5:])
+
+
+def _select_rows(d_bottom: SparseMatrix, tail: array) -> SparseMatrix:
+    """The matrix whose row t is row tail[t] of dBottom: eta, given the tail
+    of Q5."""
+    spec = d_bottom.spec
+    k, mask = spec.k, spec.mask
+    row_of = [-1] * d_bottom.m
+    for t, i in enumerate(tail):
+        row_of[i] = t
+    eta = SparseMatrix(len(tail), d_bottom.n, spec)
+    for j, col in enumerate(d_bottom.cols):
+        rows = [row_of[e >> k] for e in col]
+        eta.set_col(j, sorted(t << k | e & mask for t, e in zip(rows, col) if t >= 0))
+    return eta
 
 
 def build_eta(q5: Transcript, d_bottom: SparseMatrix, rho5: int) -> SparseMatrix:
@@ -110,7 +184,9 @@ def build_eta(q5: Transcript, d_bottom: SparseMatrix, rho5: int) -> SparseMatrix
     return the remaining (n5 - rho5) x n4 block.
 
     The vanishing certifies the complex: D.Q5.dBottom = P5^-1.dTop.dBottom,
-    and D is invertible on its first rho5 coordinates.
+    and D is invertible on its first rho5 coordinates.  compute_h5 takes
+    eta as _select_rows(dBottom, _tail_rows(Q5, rho5)) instead; this full
+    replay is its paranoid-mode oracle.
     """
     if q5.side != COL:
         raise ValueError("q5 must be a column-side transcript")
@@ -148,7 +224,8 @@ class CohomologyWorkspace:
     rho_eta: int
     h5: int
     h6: int
-    q5: Transcript
+    tail: array  # (Q5 y)[rho5 + t] = y[tail[t]]
+    d_top: PackedMatrix
     p_eta: Transcript
     basis: SparseMatrix
     workdir: str
@@ -179,9 +256,14 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     """Run the two reductions and persist everything reduce_cocycle needs.
 
     dTop is reduced with Q only and no disk fallback (that side's column
-    basis must be kept); tau applies to the eta reduction, whose column
-    operations are discarded anyway.  The input matrices are written to
-    the work directory up front since snf consumes them.
+    basis must be kept, and only then is eta a row selection of dBottom);
+    tau applies to the eta reduction, whose column operations are
+    discarded anyway.  The input matrices are written to the work
+    directory up front since snf consumes dTop.
+
+    The certificate is the exact check dTop.dBottom = 0, run once: up
+    front with validate, else after the old meta is removed.  paranoid
+    also builds eta by a full replay of Q5 (build_eta) and compares.
 
     Any earlier meta in workdir is removed before the first file is
     written, and meta is written last, so a run that fails leaves a
@@ -189,19 +271,26 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     """
     os.makedirs(workdir, exist_ok=True)
     if validate:
-        slice_.validate()
+        slice_.validate(exact=True)
     spec = slice_.d_top.spec
     n4, n5, n6 = slice_.n4, slice_.n5, slice_.n6
     with contextlib.suppress(FileNotFoundError):
         os.remove(_meta_path(workdir))
     write_matrix(slice_.d_top, os.path.join(workdir, "d5.sms"))
     write_matrix(slice_.d_bottom, os.path.join(workdir, "d4.sms"))
+    if not validate:
+        slice_.validate(exact=True)
 
+    d_top = PackedMatrix(slice_.d_top)
     r5 = snf(slice_.d_top, SnfOptions(
         emit_q=True, q_path=os.path.join(workdir, "q5.trn"), workdir=workdir,
         normalize_pivots=normalize_pivots, paranoid=paranoid))
+    assert r5.hnf_stats is None, "dTop's reduction took the disk echelon"
     rho5 = r5.rank
-    eta = build_eta(r5.q, slice_.d_bottom, rho5)
+    tail = _tail_rows(r5.q, rho5)
+    eta = _select_rows(slice_.d_bottom, tail)
+    if paranoid:
+        assert eta == build_eta(r5.q, slice_.d_bottom, rho5), "eta is not Q5.dBottom"
     r_eta = snf(eta, SnfOptions(
         emit_p=True, p_path=os.path.join(workdir, "peta.trn"), workdir=workdir,
         tau=tau, normalize_pivots=normalize_pivots, paranoid=paranoid))
@@ -227,13 +316,16 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
 
     ws = CohomologyWorkspace(
         n4=n4, n5=n5, n6=n6, rho5=rho5, rho_eta=rho_eta, h5=h5, h6=h6,
-        q5=r5.q, p_eta=r_eta.p, basis=basis, workdir=workdir)
+        tail=tail, d_top=d_top, p_eta=r_eta.p, basis=basis, workdir=workdir)
     _write_meta(ws)
     return ws
 
 
 def load_workspace(workdir: str) -> CohomologyWorkspace:
-    """Reopen a work directory written by compute_h5 (read-only use)."""
+    """Reopen a work directory written by compute_h5 (read-only use).
+
+    q5.trn is decoded and checked in full, but only its tail is kept.
+    """
     meta: dict[str, int] = {}
     with open(_meta_path(workdir)) as f:
         for line in f:
@@ -244,14 +336,19 @@ def load_workspace(workdir: str) -> CohomologyWorkspace:
             meta[key.strip()] = int(val)
     spec = FieldSpec(meta["p"])
     q5 = Transcript.open(os.path.join(workdir, "q5.trn"), spec)
+    if q5.side != COL or q5.dim != meta["n5"]:
+        raise ValueError("q5.trn does not match meta")
+    tail = _tail_rows(q5, meta["rho5"])
+    del q5
+    d_top = PackedMatrix(read_matrix(os.path.join(workdir, "d5.sms"), spec))
+    if (d_top.m, d_top.n) != (meta["n6"], meta["n5"]):
+        raise ValueError("d5.sms does not match meta")
     p_eta = Transcript.open(os.path.join(workdir, "peta.trn"), spec)
     basis = read_matrix(os.path.join(workdir, "basis.sms"), spec)
     ws = CohomologyWorkspace(
         n4=meta["n4"], n5=meta["n5"], n6=meta["n6"], rho5=meta["rho5"],
         rho_eta=meta["rhoEta"], h5=meta["h5"], h6=meta["h6"],
-        q5=q5, p_eta=p_eta, basis=basis, workdir=workdir)
-    if q5.side != COL or q5.dim != ws.n5:
-        raise ValueError("q5.trn does not match meta")
+        tail=tail, d_top=d_top, p_eta=p_eta, basis=basis, workdir=workdir)
     if p_eta.side != ROW or p_eta.dim != ws.n5 - ws.rho5:
         raise ValueError("peta.trn does not match meta")
     if (basis.m, basis.n) != (ws.n5, ws.h5):
@@ -262,20 +359,21 @@ def load_workspace(workdir: str) -> CohomologyWorkspace:
 def reduce_cocycle(ws: CohomologyWorkspace, y: list[int]) -> list[int]:
     """Coefficients s with y = s_1 z_1 + ... + s_h5 z_h5 + (a coboundary).
 
-    w = Q5.y must vanish on its first rho5 coordinates; that is the
-    certificate that y is a cocycle.  The rest is u = P_eta^-1 applied to
-    the truncation, whose last h5 coordinates are the answer.
+    The certificate that y is a cocycle is the exact check dTop.y = 0,
+    which holds exactly when Q5.y vanishes on its first rho5 coordinates.
+    The rest of Q5.y is the row selection w = y[tail]; the answer is the
+    last h5 coordinates of u = P_eta^-1 w.
     """
     if len(y) != ws.n5:
         raise ShapeError("vector length %d, expected %d" % (len(y), ws.n5))
-    p = ws.q5.spec.p
-    w = ws.q5.apply_vec([v % p for v in y])
-    head = [t for t in range(ws.rho5) if w[t]]
-    if head:
+    image = ws.d_top.mat_vec(y)
+    if any(image):
+        bad = [i for i, v in enumerate(image) if v]
         raise NotACocycleError(
-            "not a cocycle: %d nonzero certificate coordinates (first at %d)"
-            % (len(head), head[0]))
-    u = ws.p_eta.apply_vec(w[ws.rho5:], inverse=True)
+            "not a cocycle: dTop.y is nonzero in %d rows (first at %d)"
+            % (len(bad), bad[0]))
+    p = ws.d_top.spec.p
+    u = ws.p_eta.apply_vec([y[i] % p for i in ws.tail], inverse=True)
     return u[ws.rho_eta:]
 
 

@@ -454,15 +454,19 @@ def disk_hnf(a: SparseMatrix, c: int = 0, q: Transcript | None = None,
     """Public entry for the out-of-core column-echelon pass.
 
     Columns in the active region must not reach above row c.  Column
-    operations are recorded to q when one is given.
+    operations are recorded to q when one is given.  The caller gives up
+    the matrix: when the pass fails, for example on a spill that cannot be
+    read back, the active region may be lost, though a.nnz still counts
+    the entries left in its columns.
     """
     if not 0 <= c <= min(a.m, a.n):
         raise ValueError("pivot index %d outside [0, %d]" % (c, min(a.m, a.n)))
     eng = _Engine(a, start=c)
-    stats = _disk_echelon(eng, q, _resolve_spill_dir(spill_dir, tempfile.gettempdir()),
-                          check_region=True)
-    a.nnz = eng.total
-    return stats
+    try:
+        return _disk_echelon(eng, q, _resolve_spill_dir(spill_dir, tempfile.gettempdir()),
+                             check_region=True)
+    finally:
+        a.nnz = eng.total
 
 
 def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:

@@ -27,10 +27,10 @@ the original matrix.
 
 A finalized transcript is immutable and is decoded once: by open, or for
 one made by create, by its first replay.  The decoder checks the trailer,
-so a file cut short, damaged or never finalized is refused, and keeps the
-records as four parallel typed arrays (kind, a, b, v), 11 bytes per
-record.  Every replay walks those arrays in whichever direction the
-requested product needs.
+so a file cut short, damaged or never finalized is refused, and parses
+the records straight into four parallel typed arrays (kind, a, b, v), 11
+bytes per record, whose ranges it checks once per array.  Every replay
+walks those arrays in whichever direction the requested product needs.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import zlib
 from array import array
 from dataclasses import dataclass
+from operator import eq
 
 from .gfp import FieldSpec
 from .sparse import ShapeError, SparseMatrix
@@ -105,15 +106,48 @@ class ElementaryOp:
 
 # record kinds as the decoded kind array stores them
 _S, _T, _D = b"STD"
-_MAKE = {(b"S", 3): ElementaryOp.swap, (b"T", 4): ElementaryOp.transvection,
-         (b"D", 3): ElementaryOp.dilation}
+_CHUNK = 1 << 16
+
+
+def _parse(body: bytes, ops) -> None:
+    """Append the records of body, whole lines, to the arrays ops, checking
+    only each record's shape; a dilation keeps its line in both index
+    slots and a swap has v = 0.  A negative index or scalar does not fit
+    its unsigned array and is refused here."""
+    kind, la, lb, val = ops
+    ka, aa, ba, va = kind.append, la.append, lb.append, val.append
+    try:
+        for raw in body.split(b"\n"):
+            parts = raw.split()
+            n = len(parts)
+            if n == 4 and parts[0] == b"T":
+                a, b, v = int(parts[1]), int(parts[2]), int(parts[3])
+            elif n == 3 and parts[0] == b"S":
+                a, b, v = int(parts[1]), int(parts[2]), 0
+            elif n == 3 and parts[0] == b"D":
+                a, v = int(parts[1]), int(parts[2])
+                b = a
+            elif n:
+                raise TranscriptError("unrecognized %r" % raw.strip())
+            else:
+                continue
+            aa(a)
+            ba(b)
+            va(v)
+            ka(raw[0])
+    except (ValueError, OverflowError) as exc:
+        raise TranscriptError("record %d: %s" % (len(kind) + 1, exc)) from None
 
 
 def _decode(path, spec: FieldSpec | None = None):
-    """Read a transcript file in one pass into (side, dim, spec, ops), ops
-    being the records as parallel arrays (kind, a, b, v); a dilation keeps
-    its line in both index slots and a swap has v = 0."""
-    ops = kind, la, lb, val = array("B"), array("i"), array("i"), array("H")
+    """Read a transcript file into (side, dim, spec, ops), ops being the
+    records as parallel arrays (kind, a, b, v); see _parse.
+
+    The file is streamed in chunks of whole lines.  No record holds an
+    "E", so the first one starts the trailer.  The rules on a record's
+    indices and scalar are checked once per array at the end.
+    """
+    ops = kind, la, lb, val = array("B"), array("I"), array("I"), array("H")
     with open(path, "rb") as f:
         header = f.readline()
         parts = header.split()
@@ -128,32 +162,36 @@ def _decode(path, spec: FieldSpec | None = None):
         if spec is not None and spec.p != p:
             raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
         crc = zlib.crc32(header)
-        for no, raw in enumerate(f, 1):
-            if raw.startswith(b"E"):
-                if raw != b"E %d %d\n" % (len(kind), crc):
-                    raise TranscriptError("%s: trailer %r does not match %d records "
-                                          "with CRC-32 %d" % (path, raw, len(kind), crc))
-                if f.read(1):
-                    raise TranscriptError("%s: bytes after the trailer" % path)
-                if kind and (max(max(la), max(lb)) >= dim or max(val) >= p):
-                    raise TranscriptError("%s: a record exceeds dimension %d or "
-                                          "modulus %d" % (path, dim, p))
-                return side, dim, file_spec, ops
-            crc = zlib.crc32(raw, crc)
-            parts = raw.split()
-            if not parts:
-                continue
-            try:
-                op = _MAKE[parts[0], len(parts)](*map(int, parts[1:]))
-                kind.append(ord(op.kind))
-                la.append(op.a)
-                lb.append(op.a if op.b is None else op.b)
-                val.append(op.v or 0)
-            except KeyError:
-                raise TranscriptError("record %d: unrecognized %r" % (no, raw.strip())) from None
-            except (ValueError, OverflowError) as exc:
-                raise TranscriptError("record %d: %s" % (no, exc)) from None
-    raise TranscriptError("%s has no trailer: it was cut short or never finalized" % path)
+        rest = b""
+        while True:
+            chunk = f.read(_CHUNK)
+            buf = rest + chunk
+            cut = buf.find(b"E")
+            if cut < 0:
+                if not chunk:
+                    raise TranscriptError("%s has no trailer: it was cut short or "
+                                          "never finalized" % path)
+                cut = buf.rfind(b"\n") + 1
+            body, rest = buf[:cut], buf[cut:]
+            crc = zlib.crc32(body, crc)
+            _parse(body, ops)
+            if rest.startswith(b"E"):
+                break
+        trailer, end, after = (rest + f.readline()).partition(b"\n")
+        if trailer + end != b"E %d %d\n" % (len(kind), crc):
+            raise TranscriptError("%s: trailer %r does not match %d records "
+                                  "with CRC-32 %d" % (path, trailer + end, len(kind), crc))
+        if after or f.read(1):
+            raise TranscriptError("%s: bytes after the trailer" % path)
+    if kind and (max(la) >= dim or max(lb) >= dim or max(val) >= p):
+        raise TranscriptError("%s: a record exceeds dimension %d or modulus %d"
+                              % (path, dim, p))
+    kinds = kind.tobytes()
+    if val.count(0) != kinds.count(b"S"):
+        raise TranscriptError("%s: a transvection or dilation has scalar 0" % path)
+    if sum(map(eq, la, lb)) != kinds.count(b"D"):
+        raise TranscriptError("%s: a swap or transvection names one line twice" % path)
+    return side, dim, file_spec, ops
 
 
 def _op(kind: int, a: int, b: int, v: int) -> ElementaryOp:
@@ -233,12 +271,14 @@ class Transcript:
 
     def records(self):
         """Ops in file order."""
-        return map(_op, *self._decoded())
+        return map(_op, *self.decoded())
 
     def records_reversed(self):
-        return map(_op, *[reversed(arr) for arr in self._decoded()])
+        return map(_op, *[reversed(arr) for arr in self.decoded()])
 
-    def _decoded(self):
+    def decoded(self):
+        """The records as the parallel arrays (kind, a, b, v) of _decode,
+        decoded from the file on first use."""
         if self._writer is not None:
             raise TranscriptError("transcript is still being written")
         if self._ops is None:
@@ -251,7 +291,7 @@ class Transcript:
         on the right, or a COL record on the left, exchanges the roles of
         T a b v (col[b] += v*col[a]) and walks the file forward; the
         inverse walks it the other way with inverted scalars."""
-        kind, a, b, v = self._decoded()
+        kind, a, b, v = self.decoded()
         flip = (self.side == COL) == left
         if flip:
             a, b = b, a

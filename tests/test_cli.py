@@ -235,6 +235,32 @@ def test_reduce_truncated_transcript(tmp_path, capsys):
     assert "transcript error" in err
 
 
+def test_reduce_cut_q5(tmp_path, capsys):
+    """reduce no longer replays q5.trn, but still refuses a cut one."""
+    spec = FieldSpec(7)
+    d5, d4 = str(tmp_path / "t.sms"), str(tmp_path / "b.sms")
+    write_matrix(SparseMatrix.from_dense([[1, 1, 0]], spec), d5)
+    write_matrix(SparseMatrix.from_dense([[1, 0], [6, 0], [0, 1]], spec), d4)
+    wd = str(tmp_path / "ws")
+    code, _, _ = run(capsys, "cohomology", d5, d4, "--workdir", wd)
+    assert code == 0
+    zfile = str(tmp_path / "z1.sms")
+    write_column(zfile, [1, 6, 0])
+    assert run(capsys, "reduce", wd, zfile)[0] == 0
+    q5 = os.path.join(wd, "q5.trn")
+    with open(q5, "rb") as f:
+        lines = f.readlines()
+    assert len(lines) == 3  # header, one transvection, trailer
+    with open(q5, "wb") as f:
+        f.writelines(lines[:-1])
+    with pytest.raises(smithy.TranscriptError):
+        smithy.load_workspace(wd)
+    code, out, err = run(capsys, "reduce", wd, zfile)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "transcript error" in err
+
+
 def test_predict_prime(capsys):
     code, out, _ = run(capsys, "predict", "53")
     assert code == 0

@@ -1,11 +1,13 @@
+import os
 import random
+import zlib
 
 import pytest
 
 from smithy import (ComplexSlice, FieldSpec, NotAComplexError,
-                    NotACocycleError, ShapeError, SparseMatrix, build_eta,
-                    compute_h5, hecke_matrix, load_workspace, reduce_cocycle,
-                    snf, SnfOptions)
+                    NotACocycleError, ShapeError, SparseMatrix, Transcript,
+                    build_eta, cohomo, compute_h5, hecke_matrix,
+                    load_workspace, reduce_cocycle, snf, SnfOptions)
 
 from conftest import (dense_kernel, dense_mat_vec, dense_rank, random_slice,
                       sparse_from_dense)
@@ -236,3 +238,105 @@ def test_validate_probabilistic_path():
     sl, _, _ = make_slice(rng, 5, 8, 6, 12379)
     sl.validate(exact=False)  # should accept a genuine complex
     sl.validate(exact=False, seed=99)
+
+
+def _replay_reduce(ws, q5, y):
+    """reduce_cocycle by a full Q5 replay and a truncation, the path that
+    the row selection and the dTop check replace."""
+    p = q5.spec.p
+    w = q5.apply_vec([v % p for v in y])
+    if any(w[:ws.rho5]):
+        raise NotACocycleError("Q5.y is nonzero in its first rho5 slots")
+    return ws.p_eta.apply_vec(w[ws.rho5:], inverse=True)[ws.rho_eta:]
+
+
+def _outcome(reduce, *args):
+    try:
+        return reduce(*args)
+    except NotACocycleError:
+        return "refused"
+
+
+def test_reduce_cocycle_matches_q5_replay(tmp_path):
+    rng = random.Random(57)
+    slices = [(circle_slice(), [[0, 0, 0]], [[6, 1, 0], [0, 6, 1], [1, 0, 6]], 7)]
+    for trial in range(25):
+        p = 7 if trial % 2 else 12379
+        n6, n5, n4 = rng.randrange(1, 9), rng.randrange(1, 11), rng.randrange(1, 9)
+        sl, top, bottom = make_slice(rng, n6, n5, n4, p)
+        slices.append((sl, top, bottom, p))
+    for trial, (sl, top, bottom, p) in enumerate(slices):
+        wd = str(tmp_path / ("t%d" % trial))
+        ws = compute_h5(sl, wd, normalize_pivots=bool(trial % 3), paranoid=True)
+        q5 = Transcript.open(os.path.join(wd, "q5.trn"))
+        kernel = dense_kernel(top, p, n=ws.n5)
+        vecs = [ws.basis_column(j) for j in range(ws.h5)]
+        for _ in range(4):
+            x = [rng.randrange(p) for _ in range(ws.n4)]
+            cob = dense_mat_vec(bottom, x, p)
+            vecs.append([(u + v) % p for u, v in
+                         zip(_random_cocycle(rng, kernel, p) or [0] * ws.n5, cob)])
+            vecs.append([rng.randrange(-p, 2 * p) for _ in range(ws.n5)])
+        reloaded = load_workspace(wd)
+        for y in vecs:
+            want = _outcome(_replay_reduce, ws, q5, y)
+            assert _outcome(reduce_cocycle, ws, y) == want
+            assert _outcome(reduce_cocycle, reloaded, y) == want
+
+
+def test_paranoid_builds_eta_by_replay(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_eta(*args)
+
+    monkeypatch.setattr(cohomo, "build_eta", counted)
+    sl, _, _ = make_slice(random.Random(61), 5, 9, 6, 7)
+    compute_h5(sl, str(tmp_path / "plain"))
+    assert calls == []
+    sl, _, _ = make_slice(random.Random(61), 5, 9, 6, 7)
+    ws = compute_h5(sl, str(tmp_path / "paranoid"), paranoid=True)
+    assert len(calls) == 1 and calls[0][2] == ws.rho5
+
+
+def _write_q5(path, records):
+    body = b"COL 2 7\n" + b"".join(records)
+    with open(path, "wb") as f:
+        f.write(body + b"E %d %d\n" % (len(records), zlib.crc32(body)))
+
+
+def test_written_line_moved_into_tail_is_refused(tmp_path):
+    spec = FieldSpec(7)
+    wd = str(tmp_path / "ws")
+    ws = compute_h5(ComplexSlice(SparseMatrix.from_dense([[1, 0]], spec),
+                                 SparseMatrix.from_dense([[0], [1]], spec)), wd)
+    assert (ws.n5, ws.rho5) == (2, 1)
+    q5 = os.path.join(wd, "q5.trn")
+    _write_q5(q5, [b"S 0 1\n", b"T 0 1 3\n"])  # writes line 0 < rho5
+    assert list(load_workspace(wd).tail) == [0]
+    _write_q5(q5, [b"T 0 1 3\n", b"S 0 1\n"])  # then moves it to line 1
+    with pytest.raises(NotAComplexError, match="writes line 1"):
+        load_workspace(wd)
+
+
+def test_validate_cost_counts_merged_entries(monkeypatch):
+    """dTop.nnz * n4 is far above the limit, but the exact check merges
+    one dTop entry per dBottom entry here, so validate takes it."""
+    spec = FieldSpec(7)
+    n = 1001
+    d_top = SparseMatrix.from_dense([[1] * n], spec)
+    d_bottom = SparseMatrix(n, n, spec)
+    for j in range(n - 1):
+        d_bottom.set_col(j, [j << spec.k | 1, (j + 1) << spec.k | 6])
+    sl = ComplexSlice(d_top, d_bottom)
+    assert d_top.nnz * n > cohomo.EXACT_CHECK_LIMIT >= d_bottom.nnz
+
+    def no_sampling(*args):
+        raise AssertionError("took the sampled path")
+
+    monkeypatch.setattr(cohomo, "PackedMatrix", no_sampling)
+    sl.validate()
+    monkeypatch.setattr(cohomo, "EXACT_CHECK_LIMIT", d_bottom.nnz - 1)
+    with pytest.raises(AssertionError, match="sampled"):
+        sl.validate()

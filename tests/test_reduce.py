@@ -371,3 +371,23 @@ def test_cut_spill_is_refused(tmp_path, monkeypatch):
     for name in ("lib/q.trn", "cli/q.trn"):
         with pytest.raises(TranscriptError):
             Transcript.open(tmp_path / name)
+
+
+def test_disk_hnf_cut_spill_keeps_counts(tmp_path, monkeypatch, f7):
+    """A failed read-back loses the active region, but the matrix the
+    caller gave up still passes its structural check."""
+    real_open = open
+
+    def cutting_open(path, mode="r", *args, **kwargs):
+        if mode == "rb" and os.path.basename(path).startswith("spill-"):
+            with real_open(path, "rb") as f:
+                data = f.read()
+            return io.BytesIO(data[:data.rindex(b"\n", 0, -1) + 1])
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(reduce, "open", cutting_open, raising=False)
+    a = SparseMatrix.from_dense([[1, 2, 0], [0, 3, 4]], f7)
+    with pytest.raises(MatrixFormatError, match="terminator"):
+        disk_hnf(a, 0, spill_dir=str(tmp_path))
+    assert a.nnz == sum(len(col) for col in a.cols)
+    a.check()

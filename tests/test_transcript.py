@@ -243,6 +243,20 @@ def test_damaged_transcripts_are_refused(tmp_path, f7):
     assert list(Transcript.open(path, f7).records()) == DAMAGE_OPS
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16])
+def test_decode_across_chunk_boundaries(tmp_path, f7, monkeypatch, chunk):
+    """Records and the trailer split between read chunks decode the same."""
+    path = tmp_path / "t.trn"
+    write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
+    monkeypatch.setattr(smithy.transcript, "_CHUNK", chunk)
+    assert list(Transcript.open(path, f7).records()) == DAMAGE_OPS
+    good = path.read_bytes()
+    for bad in (good[:-1], good[:-3], good + b"\n", good + b"E 0 0\n"):
+        path.write_bytes(bad)
+        with pytest.raises(TranscriptError):
+            Transcript.open(path, f7)
+
+
 def test_out_of_range_records_are_refused(tmp_path, f7):
     path = tmp_path / "t.trn"
     for record in (b"S 0 3\n", b"T 3 0 1\n", b"T 0 1 7\n", b"D 2 9\n"):
