@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -40,8 +39,6 @@ from .sparse import ShapeError, SparseMatrix, axpy, read_matrix, write_matrix
 from .transcript import COL, ROW, Transcript
 
 META_NAME = "meta"
-EXACT_CHECK_LIMIT = 1_000_000  # dTop entries the exact check merges; above, it samples
-PROBE_COUNT = 8
 
 
 class NotAComplexError(ValueError):
@@ -107,34 +104,17 @@ class ComplexSlice:
     def n4(self) -> int:
         return self.d_bottom.n
 
-    def validate(self, exact: bool | None = None, seed: int = 2021) -> None:
-        """Check dTop . dBottom = 0; exact up to a cost cutoff, after that
-        probabilistically on random vectors (a false pass needs dTop.dBottom
-        to kill several independent uniform vectors).  The exact check's
-        cost is the dTop entries it merges: per dBottom entry, the length
-        of the dTop column that entry's row selects."""
-        spec = self.d_top.spec
-        if exact is None:
-            lengths = [len(col) for col in self.d_top.cols]
-            cost = sum(lengths[e >> spec.k] for col in self.d_bottom.cols for e in col)
-            exact = cost <= EXACT_CHECK_LIMIT
-        if exact:
-            for j in range(self.n4):
-                acc: list[int] = []
-                for i, _, v in (
-                    (e >> spec.k, j, e & spec.mask) for e in self.d_bottom.cols[j]
-                ):
-                    acc = axpy(acc, self.d_top.cols[i], v, spec)
-                if acc:
-                    raise NotAComplexError(
-                        "dTop.dBottom has a nonzero column at index %d" % j)
-            return
-        rng = random.Random(seed)
-        top, bottom = PackedMatrix(self.d_top), PackedMatrix(self.d_bottom)
-        for _ in range(PROBE_COUNT):
-            r = [rng.randrange(spec.p) for _ in range(self.n4)]
-            if any(top.mat_vec(bottom.mat_vec(r))):
-                raise NotAComplexError("dTop.(dBottom.r) != 0 for a random r")
+    def validate(self) -> None:
+        """Check dTop . dBottom = 0 exactly, one merge of a dTop column per
+        dBottom entry."""
+        d_top, spec = self.d_top, self.d_top.spec
+        k, mask = spec.k, spec.mask
+        for j, col in enumerate(self.d_bottom.cols):
+            acc: list[int] = []
+            for e in col:
+                acc = axpy(acc, d_top.cols[e >> k], e & mask, spec)
+            if acc:
+                raise NotAComplexError("dTop.dBottom has a nonzero column at index %d" % j)
 
 
 def _tail_rows(q5: Transcript, rho5: int) -> array:
@@ -271,7 +251,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     """
     os.makedirs(workdir, exist_ok=True)
     if validate:
-        slice_.validate(exact=True)
+        slice_.validate()
     spec = slice_.d_top.spec
     n4, n5, n6 = slice_.n4, slice_.n5, slice_.n6
     with contextlib.suppress(FileNotFoundError):
@@ -279,7 +259,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     write_matrix(slice_.d_top, os.path.join(workdir, "d5.sms"))
     write_matrix(slice_.d_bottom, os.path.join(workdir, "d4.sms"))
     if not validate:
-        slice_.validate(exact=True)
+        slice_.validate()
 
     d_top = PackedMatrix(slice_.d_top)
     r5 = snf(slice_.d_top, SnfOptions(

@@ -42,8 +42,11 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 
-from .sparse import MatrixFormatError, SparseMatrix, axpy
+from .sparse import (MatrixFormatError, SparseMatrix, _add_entries, _read_entries,
+                     _write_entries, axpy)
 from .transcript import COL, ROW, ElementaryOp, Transcript
 
 
@@ -193,10 +196,6 @@ class _Engine:
             idx = bisect_left(col, key)
             col[idx] = key | (col[idx] & mask) * u % p
 
-    def scale_col_values(self, j: int, u: int) -> None:
-        k, mask, p = self.k, self.mask, self.p
-        self.cols[j] = [(e >> k) << k | (e & mask) * u % p for e in self.cols[j]]
-
     # -- pivot search --------------------------------------------------------
 
     def find_pivot(self) -> tuple[int, int] | None:
@@ -297,16 +296,17 @@ def _resolve_spill_dir(spill_dir: str | None, default: str) -> str:
     return spill_dir or os.environ.get(SPILL_DIR_ENV) or default
 
 
-def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
-                  check_region: bool = False) -> HnfStats:
+def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStats:
     """Spill the active region, reduce it to fully reduced column-echelon
     form streaming one column at a time, and write the result back with
     echelon columns first (ascending pivot row) and zero columns after.
 
     Memory holds only the accumulated echelon set, whose size stays small
-    when the region has low co-rank.  A spill that ends before its "0 0 0"
-    terminator raises MatrixFormatError.  The spill file is removed on
-    success and kept for inspection on failure.
+    when the region has low co-rank.  The spill is in sparse.py's text
+    format and is read back with read_matrix's checks: a spill that ends
+    before its terminator, or holds a malformed line, an index or value
+    outside the region or a repeated row, raises MatrixFormatError.  The
+    spill file is removed on success and kept for inspection on failure.
     """
     spec = eng.spec
     p, k = eng.p, eng.k
@@ -315,25 +315,17 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
     n_loc = eng.n - c
     os.makedirs(spill_dir, exist_ok=True)
     fd, spill = tempfile.mkstemp(prefix="spill-", suffix=".sms", dir=spill_dir)
-    streamed = 0
-    with os.fdopen(fd, "w", newline="\n") as f:
-        f.write("%d %d %d\n" % (m_loc, n_loc, p))
+    streamed = [j for j in range(c, eng.n) if eng.cols[j]]
+
+    def region():
         for j in range(c, eng.n):
-            col = eng.cols[j]
-            if not col:
-                continue
-            streamed += 1
-            jl = j - c + 1
-            rows = [(eng.cur_of[e >> k], e & eng.mask) for e in col]
-            if check_region and min(r for r, _ in rows) < c:
-                raise ValueError(
-                    "column %d holds entries above the active region" % j)
-            for i_cur, v in sorted(rows):
-                f.write("%d %d %d\n" % (i_cur - c + 1, jl, v))
-        f.write("0 0 0\n")
-    for j in range(c, eng.n):
-        if eng.cols[j]:
-            eng.set_col(j, [])
+            for i_cur, v in sorted((eng.cur_of[e >> k], e & eng.mask) for e in eng.cols[j]):
+                yield i_cur - c, j - c, v
+
+    with os.fdopen(fd, "w", newline="\n") as f:
+        _write_entries(f, m_loc, n_loc, p, region())
+    for j in streamed:
+        eng.set_col(j, [])
 
     # echelon state, all in 0-based local coordinates
     ech_vec: list[list[int]] = []  # packed local columns
@@ -347,11 +339,10 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
         idx = bisect_left(vec, r << k)
         return vec[idx] & eng.mask if idx < len(vec) and vec[idx] >> k == r else 0
 
-    def absorb(j_loc: int, entries: list[int]) -> None:
+    def absorb(j_loc: int, y: list[int]) -> None:
         nonlocal peak
         gcol = c + j_loc - 1
-        y = sorted(entries)
-        hits = sorted(r for r in set(e >> k for e in y) if r in piv_owner)
+        hits = [e >> k for e in y if e >> k in piv_owner]
         for r in hits:
             idx = piv_owner[r]
             coeff = vec_value(y, r) * spec.inv(vec_value(ech_vec[idx], r)) % p
@@ -385,28 +376,12 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
         peak = max(peak, sum(len(v) for v in ech_vec))
 
     with open(spill, "rb") as f:
-        f.readline()
-        cur_j = None
-        entries: list[int] = []
-        line_no = 1
-        for line_no, raw in enumerate(f, 2):
-            parts = raw.split()
-            if not parts:
-                continue
-            i_loc, j_loc, v = int(parts[0]), int(parts[1]), int(parts[2])
-            if (i_loc, j_loc, v) == (0, 0, 0):
-                break
-            if j_loc != cur_j:
-                if cur_j is not None:
-                    absorb(cur_j, entries)
-                cur_j = j_loc
-                entries = []
-            entries.append((i_loc - 1) << k | v)
-        else:
-            raise MatrixFormatError(line_no, "spill file %s ends before its 0 0 0 terminator"
-                                    % spill)
-        if cur_j is not None:
-            absorb(cur_j, entries)
+        entries = _read_entries(f)
+        line_no, *shape = next(entries)
+        if shape != [m_loc, n_loc, p]:
+            raise MatrixFormatError(line_no, "spill header %s, not %s" % (shape, [m_loc, n_loc, p]))
+        for j_loc, group in groupby(entries, itemgetter(2)):
+            absorb(j_loc, _add_entries([], group, k))
 
     # ordering permutation: echelon columns by ascending pivot row,
     # zero columns after; emitted as explicit swaps
@@ -441,7 +416,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str,
     os.unlink(spill)
     return HnfStats(
         pivot_index=c,
-        columns_streamed=streamed,
+        columns_streamed=len(streamed),
         echelon_columns=len(ech_vec),
         peak_echelon_nnz=peak,
         final_echelon_nnz=final_nnz,
@@ -453,18 +428,21 @@ def disk_hnf(a: SparseMatrix, c: int = 0, q: Transcript | None = None,
              spill_dir: str | None = None) -> HnfStats:
     """Public entry for the out-of-core column-echelon pass.
 
-    Columns in the active region must not reach above row c.  Column
-    operations are recorded to q when one is given.  The caller gives up
+    Columns in the active region must not reach above row c; such a matrix
+    is refused with ValueError before a spill is made.  Column operations
+    are recorded to q when one is given.  The caller gives up
     the matrix: when the pass fails, for example on a spill that cannot be
     read back, the active region may be lost, though a.nnz still counts
     the entries left in its columns.
     """
     if not 0 <= c <= min(a.m, a.n):
         raise ValueError("pivot index %d outside [0, %d]" % (c, min(a.m, a.n)))
+    above = [j for j in range(c, a.n) if a.cols[j] and a.cols[j][0] >> a.spec.k < c]
+    if above:
+        raise ValueError("column %d holds entries above the active region" % above[0])
     eng = _Engine(a, start=c)
     try:
-        return _disk_echelon(eng, q, _resolve_spill_dir(spill_dir, tempfile.gettempdir()),
-                             check_region=True)
+        return _disk_echelon(eng, q, _resolve_spill_dir(spill_dir, tempfile.gettempdir()))
     finally:
         a.nnz = eng.total
 
@@ -540,7 +518,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                     eng.scale_row_values(pr, dinv)
                     p_tr.append(ElementaryOp.dilation(c, u))
                 else:
-                    eng.scale_col_values(c, dinv)
+                    eng.mat.scale_col(c, dinv)
                     if q_tr is not None:
                         q_tr.append(ElementaryOp.dilation(c, u))
                 d = 1

@@ -1,4 +1,4 @@
-"""Column-major sparse matrices over GF(p).
+"""Column-major sparse matrices over GF(p) and their text format.
 
 A column is a Python list of packed entries (see gfp.FieldSpec.pack),
 strictly increasing in row index, never storing zeros.  The matrix keeps
@@ -8,11 +8,19 @@ reduction engine (reduce._Engine), the only code that pivots.
 
 Only column operations are offered.  Row operations are column
 operations on the transpose: transpose, apply them, transpose back.
+
+The text format is a header line "m n p", one line "i j v" per entry
+(1-based indices, 0 < v < p, any order) and the terminator "0 0 0".  This
+module alone reads and writes it: read_matrix, write_matrix and the
+out-of-core pass's spill file all go through its entry parser and writer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import nullcontext
+from itertools import groupby
+from operator import itemgetter
 
 from .gfp import FieldSpec
 
@@ -247,23 +255,81 @@ class SparseMatrix:
 
 
 # -- text interchange format ----------------------------------------------
-#
-# header line:  m n p
-# entry lines:  i j v      (1-based indices, 0 < v < p, any order)
-# terminator:   0 0 0
+
+
+def _opened(path_or_file, mode: str):
+    """Open a path, to be closed on exit, or pass an open file through."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        return open(path_or_file, mode)
+    return nullcontext(path_or_file)
+
+
+def _write_entries(f, m: int, n: int, p: int, entries) -> None:
+    """Write the header, the 0-based (i, j, v) entries and the terminator."""
+    f.write("%d %d %d\n" % (m, n, p))
+    f.writelines("%d %d %d\n" % (i + 1, j + 1, v) for i, j, v in entries)
+    f.write("0 0 0\n")
+
+
+def _read_entries(f):
+    """Yield the header as (line_no, m, n, p), then each entry up to the
+    terminator as (line_no, i, j, v), 1-based, with (i, j) inside m x n and
+    0 < v < p.  Blank lines are skipped; f may be text or binary.  Anything
+    else, or a missing terminator, raises MatrixFormatError."""
+    line_no = 0
+    lines = enumerate(f, 1)
+    for line_no, line in lines:
+        header = line.split()
+        if header:
+            break
+    else:
+        raise MatrixFormatError(line_no + 1, "missing header")
+    if len(header) != 3:
+        raise MatrixFormatError(line_no, "header must be 'm n p'")
+    try:
+        m, n, p = map(int, header)
+    except ValueError:
+        raise MatrixFormatError(line_no, "non-integer header field") from None
+    yield line_no, m, n, p
+    for line_no, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise MatrixFormatError(line_no, "entry must be 'i j v'")
+        try:
+            i, j, v = map(int, parts)
+        except ValueError:
+            raise MatrixFormatError(line_no, "non-integer entry field") from None
+        if not (1 <= i <= m and 1 <= j <= n):
+            if i == j == v == 0:
+                return
+            raise MatrixFormatError(line_no, "index (%d, %d) outside %dx%d" % (i, j, m, n))
+        if not 0 < v < p:
+            raise MatrixFormatError(line_no, "value %d outside [1, %d)" % (v, p))
+        yield line_no, i, j, v
+    raise MatrixFormatError(line_no + 1, "missing '0 0 0' terminator")
+
+
+def _add_entries(col: list[int], entries, k: int) -> list[int]:
+    """Put entries of one column, as _read_entries yields them, into col
+    and return it.  A row past the column's last row is appended, any other
+    is inserted in place; a row already present raises MatrixFormatError."""
+    for line_no, i, j, v in entries:
+        i -= 1
+        if not col or col[-1] >> k < i:
+            col.append(i << k | v)
+            continue
+        idx = bisect_left(col, i << k)
+        if col[idx] >> k == i:
+            raise MatrixFormatError(line_no, "duplicate entry (%d, %d)" % (i + 1, j))
+        col.insert(idx, i << k | v)
+    return col
 
 
 def write_matrix(a: SparseMatrix, path_or_file) -> None:
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file, "w") if own else path_or_file
-    try:
-        f.write("%d %d %d\n" % (a.m, a.n, a.spec.p))
-        for i, j, v in a.entries():
-            f.write("%d %d %d\n" % (i + 1, j + 1, v))
-        f.write("0 0 0\n")
-    finally:
-        if own:
-            f.close()
+    with _opened(path_or_file, "w") as f:
+        _write_entries(f, a.m, a.n, a.spec.p, a.entries())
 
 
 def read_matrix(path_or_file, spec: FieldSpec | None = None) -> SparseMatrix:
@@ -271,65 +337,17 @@ def read_matrix(path_or_file, spec: FieldSpec | None = None) -> SparseMatrix:
 
     When spec is given the file's modulus must match it.
     """
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    f = open(path_or_file) if own else path_or_file
-    try:
-        return _read_matrix_stream(f, spec)
-    finally:
-        if own:
-            f.close()
-
-
-def _read_matrix_stream(f, spec: FieldSpec | None) -> SparseMatrix:
-    line_no = 0
-    header = None
-    while header is None:
-        line = f.readline()
-        line_no += 1
-        if not line:
-            raise MatrixFormatError(line_no, "missing header")
-        if line.strip():
-            header = line.split()
-    if len(header) != 3:
-        raise MatrixFormatError(line_no, "header must be 'm n p'")
-    try:
-        m, n, p = (int(t) for t in header)
-    except ValueError:
-        raise MatrixFormatError(line_no, "non-integer header field") from None
-    try:
-        file_spec = FieldSpec(p)
-    except ValueError as exc:
-        raise MatrixFormatError(line_no, str(exc)) from None
-    if spec is not None:
-        if spec.p != p:
+    with _opened(path_or_file, "r") as f:
+        entries = _read_entries(f)
+        line_no, m, n, p = next(entries)
+        if spec is not None and spec.p != p:
             raise MatrixFormatError(line_no, "modulus %d does not match expected %d" % (p, spec.p))
-        file_spec = spec
-    a = SparseMatrix(m, n, file_spec)
-    terminated = False
-    while True:
-        line = f.readline()
-        line_no += 1
-        if not line:
-            break
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise MatrixFormatError(line_no, "entry must be 'i j v'")
         try:
-            i, j, v = (int(t) for t in parts)
-        except ValueError:
-            raise MatrixFormatError(line_no, "non-integer entry field") from None
-        if (i, j, v) == (0, 0, 0):
-            terminated = True
-            break
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise MatrixFormatError(line_no, "index (%d, %d) outside %dx%d" % (i, j, m, n))
-        if not 0 < v < p:
-            raise MatrixFormatError(line_no, "value %d outside [1, %d)" % (v, p))
-        if a.get(i - 1, j - 1) != 0:
-            raise MatrixFormatError(line_no, "duplicate entry (%d, %d)" % (i, j))
-        a.set(i - 1, j - 1, v)
-    if not terminated:
-        raise MatrixFormatError(line_no, "missing '0 0 0' terminator")
-    return a
+            spec = spec or FieldSpec(p)
+        except ValueError as exc:
+            raise MatrixFormatError(line_no, str(exc)) from None
+        a = SparseMatrix(m, n, spec)
+        for j, group in groupby(entries, itemgetter(2)):
+            _add_entries(a.cols[j - 1], group, spec.k)
+        a.nnz = sum(map(len, a.cols))
+        return a

@@ -335,9 +335,3 @@ class Transcript:
             raise ShapeError("matrix has %d columns, transcript dimension %d" % (a.n, self.dim))
         _run_col_ops(a, self._replay(False, inverse))
         return a
-
-    def materialize(self, bound: int = 4096) -> SparseMatrix:
-        """The represented matrix, for dimensions small enough to afford."""
-        if self.dim > bound:
-            raise ValueError("dimension %d exceeds materialize bound %d" % (self.dim, bound))
-        return self.apply_mat_left(SparseMatrix.identity(self.dim, self.spec))

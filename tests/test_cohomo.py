@@ -71,8 +71,6 @@ def test_slice_validation():
                        SparseMatrix.from_dense([[1], [0]], spec))
     with pytest.raises(NotAComplexError):
         bad.validate()
-    with pytest.raises(NotAComplexError):
-        bad.validate(exact=False)  # probe vectors catch it too
 
 
 def test_build_eta_examples(tmp_path):
@@ -120,7 +118,7 @@ def test_oracle_slices(tmp_path):
         n5 = rng.randrange(1, 11)
         n4 = rng.randrange(1, 9)
         sl, d_top_rows, d_bot_rows = make_slice(rng, n6, n5, n4, p)
-        sl.validate(exact=True)
+        sl.validate()
         ws = compute_h5(sl, str(tmp_path / ("t%d" % trial)), paranoid=True)
         kernel = dense_kernel(d_top_rows, p, n=n5)
         assert ws.h5 == len(kernel) - dense_rank(d_bot_rows, p)
@@ -233,13 +231,6 @@ def test_tau_applies_to_eta(tmp_path):
             [1 if t == j else 0 for t in range(ws_tau.h5)]
 
 
-def test_validate_probabilistic_path():
-    rng = random.Random(71)
-    sl, _, _ = make_slice(rng, 5, 8, 6, 12379)
-    sl.validate(exact=False)  # should accept a genuine complex
-    sl.validate(exact=False, seed=99)
-
-
 def _replay_reduce(ws, q5, y):
     """reduce_cocycle by a full Q5 replay and a truncation, the path that
     the row selection and the dTop check replace."""
@@ -318,25 +309,3 @@ def test_written_line_moved_into_tail_is_refused(tmp_path):
     _write_q5(q5, [b"T 0 1 3\n", b"S 0 1\n"])  # then moves it to line 1
     with pytest.raises(NotAComplexError, match="writes line 1"):
         load_workspace(wd)
-
-
-def test_validate_cost_counts_merged_entries(monkeypatch):
-    """dTop.nnz * n4 is far above the limit, but the exact check merges
-    one dTop entry per dBottom entry here, so validate takes it."""
-    spec = FieldSpec(7)
-    n = 1001
-    d_top = SparseMatrix.from_dense([[1] * n], spec)
-    d_bottom = SparseMatrix(n, n, spec)
-    for j in range(n - 1):
-        d_bottom.set_col(j, [j << spec.k | 1, (j + 1) << spec.k | 6])
-    sl = ComplexSlice(d_top, d_bottom)
-    assert d_top.nnz * n > cohomo.EXACT_CHECK_LIMIT >= d_bottom.nnz
-
-    def no_sampling(*args):
-        raise AssertionError("took the sampled path")
-
-    monkeypatch.setattr(cohomo, "PackedMatrix", no_sampling)
-    sl.validate()
-    monkeypatch.setattr(cohomo, "EXACT_CHECK_LIMIT", d_bottom.nnz - 1)
-    with pytest.raises(AssertionError, match="sampled"):
-        sl.validate()

@@ -293,12 +293,13 @@ def test_disk_hnf_below_existing_pivots(tmp_path, f7):
     assert back.to_dense() == rows
 
 
-def test_disk_hnf_rejects_entries_above_region(f7):
+def test_disk_hnf_rejects_entries_above_region(tmp_path, f7):
     rows = [[0, 0, 2], [0, 1, 0], [0, 0, 3]]
     a = SparseMatrix.from_dense(rows, f7)
     with pytest.raises(ValueError):
-        disk_hnf(a, 1)
+        disk_hnf(a, 1, spill_dir=str(tmp_path))
     assert a.to_dense() == rows  # untouched on refusal
+    assert os.listdir(tmp_path) == []  # refused before a spill is made
 
 
 def test_spill_dir_env(tmp_path, monkeypatch, f7):
@@ -391,3 +392,55 @@ def test_disk_hnf_cut_spill_keeps_counts(tmp_path, monkeypatch, f7):
         disk_hnf(a, 0, spill_dir=str(tmp_path))
     assert a.nnz == sum(len(col) for col in a.cols)
     a.check()
+
+
+def _repeat_first_entry(lines):
+    return lines[:2] + lines[1:]
+
+
+def _row_outside(lines):
+    m_loc = int(lines[0].split()[0])
+    _, j, v = lines[1].split()
+    return [lines[0], b"%d %s %s\n" % (m_loc + 1, j, v)] + lines[2:]
+
+
+def _value_outside(lines):
+    i, j, _ = lines[1].split()
+    return [lines[0], b"%s %s 7\n" % (i, j)] + lines[2:]
+
+
+def _header_too_tall(lines):
+    m_loc, n_loc, p = lines[0].split()
+    return [b"%d %s %s\n" % (int(m_loc) + 1, n_loc, p)] + lines[1:]
+
+
+@pytest.mark.parametrize("damage,match,line_no", [
+    (_repeat_first_entry, "duplicate", 3),
+    (_row_outside, "outside", 2),
+    (_value_outside, "value", 2),
+    (_header_too_tall, "spill header", 1),
+])
+def test_damaged_spill_is_refused(tmp_path, monkeypatch, damage, match, line_no):
+    """A spill damaged between write and read is refused with read_matrix's
+    checks and kept, instead of being reduced."""
+    real_open = open
+    served = []
+
+    def damaging_open(path, mode="r", *args, **kwargs):
+        if mode == "rb" and os.path.basename(path).startswith("spill-"):
+            with real_open(path, "rb") as f:
+                lines = f.readlines()
+            served.append(path)
+            return io.BytesIO(b"".join(damage(lines)))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(reduce, "open", damaging_open, raising=False)
+    monkeypatch.delenv(reduce.SPILL_DIR_ENV, raising=False)
+    rows = random_dense(random.Random(37), 6, 8, 7, 0.5)
+    with pytest.raises(MatrixFormatError, match=match) as exc:
+        run_snf(rows, 7, tmp_path, "lib", tau=1)
+    assert exc.value.line_no == line_no
+    assert len(served) == 1
+    assert os.path.exists(served[0])  # kept for inspection
+    with pytest.raises(TranscriptError):
+        Transcript.open(tmp_path / "lib" / "q.trn")

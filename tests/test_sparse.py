@@ -147,6 +147,10 @@ def test_format_text_shape():
     a = read_matrix(io.StringIO(text))
     assert (a.m, a.n) == (2, 3)
     assert a.to_dense() == [[5, 0, 0], [0, 0, 6]]
+    # columns out of order, rows descending within a column
+    b = read_matrix(io.StringIO("3 3 7\n3 3 1\n2 1 4\n2 3 6\n1 1 5\n1 3 2\n0 0 0\n"))
+    assert b.to_dense() == [[5, 0, 2], [4, 0, 6], [0, 0, 1]]
+    b.check()
 
 
 def test_format_blank_lines_ok():
@@ -163,6 +167,7 @@ def test_format_blank_lines_ok():
     ("2 2 7\n1 1 7\n0 0 0\n", 2),           # value out of range
     ("2 2 7\n1 1 0\n0 0 0\n", 2),           # zero value
     ("2 2 7\n1 1 1\n1 1 2\n0 0 0\n", 3),    # duplicate
+    ("2 2 7\n2 1 1\n1 1 1\n2 1 3\n0 0 0\n", 4),  # duplicate out of order
     ("2 2 7\n1 1 1\n", 3),                  # missing terminator, flagged at EOF
     ("2 2 7\nx y z\n0 0 0\n", 2),           # junk
 ])
