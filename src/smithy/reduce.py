@@ -13,7 +13,8 @@ The reduction loop, for pivot index c starting at 0:
      search does not scan: each column caches its own minimum in a heap,
      and only columns whose entries, or whose rows' counts or positions,
      changed since the last pivot are rescanned;
-  4. clear the pivot row with column transvections;
+  4. clear the pivot row with column transvections; against a pivot column
+     holding only the pivot, each just deletes one entry, with no merge;
   5. clear the pivot column with row transvections -- after step 4 the
      pivot row is a singleton, so each of these touches only column c;
   6. advance c.
@@ -91,7 +92,8 @@ SPILL_DIR_ENV = "SMITHY_SPILL_DIR"
 
 
 class _Engine:
-    """Working state for one reduction; owns the matrix until finalized,
+    """Working state for one reduction; owns the matrix until finalized
+    (so clear_row and scale_row_values edit its column lists in place),
     and alone keeps the row pattern and the pivot keys that pivoting reads.
 
     A row's count is the size of its pattern and a column's the length of
@@ -181,13 +183,6 @@ class _Engine:
         self.cols[a], self.cols[b] = self.cols[b], self.cols[a]
         self.dirty_cols.update((a, b))
 
-    def value_at_phys(self, pr: int, j: int) -> int:
-        col = self.cols[j]
-        idx = bisect_left(col, pr << self.k)
-        if idx < len(col) and col[idx] >> self.k == pr:
-            return col[idx] & self.mask
-        return 0
-
     def scale_row_values(self, pr: int, u: int) -> None:
         k, mask, p = self.k, self.mask, self.p
         key = pr << k
@@ -195,6 +190,32 @@ class _Engine:
             col = self.cols[j]
             idx = bisect_left(col, key)
             col[idx] = key | (col[idx] & mask) * u % p
+
+    def clear_row(self, pr: int, c: int, dinv: int) -> list[tuple[int, int]]:
+        """Clear row pr outside the pivot column c (column j2 -= s * column c,
+        s = a[pr, j2] * dinv); return the (j2, s) in increasing j2.  Against
+        a singleton pivot column j2 just loses its row-pr entry, deleted in
+        place (snf's caller gives up the matrix), and counts update once."""
+        k, p, mask, cols = self.k, self.p, self.mask, self.cols
+        piv = cols[c]
+        single = len(piv) == 1
+        ops = []
+        for j2 in sorted(self.rows_pat[pr] - {c}):
+            col = cols[j2]
+            idx = bisect_left(col, pr << k)
+            assert col[idx] >> k == pr, "row pattern drifted"
+            s = (col[idx] & mask) * dinv % p
+            if single:
+                del col[idx]
+            else:
+                self.set_col(j2, axpy(col, piv, p - s, self.spec))
+            ops.append((j2, s))
+        if single:
+            # pr is left only in the finished column c: no live key reads it
+            self.dirty_cols.update(j2 for j2, _ in ops)
+            self.total -= len(ops)
+            self.rows_pat[pr] = {c}
+        return ops
 
     # -- pivot search --------------------------------------------------------
 
@@ -305,8 +326,8 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
     when the region has low co-rank.  The spill is in sparse.py's text
     format and is read back with read_matrix's checks: a spill that ends
     before its terminator, or holds a malformed line, an index or value
-    outside the region or a repeated row, raises MatrixFormatError.  The
-    spill file is removed on success and kept for inspection on failure.
+    outside the region, a repeated row or a column run out of order, raises
+    MatrixFormatError.  The spill is removed on success, kept on failure.
     """
     spec = eng.spec
     p, k = eng.p, eng.k
@@ -380,8 +401,13 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
         line_no, *shape = next(entries)
         if shape != [m_loc, n_loc, p]:
             raise MatrixFormatError(line_no, "spill header %s, not %s" % (shape, [m_loc, n_loc, p]))
+        last = 0
         for j_loc, group in groupby(entries, itemgetter(2)):
-            absorb(j_loc, _add_entries([], group, k))
+            run = list(group)
+            if j_loc <= last:
+                raise MatrixFormatError(run[0][0], "column %d after column %d" % (j_loc, last))
+            last = j_loc
+            absorb(j_loc, _add_entries([], run, k))
 
     # ordering permutation: echelon columns by ascending pivot row,
     # zero columns after; emitted as explicit swaps
@@ -509,7 +535,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 if q_tr is not None:
                     q_tr.append(ElementaryOp.swap(c, j))
             pr = eng.phys_of[c]
-            d = eng.value_at_phys(pr, c)
+            d = a.get(pr, c)  # columns hold physical rows
             assert d, "pivot vanished"
             if opts.normalize_pivots and d != 1:
                 u = d
@@ -524,10 +550,9 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 d = 1
             dinv = spec.inv(d) if d != 1 else 1
             # step 4: clear the pivot row
-            for j2 in sorted(eng.rows_pat[pr] - {c}):
-                s = eng.value_at_phys(pr, j2) * dinv % p
-                eng.set_col(j2, axpy(eng.cols[j2], eng.cols[c], p - s, spec))
-                if q_tr is not None:
+            ops = eng.clear_row(pr, c, dinv)
+            if q_tr is not None:
+                for j2, s in ops:
                     q_tr.append(ElementaryOp.transvection(c, j2, s))
             # step 5: clear the pivot column (touches only column c now)
             col = eng.cols[c]

@@ -175,6 +175,26 @@ def tie_heavy(p):
     return grid, circ
 
 
+# SHA-256 of p.trn and q.trn for tie_heavy(7)'s circulant, recorded before
+# step 4 cancelled in place: each of its 45 pivot-row updates merges a pivot
+# column of several entries, a path the fixture's runs never take
+def test_circulant_transcripts_are_pinned(tmp_path):
+    _, res = run_snf(tie_heavy(7)[1], 7, tmp_path, "circ")
+    assert res.rank == 16
+    for tr, want in (
+            (res.p, "eddf43a1362694599688169ae08322cdfbeada78118af4cbecc5a1085ad3920b"),
+            (res.q, "b3e6e8a18017abb40ead407d9ce76d753d2f573577cf217870f57a93956027da")):
+        with open(tr.path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == want
+
+
+def test_clear_row_refuses_a_drifted_pattern(f7):
+    eng = _Engine(SparseMatrix.from_dense([[1, 0], [0, 2]], f7))
+    eng.rows_pat[0].add(1)  # column 1 holds no entry in row 0
+    with pytest.raises(AssertionError, match="row pattern drifted"):
+        eng.clear_row(0, 0, 1)
+
+
 def test_oracle_batch_small(tmp_path):
     rng = random.Random(31)
     cases = []
@@ -190,6 +210,17 @@ def test_oracle_batch_small(tmp_path):
         peak = max(run_snf(circ, p, tmp_path, "peak%d" % p)[1].fill_log)
         cases += [(grid, p, None, False), (grid, p, 1, False),
                   (circ, p, None, False), (circ, p, peak, True)]
+    # skinny m x 3m inputs with 1-3 entries per column: most pivot columns
+    # are singletons, so step 4 cancels in place
+    srng = random.Random(41)
+    for trial in range(8):
+        p = 7 if trial % 2 else 12379
+        m = srng.randrange(3, 9)
+        rows = [[0] * (3 * m) for _ in range(m)]
+        for j in range(3 * m):
+            for i in srng.sample(range(m), srng.randint(1, 3)):
+                rows[i][j] = srng.randrange(1, p)
+        cases += [(rows, p, None, False), (rows, p, 1, False)]
     for trial, (rows, p, tau, mid) in enumerate(cases):
         m, n = len(rows), len(rows[0])
         a, res = run_snf(rows, p, tmp_path, "o%d" % trial, tau=tau,
@@ -414,11 +445,17 @@ def _header_too_tall(lines):
     return [b"%d %s %s\n" % (int(m_loc) + 1, n_loc, p)] + lines[1:]
 
 
+def _first_entry_last(lines):
+    # away from its column's run, so only the run order can refuse it
+    return [lines[0]] + lines[2:-1] + [lines[1], lines[-1]]
+
+
 @pytest.mark.parametrize("damage,match,line_no", [
     (_repeat_first_entry, "duplicate", 3),
     (_row_outside, "outside", 2),
     (_value_outside, "value", 2),
     (_header_too_tall, "spill header", 1),
+    (_first_entry_last, "column 1 after column 8", 22),
 ])
 def test_damaged_spill_is_refused(tmp_path, monkeypatch, damage, match, line_no):
     """A spill damaged between write and read is refused with read_matrix's
