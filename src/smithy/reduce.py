@@ -9,12 +9,14 @@ The reduction loop, for pivot index c starting at 0:
   2. stop when the active region is empty;
   3. pick the active nonzero minimizing the Markowitz count
      (r_i - 1)(c_j - 1) over the whole region, ties to the smallest (i, j),
-     and move it to (c, c) with one row swap and one column swap.  The
-     search does not scan: each column caches its own minimum in a heap,
-     and only columns whose entries, or whose rows' counts or positions,
-     changed since the last pivot are rescanned;
+     and swap its column to c.  The search does not scan: each column
+     caches its own minimum in a heap, rescanned only when the column is
+     merged or swapped, a row in it changes count, or the minimum's row
+     moves down or loses its entry; other row moves and entry deletions
+     update it in O(1) (see _Engine);
   4. clear the pivot row with column transvections; against a pivot column
-     holding only the pivot, each just deletes one entry, with no merge;
+     holding only the pivot, each just deletes one entry, with no merge.
+     Then swap the pivot row up to row c: it holds only column c now;
   5. clear the pivot column with row transvections -- after step 4 the
      pivot row is a singleton, so each of these touches only column c;
   6. advance c.
@@ -48,7 +50,7 @@ from operator import itemgetter
 
 from .sparse import (MatrixFormatError, SparseMatrix, _add_entries, _read_entries,
                      _write_entries, axpy)
-from .transcript import COL, ROW, ElementaryOp, Transcript
+from .transcript import COL, ROW, Transcript
 
 
 @dataclass
@@ -99,9 +101,14 @@ class _Engine:
     A row's count is the size of its pattern and a column's the length of
     its list.  Each column j >= c with entries has a cached key, its
     minimum (cost, current row, j) packed as (cost*m + i)*n + j, in a heap
-    with lazy deletion.  Edits only mark dirty state (the changed columns
-    and every row whose count or current index changed); find_pivot
-    rescans just the columns that are dirty or lie in a dirty row.
+    with lazy deletion; key // n % m is the current index of the argmin
+    row.  find_pivot rescans the dirty columns and the patterns of the
+    dirty rows (rows whose count changed).  set_col marks its column and
+    the rows it adds or drops dirty, swap_cols both columns; swap_rows and
+    clear_row's singleton path mark a column dirty only if its argmin row
+    moved down or lost its entry; any key they change otherwise is set in
+    O(1) and pushed.  Such an update of a column already due a rescan reads
+    a stale key, but only leaves a heap entry that find_pivot discards.
     """
 
     __slots__ = (
@@ -170,10 +177,26 @@ class _Engine:
         self.cols[j] = new
 
     def swap_rows(self, a: int, b: int) -> None:
+        """Swap the rows at current indices a < b.  The row going down to
+        b marks dirty just the columns whose key row was a; the row coming
+        up to a lowers each of its columns' keys in O(1), to the same argmin
+        at its new index or to its own smaller tuple.  snf swaps the pivot
+        row up only once it is cleared, so that row brings just column a."""
+        m, n, cols, key, heap, pat = self.m, self.n, self.cols, self.key, self.heap, self.rows_pat
         pa, pb = self.phys_of[a], self.phys_of[b]
         self.phys_of[a], self.phys_of[b] = pb, pa
         self.cur_of[pa], self.cur_of[pb] = b, a
-        self.dirty_rows.update((pa, pb))
+        self.dirty_cols.update([j for j in pat[pa] if key[j] // n % m == a])
+        rb = len(pat[pb]) - 1
+        for j in pat[pb]:
+            kj = key[j]
+            if kj // n % m == b:
+                new = kj - (b - a) * n
+            else:
+                new = min(kj, (rb * (len(cols[j]) - 1) * m + a) * n + j)
+            if new != kj:
+                key[j] = new
+                heappush(heap, new)
 
     def swap_cols(self, a: int, b: int) -> None:
         k, pat = self.k, self.rows_pat
@@ -196,25 +219,36 @@ class _Engine:
         s = a[pr, j2] * dinv); return the (j2, s) in increasing j2.  Against
         a singleton pivot column j2 just loses its row-pr entry, deleted in
         place (snf's caller gives up the matrix), and counts update once."""
-        k, p, mask, cols = self.k, self.p, self.mask, self.cols
+        k, p, mask, m, n, cols = self.k, self.p, self.mask, self.m, self.n, self.cols
+        key, heap, pat, phys_of = self.key, self.heap, self.rows_pat, self.phys_of
         piv = cols[c]
         single = len(piv) == 1
+        at = self.cur_of[pr]
         ops = []
-        for j2 in sorted(self.rows_pat[pr] - {c}):
+        for j2 in sorted(pat[pr] - {c}):
             col = cols[j2]
             idx = bisect_left(col, pr << k)
             assert col[idx] >> k == pr, "row pattern drifted"
             s = (col[idx] & mask) * dinv % p
-            if single:
-                del col[idx]
-            else:
-                self.set_col(j2, axpy(col, piv, p - s, self.spec))
             ops.append((j2, s))
+            if not single:
+                self.set_col(j2, axpy(col, piv, p - s, self.spec))
+                continue
+            del col[idx]
+            kj = key[j2]
+            i = kj // n % m
+            if i == at:  # pr was j2's argmin
+                self.dirty_cols.add(j2)
+                continue
+            # the argmin stays, its cost scaled down to the shorter column
+            new = ((len(pat[phys_of[i]]) - 1) * (len(col) - 1) * m + i) * n + j2
+            if new != kj:
+                key[j2] = new
+                heappush(heap, new)
         if single:
             # pr is left only in the finished column c: no live key reads it
-            self.dirty_cols.update(j2 for j2, _ in ops)
             self.total -= len(ops)
-            self.rows_pat[pr] = {c}
+            pat[pr] = {c}
         return ops
 
     # -- pivot search --------------------------------------------------------
@@ -369,7 +403,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
             coeff = vec_value(y, r) * spec.inv(vec_value(ech_vec[idx], r)) % p
             y = axpy(y, ech_vec[idx], p - coeff, spec)
             if q is not None:
-                q.append(ElementaryOp.transvection(ech_col[idx], gcol, coeff))
+                q.append(("T", ech_col[idx], gcol, coeff))
         if not y:
             return
         pivr = y[0] >> k
@@ -387,7 +421,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
                 row_hits.setdefault(r, set()).add(idx)
             ech_vec[idx] = new
             if q is not None:
-                q.append(ElementaryOp.transvection(gcol, ech_col[idx], coeff))
+                q.append(("T", gcol, ech_col[idx], coeff))
         ech_vec.append(y)
         ech_piv.append(pivr)
         ech_col.append(gcol)
@@ -427,7 +461,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
         else:
             del occupant[src]
         if q is not None:
-            q.append(ElementaryOp.swap(c + t, c + src))
+            q.append(("S", c + t, c + src, None))
         eng.swap_cols(c + t, c + src)  # both empty
 
     phys_of = eng.phys_of
@@ -493,13 +527,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     elif (opts.emit_p and not opts.p_path) or (opts.emit_q and not opts.q_path):
         workdir = tempfile.mkdtemp(prefix="smithy-")
     spec = a.spec
-    p_tr = q_tr = None
-    if opts.emit_p:
-        p_tr = Transcript.create(opts.p_path or os.path.join(workdir, "p.trn"), ROW, a.m, spec)
-    if opts.emit_q:
-        q_tr = Transcript.create(opts.q_path or os.path.join(workdir, "q.trn"), COL, a.n, spec)
-    fill_file = open(opts.fill_log_path, "w", newline="\n") if opts.fill_log_path else None
-
+    p_tr = q_tr = fill_file = None
     eng = _Engine(a)
     mn = min(a.m, a.n)
     p = spec.p
@@ -508,6 +536,13 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     hnf_stats = None
     done = False
     try:
+        # opened inside the try, so a failed open abandons the earlier ones
+        if opts.emit_p:
+            p_tr = Transcript.create(opts.p_path or os.path.join(workdir, "p.trn"), ROW, a.m, spec)
+        if opts.emit_q:
+            q_tr = Transcript.create(opts.q_path or os.path.join(workdir, "q.trn"), COL, a.n, spec)
+        if opts.fill_log_path:
+            fill_file = open(opts.fill_log_path, "w", newline="\n")
         while True:
             active = eng.total - eng.c
             if (hnf_stats is None and opts.tau is not None and active >= opts.tau):
@@ -526,15 +561,13 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 eng.recheck()
                 assert pivot == eng.reference_pivot(), "pivot search drifted"
             i, j = pivot
-            if i != c:
-                eng.swap_rows(c, i)
-                if p_tr is not None:
-                    p_tr.append(ElementaryOp.swap(c, i))
+            if i != c and p_tr is not None:
+                p_tr.append(("S", c, i, None))
             if j != c:
                 eng.swap_cols(c, j)
                 if q_tr is not None:
-                    q_tr.append(ElementaryOp.swap(c, j))
-            pr = eng.phys_of[c]
+                    q_tr.append(("S", c, j, None))
+            pr = eng.phys_of[i]  # moved up to row c once cleared
             d = a.get(pr, c)  # columns hold physical rows
             assert d, "pivot vanished"
             if opts.normalize_pivots and d != 1:
@@ -542,18 +575,20 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 dinv = spec.inv(d)
                 if p_tr is not None:
                     eng.scale_row_values(pr, dinv)
-                    p_tr.append(ElementaryOp.dilation(c, u))
+                    p_tr.append(("D", c, None, u))
                 else:
                     eng.mat.scale_col(c, dinv)
                     if q_tr is not None:
-                        q_tr.append(ElementaryOp.dilation(c, u))
+                        q_tr.append(("D", c, None, u))
                 d = 1
             dinv = spec.inv(d) if d != 1 else 1
-            # step 4: clear the pivot row
+            # step 4: clear the pivot row, then move it up
             ops = eng.clear_row(pr, c, dinv)
             if q_tr is not None:
                 for j2, s in ops:
-                    q_tr.append(ElementaryOp.transvection(c, j2, s))
+                    q_tr.append(("T", c, j2, s))
+            if i != c:
+                eng.swap_rows(c, i)
             # step 5: clear the pivot column (touches only column c now)
             col = eng.cols[c]
             if len(col) > 1:
@@ -563,7 +598,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 )
                 if p_tr is not None:
                     for i2, v2 in others:
-                        p_tr.append(ElementaryOp.transvection(c, i2, v2 * dinv % p))
+                        p_tr.append(("T", c, i2, v2 * dinv % p))
                 eng.set_col(c, [pr << eng.k | d])
             diag.append(d)
             eng.c += 1

@@ -16,6 +16,9 @@ and, once finalized, one trailer line
                       byte before this line
 
 "Line" means row for a ROW transcript and column for a COL transcript.
+Transcript.append takes each record as a plain (kind, a, b, v) tuple (an
+ElementaryOp is one) and is the one place that checks it, so a writer
+builds no object per record.
 Each record stands for the elementary matrix performing that operation on
 its side; for a record with matrix E, a ROW transcript represents the
 product E0 E1 E2 ... in file order, while a COL transcript represents
@@ -37,8 +40,9 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from dataclasses import dataclass
+from math import inf
 from operator import eq
+from typing import NamedTuple
 
 from .gfp import FieldSpec
 from .sparse import ShapeError, SparseMatrix
@@ -51,43 +55,31 @@ class TranscriptError(ValueError):
     """Malformed transcript file or record."""
 
 
-@dataclass(frozen=True)
-class ElementaryOp:
+class ElementaryOp(NamedTuple):
+    """One record: b is None for a dilation, v for a swap.  The constructors
+    refuse what Transcript.append refuses at any dimension and modulus."""
+
     kind: str  # "S", "T", or "D"
     a: int
     b: int | None = None
     v: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.a < 0:
-            raise ValueError("negative line index")
-        if self.kind == "S":
-            if self.b is None or self.b < 0 or self.b == self.a or self.v is not None:
-                raise ValueError("swap needs two distinct lines and no scalar")
-        elif self.kind == "T":
-            if self.b is None or self.b < 0 or self.b == self.a:
-                raise ValueError("transvection needs two distinct lines")
-            if not self.v:
-                raise ValueError("transvection scalar must be nonzero")
-        elif self.kind == "D":
-            if self.b is not None:
-                raise ValueError("dilation takes a single line")
-            if not self.v:
-                raise ValueError("dilation scalar must be nonzero")
-        else:
-            raise ValueError("unknown op kind %r" % (self.kind,))
-
     @classmethod
     def swap(cls, a: int, b: int) -> "ElementaryOp":
-        return cls("S", a, b)
+        return cls._checked("S", a, b, None)
 
     @classmethod
     def transvection(cls, a: int, b: int, v: int) -> "ElementaryOp":
-        return cls("T", a, b, v)
+        return cls._checked("T", a, b, v)
 
     @classmethod
     def dilation(cls, a: int, u: int) -> "ElementaryOp":
-        return cls("D", a, None, u)
+        return cls._checked("D", a, None, u)
+
+    @classmethod
+    def _checked(cls, *rec) -> "ElementaryOp":
+        _encode(rec, inf, inf)
+        return cls(*rec)
 
     def inverse(self, spec: FieldSpec) -> "ElementaryOp":
         if self.kind == "S":
@@ -97,11 +89,25 @@ class ElementaryOp:
         return ElementaryOp("D", self.a, None, spec.inv(self.v))
 
     def encode(self) -> str:
-        if self.kind == "S":
-            return "S %d %d\n" % (self.a, self.b)
-        if self.kind == "T":
-            return "T %d %d %d\n" % (self.a, self.b, self.v)
-        return "D %d %d\n" % (self.a, self.v)
+        return _encode(self, inf, inf)
+
+
+def _encode(op, dim, p) -> str:
+    """The file line of op = (kind, a, b, v), once each index is in [0, dim),
+    S and T name two lines, T and D have a scalar in (0, p), D no b, S no v."""
+    kind, a, b, v = op
+    if kind == "T":
+        if 0 <= a < dim and 0 <= b < dim and a != b and 0 < v < p:
+            return "T %d %d %d\n" % (a, b, v)
+    elif kind == "S":
+        if 0 <= a < dim and 0 <= b < dim and a != b and v is None:
+            return "S %d %d\n" % (a, b)
+    elif kind == "D":
+        if 0 <= a < dim and b is None and 0 < v < p:
+            return "D %d %d\n" % (a, v)
+    else:
+        raise TranscriptError("unknown op kind %r" % (kind,))
+    raise TranscriptError("bad record %r for dimension %s and modulus %s" % (op, dim, p))
 
 
 # record kinds as the decoded kind array stores them
@@ -235,14 +241,11 @@ class Transcript:
         side, dim, file_spec, ops = _decode(path, spec)
         return cls(path, side, dim, file_spec, _ops=ops)
 
-    def append(self, op: ElementaryOp) -> None:
+    def append(self, op) -> None:
+        """Write one (kind, a, b, v) record, checked by _encode."""
         if self._writer is None:
             raise TranscriptError("transcript is finalized")
-        if op.a >= self.dim or (op.b is not None and op.b >= self.dim):
-            raise TranscriptError("line index outside dimension %d" % self.dim)
-        if op.v is not None and not 0 < op.v < self.spec.p:
-            raise TranscriptError("scalar %d outside [1, %d)" % (op.v, self.spec.p))
-        self._writer.write(op.encode())
+        self._writer.write(_encode(op, self.dim, self.spec.p))
         self._count += 1
 
     def finalize(self) -> "Transcript":

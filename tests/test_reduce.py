@@ -188,11 +188,58 @@ def test_circulant_transcripts_are_pinned(tmp_path):
             assert hashlib.sha256(f.read()).hexdigest() == want
 
 
+def skinny(seed, m, p):
+    """A seeded m x 3m matrix with 1-6 entries per column, the shape of
+    the benchmark's skinny workload."""
+    rng = random.Random(seed)
+    a = SparseMatrix(m, 3 * m, FieldSpec(p))
+    for j in range(3 * m):
+        for i in rng.sample(range(m), rng.randint(1, 6)):
+            a.set(i, j, rng.randrange(1, p))
+    return a
+
+
+# SHA-256 of p.trn and q.trn for skinny(51, 300, 12379), recorded before
+# row swaps and singleton clears updated pivot keys in O(1): most of its
+# pivot rows are cleared against a singleton pivot column
+SKINNY_TRANSCRIPTS = {
+    False: ("b24842339a444ec01882aa6fd354763631f42d52e753214f636c1f8490e13e55",
+            "fa6f5a2fc0da6298a0d869245fec7e3e366411099762cd016c2fa8de7cb1e4c3"),
+    True: ("4ae1783d3e06cd0e03ad650cabadc285bea1e1f94e349326c93627b6a2121df4",
+           "fa6f5a2fc0da6298a0d869245fec7e3e366411099762cd016c2fa8de7cb1e4c3"),
+}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_skinny_transcripts_are_pinned(tmp_path, normalize):
+    a = skinny(51, 300, 12379)
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path),
+                            normalize_pivots=normalize))
+    assert res.rank == 300
+    for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[normalize]):
+        with open(tr.path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == want
+
+
 def test_clear_row_refuses_a_drifted_pattern(f7):
     eng = _Engine(SparseMatrix.from_dense([[1, 0], [0, 2]], f7))
     eng.rows_pat[0].add(1)  # column 1 holds no entry in row 0
     with pytest.raises(AssertionError, match="row pattern drifted"):
         eng.clear_row(0, 0, 1)
+
+
+def test_swap_rows_keeps_every_key_current(f7):
+    """After any row swap made while the keys are current, every cached key
+    matches a fresh scan.  snf swaps the pivot row up only once it is
+    cleared, so no reduction shows a key the row moving up failed to lower."""
+    rng = random.Random(61)
+    for trial in range(40):
+        m, n = rng.randrange(2, 9), rng.randrange(1, 9)
+        eng = _Engine(SparseMatrix.from_dense(random_dense(rng, m, n, 7, 0.5), f7))
+        for _ in range(5):
+            eng.find_pivot()
+            eng.swap_rows(*sorted(rng.sample(range(m), 2)))
+            eng.recheck()
 
 
 def test_oracle_batch_small(tmp_path):
@@ -373,6 +420,26 @@ def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
         assert (wd / name).read_text().count("\n") > 1  # records were written
         with pytest.raises(TranscriptError):
             Transcript.open(wd / name)
+
+
+def test_failed_set_up_abandons_the_transcripts(tmp_path, monkeypatch):
+    """A fill log that cannot be opened fails snf after both transcripts
+    were created; each is closed without a trailer, not left open."""
+    abandoned = []
+    real_abandon = Transcript.abandon
+
+    def abandon(tr):
+        abandoned.append(os.path.basename(tr.path))
+        real_abandon(tr)
+
+    monkeypatch.setattr(Transcript, "abandon", abandon)
+    with pytest.raises(FileNotFoundError):
+        run_snf([[0, 2], [3, 0]], 7, tmp_path, "wd",
+                fill_log_path=str(tmp_path / "missing" / "fill"))
+    assert sorted(abandoned) == ["p.trn", "q.trn"]
+    for name in abandoned:
+        with pytest.raises(TranscriptError):
+            Transcript.open(tmp_path / "wd" / name)
 
 
 def test_cut_spill_is_refused(tmp_path, monkeypatch):

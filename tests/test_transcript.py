@@ -108,6 +108,29 @@ def test_append_validation(tmp_path, f7):
     tr.finalize()
 
 
+def test_append_refuses_bad_plain_records(tmp_path, f7):
+    """append takes plain (kind, a, b, v) tuples and checks each itself."""
+    path = tmp_path / "t.trn"
+    tr = Transcript.create(path, ROW, 3, f7)
+    good = [("S", 0, 2, None), ("T", 1, 0, 4), ("D", 2, None, 6)]
+    bad = [("S", -1, 2, None), ("T", 0, -1, 3), ("D", -1, None, 3),  # negative
+           ("S", 0, 3, None), ("T", 3, 0, 1), ("D", 3, None, 1),  # index >= dim
+           ("S", 1, 1, None), ("T", 2, 2, 5),  # one line twice
+           ("T", 0, 1, 0), ("D", 0, None, 0),  # scalar 0
+           ("T", 0, 1, 7), ("D", 0, None, 9),  # scalar >= p
+           ("S", 0, 1, 3), ("D", 0, 1, 3),  # a scalar on a swap, two lines on a dilation
+           ("K", 0, 1, 1)]  # unknown kind
+    tr.append(good[0])
+    for rec in bad:
+        with pytest.raises(ValueError):  # TranscriptError is a ValueError
+            tr.append(rec)
+        assert len(tr) == 1, rec
+    for rec in good[1:]:
+        tr.append(rec)
+    tr.finalize()
+    assert list(Transcript.open(path, f7).records()) == good
+
+
 def test_open_errors(tmp_path, f7):
     bad = tmp_path / "bad.trn"
     bad.write_text("ROW x 7\n")
