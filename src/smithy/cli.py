@@ -91,15 +91,20 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    """Reduce every column of an n5 x k file against one loaded workspace;
+    with k > 1 the keys are c<column>.s<j>.  Nothing is printed unless
+    every column reduces."""
     ws = load_workspace(args.workdir)
-    vec = read_matrix(args.cocycle, ws.basis.spec)
-    if vec.n != 1 or vec.m != ws.n5:
+    vecs = read_matrix(args.cocycle, ws.basis.spec)
+    if vecs.n < 1 or vecs.m != ws.n5:
         raise ShapeError(
-            "cocycle file must be a %d x 1 column, got %d x %d"
-            % (ws.n5, vec.m, vec.n))
-    s = reduce_cocycle(ws, vec.dense_col(0))
-    for j, sj in enumerate(s):
-        _emit("s%d" % (j + 1), sj)
+            "cocycle file must have %d rows and at least one column, got %d x %d"
+            % (ws.n5, vecs.m, vecs.n))
+    coords = [reduce_cocycle(ws, vecs.dense_col(c)) for c in range(vecs.n)]
+    for c, s in enumerate(coords):
+        prefix = "c%d." % (c + 1) if vecs.n > 1 else ""
+        for j, sj in enumerate(s):
+            _emit("%ss%d" % (prefix, j + 1), sj)
     return 0
 
 
@@ -176,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(_needs_workdir=True)
 
     pr = sub.add_parser("reduce",
-                        help="coefficients of a cocycle modulo coboundaries")
+                        help="coefficients of cocycles modulo coboundaries")
     pr.add_argument("workdir", help="directory written by the cohomology run")
-    pr.add_argument("cocycle", help="n5 x 1 column in the matrix format")
+    pr.add_argument("cocycle", help="n5 x k cocycles, one per column, in the "
+                                    "matrix format")
     pr.set_defaults(func=cmd_reduce)
 
     pp = sub.add_parser("predict", help="size estimates and dimension formulas")

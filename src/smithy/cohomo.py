@@ -16,9 +16,12 @@ checks that no written line ends in the tail.
 A second reduction eta = P' D' Q' splits the tail coordinates into rho_eta
 coboundary directions and h5 = n5 - rho5 - rho_eta survivors, which is
 the Betti number.  An explicit cocycle basis comes back through the two
-changes of coordinates, and reducing any cocycle to its coefficients
-modulo coboundaries is the check dTop y = 0, the row selection, one
-replay of P'^-1 and a truncation.
+changes of coordinates.  The coefficients of a cocycle y modulo
+coboundaries are the last h5 coordinates of P'^-1 y[tail], a linear map
+R = [0 | I_h5] P'^-1 (row selection by tail) of shape h5 x n5.  A
+workspace builds R on its first reduction, by one replay of P'^-1, and
+stacks it under dTop; every reduction is then one sparse mat-vec
+[dTop; R] y, whose top n6 rows are the check dTop y = 0.
 
 Everything the later reduction steps need (dTop, both transcripts, the
 basis, the ranks) is persisted in a work directory so they can run in
@@ -32,6 +35,8 @@ import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress
 
 from .gfp import FieldSpec
 from .reduce import SnfOptions, snf
@@ -50,28 +55,33 @@ class NotACocycleError(ValueError):
 
 
 class PackedMatrix:
-    """A read-only copy of a SparseMatrix in two typed arrays: column j is
-    entries[ptr[j]:ptr[j + 1]], packed as in SparseMatrix."""
+    """A read-only m x n matrix in two typed arrays: column j is
+    entries[ptr[j]:ptr[j + 1]], packed and sorted as in SparseMatrix.
+    cols gives the n columns, each as any iterable of packed entries."""
 
     __slots__ = ("m", "n", "spec", "entries", "ptr")
 
-    def __init__(self, a: SparseMatrix):
-        self.m, self.n, self.spec = a.m, a.n, a.spec
+    def __init__(self, m: int, n: int, spec: FieldSpec, cols):
+        self.m, self.n, self.spec = m, n, spec
         self.entries = array("q")
         self.ptr = array("q", [0])
-        for col in a.cols:
+        for col in cols:
             self.entries.extend(col)
             self.ptr.append(len(self.entries))
 
+    @classmethod
+    def from_sparse(cls, a: SparseMatrix) -> "PackedMatrix":
+        return cls(a.m, a.n, a.spec, a.cols)
+
     def mat_vec(self, x: list[int]) -> list[int]:
-        """self . x, reduced mod p."""
+        """self . x, reduced mod p; visits only the nonzero coordinates of x."""
         k, mask = self.spec.k, self.spec.mask
         entries, ptr = self.entries, self.ptr
         out = [0] * self.m
-        for j, xj in enumerate(x):
-            if xj:
-                for e in entries[ptr[j]:ptr[j + 1]]:
-                    out[e >> k] += (e & mask) * xj
+        for j in compress(range(self.n), x):
+            xj = x[j]
+            for e in entries[ptr[j]:ptr[j + 1]]:
+                out[e >> k] += (e & mask) * xj
         p = self.spec.p
         return [v % p for v in out]
 
@@ -213,6 +223,28 @@ class CohomologyWorkspace:
     def basis_column(self, j: int) -> list[int]:
         return self.basis.dense_col(j)
 
+    @cached_property
+    def reducer(self) -> PackedMatrix:
+        """[dTop; R], (n6 + h5) x n5: R = [0 | I_h5] P_eta^-1 (row selection
+        by tail) takes a cocycle to its coefficients.
+
+        Built on first use by one replay, E P_eta^-1, of the selector E
+        with E[n6 + t, rho_eta + t] = 1 (n6 zero rows on top, so R lands
+        in rows n6..); column i of the product is column tail[i] of R.
+        Deterministic, and read-only afterwards.
+        """
+        n5, spec = self.n5, self.basis.spec
+        sel = SparseMatrix(self.n6 + self.h5, n5 - self.rho5, spec)
+        for t in range(self.h5):
+            sel.set_col(self.rho_eta + t, [(self.n6 + t) << spec.k | 1])
+        r = self.p_eta.apply_mat_right(sel, inverse=True)
+        r_cols = [()] * n5
+        for i, col in zip(self.tail, r.cols):
+            r_cols[i] = col
+        entries, ptr = self.d_top.entries, self.d_top.ptr
+        return PackedMatrix(self.n6 + self.h5, n5, spec, (
+            chain(entries[ptr[j]:ptr[j + 1]], r_cols[j]) for j in range(n5)))
+
 
 def _meta_path(workdir: str) -> str:
     return os.path.join(workdir, META_NAME)
@@ -261,7 +293,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     if not validate:
         slice_.validate()
 
-    d_top = PackedMatrix(slice_.d_top)
+    d_top = PackedMatrix.from_sparse(slice_.d_top)
     r5 = snf(slice_.d_top, SnfOptions(
         emit_q=True, q_path=os.path.join(workdir, "q5.trn"), workdir=workdir,
         normalize_pivots=normalize_pivots, paranoid=paranoid))
@@ -320,7 +352,7 @@ def load_workspace(workdir: str) -> CohomologyWorkspace:
         raise ValueError("q5.trn does not match meta")
     tail = _tail_rows(q5, meta["rho5"])
     del q5
-    d_top = PackedMatrix(read_matrix(os.path.join(workdir, "d5.sms"), spec))
+    d_top = PackedMatrix.from_sparse(read_matrix(os.path.join(workdir, "d5.sms"), spec))
     if (d_top.m, d_top.n) != (meta["n6"], meta["n5"]):
         raise ValueError("d5.sms does not match meta")
     p_eta = Transcript.open(os.path.join(workdir, "peta.trn"), spec)
@@ -339,22 +371,22 @@ def load_workspace(workdir: str) -> CohomologyWorkspace:
 def reduce_cocycle(ws: CohomologyWorkspace, y: list[int]) -> list[int]:
     """Coefficients s with y = s_1 z_1 + ... + s_h5 z_h5 + (a coboundary).
 
-    The certificate that y is a cocycle is the exact check dTop.y = 0,
+    One sparse mat-vec [dTop; R] y against ws.reducer.  Its top n6 rows
+    are the certificate that y is a cocycle, the exact check dTop.y = 0,
     which holds exactly when Q5.y vanishes on its first rho5 coordinates.
-    The rest of Q5.y is the row selection w = y[tail]; the answer is the
-    last h5 coordinates of u = P_eta^-1 w.
+    The rest of Q5.y is the row selection w = y[tail], and the bottom h5
+    rows are R y, the last h5 coordinates of P_eta^-1 w.
     """
     if len(y) != ws.n5:
         raise ShapeError("vector length %d, expected %d" % (len(y), ws.n5))
-    image = ws.d_top.mat_vec(y)
+    out = ws.reducer.mat_vec(y)
+    image = out[:ws.n6]
     if any(image):
         bad = [i for i, v in enumerate(image) if v]
         raise NotACocycleError(
             "not a cocycle: dTop.y is nonzero in %d rows (first at %d)"
             % (len(bad), bad[0]))
-    p = ws.d_top.spec.p
-    u = ws.p_eta.apply_vec([y[i] % p for i in ws.tail], inverse=True)
-    return u[ws.rho_eta:]
+    return out[ws.n6:]
 
 
 def hecke_matrix(ws: CohomologyWorkspace,

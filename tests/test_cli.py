@@ -77,7 +77,8 @@ def test_snf_tau_and_fill_log(tmp_path, capsys):
     rep = parse_report(out)
     assert rep["rank"] == str(FIXTURE_RANK)
     assert "diskEchelonAt" in rep
-    counts = [int(x) for x in open(fill).read().split()]
+    with open(fill) as f:
+        counts = [int(x) for x in f.read().split()]
     assert counts[-1] == 0
 
 
@@ -143,6 +144,42 @@ def test_cohomology_and_reduce_workflow(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", wd, short)
     assert code == 4
     assert "shape error" in err
+
+
+def test_reduce_many_cocycles(tmp_path, capsys):
+    d5, d4 = write_circle(str(tmp_path))
+    wd = str(tmp_path / "ws")
+    assert run(capsys, "cohomology", d5, d4, "--workdir", wd)[0] == 0
+    z1 = smithy.load_workspace(wd).basis_column(0)
+    cob = [6, 1, 0]  # coboundary of (1, 0, 0)
+    cols = [z1, cob, [(2 * z + c) % 7 for z, c in zip(z1, cob)]]
+    three = str(tmp_path / "three.sms")
+    write_matrix(SparseMatrix.from_dense([list(r) for r in zip(*cols)],
+                                         FieldSpec(7)), three)
+    code, out, _ = run(capsys, "reduce", wd, three)
+    assert code == 0
+    assert out == "c1.s1: 1\nc2.s1: 0\nc3.s1: 2\n"
+
+    for m, k in ((2, 3), (3, 0)):
+        bad = str(tmp_path / ("bad%dx%d.sms" % (m, k)))
+        write_matrix(SparseMatrix(m, k, FieldSpec(7)), bad)
+        code, out, err = run(capsys, "reduce", wd, bad)
+        assert (code, out) == (4, "")
+        assert "shape error" in err
+
+
+def test_reduce_many_refuses_one_non_cocycle(tmp_path, capsys):
+    spec = FieldSpec(7)
+    d5, d4 = str(tmp_path / "t.sms"), str(tmp_path / "b.sms")
+    write_matrix(SparseMatrix.from_dense([[1, 0]], spec), d5)
+    write_matrix(SparseMatrix(2, 1, spec), d4)
+    wd = str(tmp_path / "ws")
+    assert run(capsys, "cohomology", d5, d4, "--workdir", wd)[0] == 0
+    yfile = str(tmp_path / "y.sms")
+    write_matrix(SparseMatrix.from_dense([[0, 1, 0], [1, 0, 3]], spec), yfile)
+    code, out, err = run(capsys, "reduce", wd, yfile)
+    assert (code, out) == (6, "")
+    assert "not a cocycle" in err
 
 
 def test_cohomology_requires_workdir(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import zlib
@@ -309,3 +310,87 @@ def test_written_line_moved_into_tail_is_refused(tmp_path):
     _write_q5(q5, [b"T 0 1 3\n", b"S 0 1\n"])  # then moves it to line 1
     with pytest.raises(NotAComplexError, match="writes line 1"):
         load_workspace(wd)
+
+
+def test_p_eta_is_replayed_once_per_workspace(tmp_path, monkeypatch):
+    rng = random.Random(71)
+    replays = []
+    for name in ("apply_vec", "apply_mat_right"):
+        replay = getattr(Transcript, name)
+
+        def counted(self, *args, _replay=replay, **kwargs):
+            replays.append(self.path)
+            return _replay(self, *args, **kwargs)
+
+        monkeypatch.setattr(Transcript, name, counted)
+    for trial in range(8):
+        p = 7 if trial % 2 else 12379
+        sl, top, bottom = make_slice(rng, rng.randrange(1, 7), rng.randrange(4, 11),
+                                     rng.randrange(1, 7), p)
+        wd = str(tmp_path / ("t%d" % trial))
+        ws = compute_h5(sl, wd)
+        peta = os.path.join(wd, "peta.trn")
+        kernel = dense_kernel(top, p, n=ws.n5)
+        for each in (ws, load_workspace(wd)):
+            replays.clear()
+            for _ in range(20):
+                y = _random_cocycle(rng, kernel, p) or [0] * ws.n5
+                reduce_cocycle(each, y)
+            assert replays == [peta]
+        # the bottom h5 rows of [dTop; R] are R: R . basis = I, R . dBottom = 0
+        m = ws.reducer
+        assert (m.m, m.n) == (ws.n6 + ws.h5, ws.n5)
+        for j in range(ws.h5):
+            assert m.mat_vec(ws.basis_column(j)) == \
+                [0] * ws.n6 + [1 if t == j else 0 for t in range(ws.h5)]
+        for j in range(ws.n4):
+            assert not any(m.mat_vec([row[j] for row in bottom]))
+
+
+def _load_gen():
+    """perfbench/gen.py, imported by path: the seeded torus generator."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_torus_top_slice_known_answer(tmp_path):
+    """The (4, 3) torus's C^2 -> C^3 -> C^4: H^3 has dimension C(4, 3) = 4
+    and H^4 dimension 1, translations act as the identity on cohomology,
+    and coboundaries reduce to 0.  n5 = 4,860, beyond the dense oracle."""
+    gen = _load_gen()
+    torus = gen.Torus(4, 3, 1)
+    p = gen.PRIME
+    spec = FieldSpec(p)
+
+    def coboundary(q):
+        a = SparseMatrix(torus.size(q + 1), torus.size(q), spec)
+        for j, col in enumerate(torus.coboundary_columns(q, p)):
+            a.set_col(j, [i << spec.k | v for i, v in col])
+        return a
+
+    d4 = coboundary(2)
+    ws = compute_h5(ComplexSlice(coboundary(3), d4), str(tmp_path / "ws"))
+    assert (ws.n5, ws.h5, ws.h6) == (4860, 4, 1)
+    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    basis = [ws.basis_column(j) for j in range(4)]
+    for j, z in enumerate(basis):
+        assert reduce_cocycle(ws, z) == ident[j]
+    for t in torus.unit_translations():
+        perm = torus.pullback(3, torus.translate(t))
+        pulled = [gen.apply_perm(perm, z) for z in basis]
+        assert hecke_matrix(ws, pulled).to_dense() == ident
+    rng = random.Random(43)
+    for _ in range(5):
+        y = [0] * ws.n5  # d4 . x for an x on 30 random 2-simplices
+        for j in rng.sample(range(ws.n4), 30):
+            xj = rng.randrange(1, p)
+            for e in d4.cols[j]:
+                y[e >> spec.k] = (y[e >> spec.k] + (e & spec.mask) * xj) % p
+        assert any(y) and reduce_cocycle(ws, y) == [0] * 4
+    bumped = list(basis[0])
+    bumped[rng.randrange(ws.n5)] += 1
+    with pytest.raises(NotACocycleError, match="dTop.y is nonzero"):
+        reduce_cocycle(ws, bumped)

@@ -3,6 +3,7 @@ import io
 import os
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -300,8 +301,8 @@ def test_deterministic(tmp_path):
         res = snf(a, SnfOptions(emit_p=True, emit_q=True, tau=10,
                                 workdir=str(tmp_path / tag)))
         outs.append((res.diag, res.fill_log,
-                     open(res.p.path, "rb").read(),
-                     open(res.q.path, "rb").read()))
+                     Path(res.p.path).read_bytes(),
+                     Path(res.q.path).read_bytes()))
     assert outs[0] == outs[1]
 
 
