@@ -11,9 +11,9 @@ The reduction loop, for pivot index c starting at 0:
      (r_i - 1)(c_j - 1) over the whole region, ties to the smallest (i, j),
      and swap its column to c.  The search does not scan: each column
      caches its own minimum in a heap, rescanned only when the column is
-     merged or swapped, a row in it changes count, or the minimum's row
-     moves down or loses its entry; other row moves and entry deletions
-     update it in O(1) (see _Engine);
+     merged or swapped, or the minimum's row gets a higher count, moves
+     down or loses its entry; other count changes, row moves and entry
+     deletions update it in O(1) (see _Engine);
   4. clear the pivot row with column transvections; against a pivot column
      holding only the pivot, each just deletes one entry, with no merge.
      Then swap the pivot row up to row c: it holds only column c now;
@@ -102,13 +102,15 @@ class _Engine:
     its list.  Each column j >= c with entries has a cached key, its
     minimum (cost, current row, j) packed as (cost*m + i)*n + j, in a heap
     with lazy deletion; key // n % m is the current index of the argmin
-    row.  find_pivot rescans the dirty columns and the patterns of the
-    dirty rows (rows whose count changed).  set_col marks its column and
-    the rows it adds or drops dirty, swap_cols both columns; swap_rows and
-    clear_row's singleton path mark a column dirty only if its argmin row
-    moved down or lost its entry; any key they change otherwise is set in
-    O(1) and pushed.  Such an update of a column already due a rescan reads
-    a stale key, but only leaves a heap entry that find_pivot discards.
+    row.  set_col marks its column and the rows it adds or drops dirty,
+    swap_cols both columns; find_pivot rescans the dirty columns and
+    refreshes the other columns of each dirty row from that row's own cost
+    in O(1), rescanning one only if its argmin row got worse.  swap_rows
+    and clear_row's singleton path mark a column dirty only if its argmin
+    row moved down or lost its entry; any key they change otherwise is set
+    in O(1) and pushed.  Such an update of a column already due a rescan
+    reads a stale key, but only leaves a heap entry that find_pivot
+    discards.
     """
 
     __slots__ = (
@@ -253,24 +255,12 @@ class _Engine:
 
     # -- pivot search --------------------------------------------------------
 
-    def find_pivot(self) -> tuple[int, int] | None:
-        """Exact Markowitz minimum (r_i - 1)(c_j - 1) over the active
-        columns, ties to the smallest (i, j).
-
-        Refreshes the cached key of each dirty column and of each column
-        in a dirty row's pattern, pushing keys that changed, then pops heap
-        entries that are stale or belong to a finished column (j < c).
-        The heap is rebuilt from the live keys once it outgrows 2(n - c).
-        """
-        c, m, n, k = self.c, self.m, self.n, self.k
+    def _rescan(self, js) -> None:
+        """Set the key of each column in js from a scan of its entries,
+        pushing the keys that changed."""
+        m, n, k = self.m, self.n, self.k
         cols, pat, cur_of, key, heap = self.cols, self.rows_pat, self.cur_of, self.key, self.heap
-        todo = self.dirty_cols
-        for pr in self.dirty_rows:
-            todo |= pat[pr]
-        self.dirty_rows.clear()
-        for j in todo:
-            if j < c:
-                continue
+        for j in js:
             col = cols[j]
             new = -1
             if col:
@@ -285,6 +275,40 @@ class _Engine:
                 key[j] = new
                 if new >= 0:
                     heappush(heap, new)
+
+    def find_pivot(self) -> tuple[int, int] | None:
+        """Exact Markowitz minimum (r_i - 1)(c_j - 1) over the active
+        columns, ties to the smallest (i, j).
+
+        Rescans each dirty column, then refreshes the other columns in a
+        dirty row's pattern from that row's own cost v alone: v below the
+        key becomes the key; a key whose argmin is that row and whose cost
+        changed is rescanned; any other key stands, since the rows not
+        dirty kept their costs.  Changed keys are pushed.  It then pops
+        heap entries that are stale or belong to a finished column (j < c).
+        The heap is rebuilt from the live keys once it outgrows 2(n - c).
+        """
+        c, m, n = self.c, self.m, self.n
+        cols, pat, cur_of, key, heap = self.cols, self.rows_pat, self.cur_of, self.key, self.heap
+        todo = self.dirty_cols
+        self._rescan([j for j in todo if j >= c])
+        again = []  # argmin row got worse: rescanned once every row is read
+        for pr in self.dirty_rows:
+            at = cur_of[pr]
+            w = (len(pat[pr]) - 1) * m
+            for j in pat[pr]:
+                if j < c or j in todo:
+                    continue
+                kj = key[j]
+                v = (w * (len(cols[j]) - 1) + at) * n + j
+                if v < kj:
+                    key[j] = v
+                    heappush(heap, v)
+                elif v != kj and kj // n % m == at:
+                    todo.add(j)
+                    again.append(j)
+        self._rescan(again)
+        self.dirty_rows.clear()
         todo.clear()
         if len(heap) > 2 * (n - c):
             heap[:] = [kj for kj in key[c:] if kj >= 0]

@@ -1,6 +1,8 @@
 """Shared oracles: dense mod-p linear algebra done independently of the
 package's sparse structures, plus seeded random generators."""
 
+import importlib.util
+import os
 import random
 
 import numpy as np
@@ -72,6 +74,23 @@ def random_dense(rng, m, n, p, density):
 
 def sparse_from_dense(rows, p):
     return SparseMatrix.from_dense(rows, FieldSpec(p))
+
+
+def load_gen():
+    """perfbench/gen.py, imported by path: the seeded torus generator."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def torus_coboundary(torus, q, spec):
+    """A Torus's delta_q : C^q -> C^(q+1) as a SparseMatrix over spec."""
+    a = SparseMatrix(torus.size(q + 1), torus.size(q), spec)
+    for j, col in enumerate(torus.coboundary_columns(q, spec.p)):
+        a.set_col(j, [i << spec.k | v for i, v in col])
+    return a
 
 
 def random_slice(rng, n6, n5, n4, p):

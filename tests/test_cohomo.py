@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import random
 import zlib
@@ -10,8 +9,8 @@ from smithy import (ComplexSlice, FieldSpec, NotAComplexError,
                     build_eta, cohomo, compute_h5, hecke_matrix,
                     load_workspace, reduce_cocycle, snf, SnfOptions)
 
-from conftest import (dense_kernel, dense_mat_vec, dense_rank, random_slice,
-                      sparse_from_dense)
+from conftest import (dense_kernel, dense_mat_vec, dense_rank, load_gen,
+                      random_slice, sparse_from_dense, torus_coboundary)
 
 
 def make_slice(rng, n6, n5, n4, p):
@@ -347,32 +346,16 @@ def test_p_eta_is_replayed_once_per_workspace(tmp_path, monkeypatch):
             assert not any(m.mat_vec([row[j] for row in bottom]))
 
 
-def _load_gen():
-    """perfbench/gen.py, imported by path: the seeded torus generator."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def test_torus_top_slice_known_answer(tmp_path):
     """The (4, 3) torus's C^2 -> C^3 -> C^4: H^3 has dimension C(4, 3) = 4
     and H^4 dimension 1, translations act as the identity on cohomology,
     and coboundaries reduce to 0.  n5 = 4,860, beyond the dense oracle."""
-    gen = _load_gen()
+    gen = load_gen()
     torus = gen.Torus(4, 3, 1)
     p = gen.PRIME
     spec = FieldSpec(p)
-
-    def coboundary(q):
-        a = SparseMatrix(torus.size(q + 1), torus.size(q), spec)
-        for j, col in enumerate(torus.coboundary_columns(q, p)):
-            a.set_col(j, [i << spec.k | v for i, v in col])
-        return a
-
-    d4 = coboundary(2)
-    ws = compute_h5(ComplexSlice(coboundary(3), d4), str(tmp_path / "ws"))
+    d4 = torus_coboundary(torus, 2, spec)
+    ws = compute_h5(ComplexSlice(torus_coboundary(torus, 3, spec), d4), str(tmp_path / "ws"))
     assert (ws.n5, ws.h5, ws.h6) == (4860, 4, 1)
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     basis = [ws.basis_column(j) for j in range(4)]

@@ -13,7 +13,7 @@ from smithy import (COL, FieldSpec, MatrixFormatError, SnfOptions,
 from smithy.cli import EXIT_PARSE, main
 from smithy.reduce import _Engine
 
-from conftest import dense_rank, random_dense
+from conftest import dense_rank, load_gen, random_dense, torus_coboundary
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture30x40.sms")
 
@@ -241,6 +241,36 @@ def test_swap_rows_keeps_every_key_current(f7):
             eng.find_pivot()
             eng.swap_rows(*sorted(rng.sample(range(m), 2)))
             eng.recheck()
+
+
+def test_row_count_changes_keep_every_key_current(f7):
+    """Column edits between searches raise and lower row counts; the keys
+    of the columns those rows touch are refreshed from each row's own cost
+    (a rescan only where the argmin row got worse) and match a fresh scan."""
+    rng = random.Random(67)
+    for trial in range(60):
+        m, n = rng.randrange(2, 10), rng.randrange(2, 10)
+        eng = _Engine(SparseMatrix.from_dense(random_dense(rng, m, n, 7, 0.4), f7))
+        for _ in range(6):
+            assert eng.find_pivot() == eng.reference_pivot()
+            for _ in range(rng.randrange(1, 4)):
+                rows = sorted(rng.sample(range(m), rng.randrange(m + 1)))
+                eng.set_col(rng.randrange(n), [i << eng.k | rng.randrange(1, 7) for i in rows])
+            eng.recheck()
+
+
+def test_torus_coboundary_paranoid(tmp_path):
+    """delta_1 of the (3, 4) torus (768 x 448) under paranoid checks: its
+    merges and pivot-column clears leave about 3,000 dirty rows to refresh.
+    rank = n1 - rank(delta_0) - h1 = 448 - 63 - 3, and the transcripts
+    replay to the input."""
+    gen = load_gen()
+    spec = FieldSpec(gen.PRIME)
+    a = torus_coboundary(gen.Torus(3, 4, 1), 1, spec)
+    rows = a.to_dense()
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True, paranoid=True, workdir=str(tmp_path)))
+    assert (a.m, a.n, res.rank) == (768, 448, 382)
+    assert replay(res, a).to_dense() == rows
 
 
 def test_oracle_batch_small(tmp_path):
