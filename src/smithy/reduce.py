@@ -8,12 +8,13 @@ The reduction loop, for pivot index c starting at 0:
      and replace it with its fully reduced column-echelon form;
   2. stop when the active region is empty;
   3. pick the active nonzero minimizing the Markowitz count
-     (r_i - 1)(c_j - 1) over the whole region, ties to the smallest (i, j),
-     and swap its column to c.  The search does not scan: each column
-     caches its own minimum in a heap, rescanned only when the column is
-     merged or swapped, or the minimum's row gets a higher count, moves
-     down or loses its entry; other count changes, row moves and entry
-     deletions update it in O(1) (see _Engine);
+     (r_i - 1)(c_j - 1) over the whole region, ties to the smallest
+     physical row (the row's index in the input), then the smallest
+     column, and swap its column to c.  The search does not scan: each
+     column caches its own minimum in a heap, rescanned only when the
+     column is merged or swapped, or the minimum's row gets a higher count
+     or loses its entry; other count changes and entry deletions update it
+     in O(1), and row swaps leave it alone (see _Engine);
   4. clear the pivot row with column transvections; against a pivot column
      holding only the pivot, each just deletes one entry, with no merge.
      Then swap the pivot row up to row c: it holds only column c now;
@@ -33,8 +34,9 @@ every column edit during the reduction goes through it.  The matrix itself
 keeps only columns and its nonzero total.
 
 Rows are never physically moved: the engine keeps a row permutation and
-stores entries under stable physical ids, translating to current indices
-at the edges (pivot search, transcript records, the final overwrite).
+stores entries under stable physical ids, which the pivot search and its
+keys use too, translating to current indices at the edges (transcript
+records, the final overwrite).
 Column swaps are cheap pointer swaps, so columns are swapped physically.
 """
 
@@ -100,17 +102,17 @@ class _Engine:
 
     A row's count is the size of its pattern and a column's the length of
     its list.  Each column j >= c with entries has a cached key, its
-    minimum (cost, current row, j) packed as (cost*m + i)*n + j, in a heap
-    with lazy deletion; key // n % m is the current index of the argmin
-    row.  set_col marks its column and the rows it adds or drops dirty,
-    swap_cols both columns; find_pivot rescans the dirty columns and
-    refreshes the other columns of each dirty row from that row's own cost
-    in O(1), rescanning one only if its argmin row got worse.  swap_rows
-    and clear_row's singleton path mark a column dirty only if its argmin
-    row moved down or lost its entry; any key they change otherwise is set
-    in O(1) and pushed.  Such an update of a column already due a rescan
-    reads a stale key, but only leaves a heap entry that find_pivot
-    discards.
+    minimum (cost, physical row, j) packed as (cost*m + pr)*n + j, in a
+    heap with lazy deletion; key // n % m is the argmin's physical row, so
+    row swaps leave every key as it is.  set_col marks its column and the
+    rows it adds or drops dirty, swap_cols both columns; find_pivot
+    rescans the dirty columns and refreshes the other columns of each
+    dirty row from that row's own cost in O(1), rescanning one only if its
+    argmin row got worse.  clear_row's singleton path marks a column dirty
+    only if its argmin row lost its entry, and otherwise scales the key
+    down to the shorter column in O(1) and pushes it.  Such an update of a
+    column already due a rescan reads a stale key, but only leaves a heap
+    entry that find_pivot discards.
     """
 
     __slots__ = (
@@ -179,26 +181,11 @@ class _Engine:
         self.cols[j] = new
 
     def swap_rows(self, a: int, b: int) -> None:
-        """Swap the rows at current indices a < b.  The row going down to
-        b marks dirty just the columns whose key row was a; the row coming
-        up to a lowers each of its columns' keys in O(1), to the same argmin
-        at its new index or to its own smaller tuple.  snf swaps the pivot
-        row up only once it is cleared, so that row brings just column a."""
-        m, n, cols, key, heap, pat = self.m, self.n, self.cols, self.key, self.heap, self.rows_pat
+        """Swap the rows at current indices a and b.  Keys name physical
+        rows, so none changes."""
         pa, pb = self.phys_of[a], self.phys_of[b]
         self.phys_of[a], self.phys_of[b] = pb, pa
         self.cur_of[pa], self.cur_of[pb] = b, a
-        self.dirty_cols.update([j for j in pat[pa] if key[j] // n % m == a])
-        rb = len(pat[pb]) - 1
-        for j in pat[pb]:
-            kj = key[j]
-            if kj // n % m == b:
-                new = kj - (b - a) * n
-            else:
-                new = min(kj, (rb * (len(cols[j]) - 1) * m + a) * n + j)
-            if new != kj:
-                key[j] = new
-                heappush(heap, new)
 
     def swap_cols(self, a: int, b: int) -> None:
         k, pat = self.k, self.rows_pat
@@ -222,10 +209,9 @@ class _Engine:
         a singleton pivot column j2 just loses its row-pr entry, deleted in
         place (snf's caller gives up the matrix), and counts update once."""
         k, p, mask, m, n, cols = self.k, self.p, self.mask, self.m, self.n, self.cols
-        key, heap, pat, phys_of = self.key, self.heap, self.rows_pat, self.phys_of
+        key, heap, pat = self.key, self.heap, self.rows_pat
         piv = cols[c]
         single = len(piv) == 1
-        at = self.cur_of[pr]
         ops = []
         for j2 in sorted(pat[pr] - {c}):
             col = cols[j2]
@@ -239,11 +225,11 @@ class _Engine:
             del col[idx]
             kj = key[j2]
             i = kj // n % m
-            if i == at:  # pr was j2's argmin
+            if i == pr:  # pr was j2's argmin
                 self.dirty_cols.add(j2)
                 continue
             # the argmin stays, its cost scaled down to the shorter column
-            new = ((len(pat[phys_of[i]]) - 1) * (len(col) - 1) * m + i) * n + j2
+            new = ((len(pat[i]) - 1) * (len(col) - 1) * m + i) * n + j2
             if new != kj:
                 key[j2] = new
                 heappush(heap, new)
@@ -259,7 +245,7 @@ class _Engine:
         """Set the key of each column in js from a scan of its entries,
         pushing the keys that changed."""
         m, n, k = self.m, self.n, self.k
-        cols, pat, cur_of, key, heap = self.cols, self.rows_pat, self.cur_of, self.key, self.heap
+        cols, pat, key, heap = self.cols, self.rows_pat, self.key, self.heap
         for j in js:
             col = cols[j]
             new = -1
@@ -267,7 +253,7 @@ class _Engine:
                 w = (len(col) - 1) * m
                 for e in col:
                     pr = e >> k
-                    v = (len(pat[pr]) - 1) * w + cur_of[pr]
+                    v = (len(pat[pr]) - 1) * w + pr
                     if new < 0 or v < new:
                         new = v
                 new = new * n + j
@@ -278,7 +264,8 @@ class _Engine:
 
     def find_pivot(self) -> tuple[int, int] | None:
         """Exact Markowitz minimum (r_i - 1)(c_j - 1) over the active
-        columns, ties to the smallest (i, j).
+        columns, ties to the smallest physical row, then column; returns
+        (physical row, column).
 
         Rescans each dirty column, then refreshes the other columns in a
         dirty row's pattern from that row's own cost v alone: v below the
@@ -289,22 +276,21 @@ class _Engine:
         The heap is rebuilt from the live keys once it outgrows 2(n - c).
         """
         c, m, n = self.c, self.m, self.n
-        cols, pat, cur_of, key, heap = self.cols, self.rows_pat, self.cur_of, self.key, self.heap
+        cols, pat, key, heap = self.cols, self.rows_pat, self.key, self.heap
         todo = self.dirty_cols
         self._rescan([j for j in todo if j >= c])
         again = []  # argmin row got worse: rescanned once every row is read
         for pr in self.dirty_rows:
-            at = cur_of[pr]
             w = (len(pat[pr]) - 1) * m
             for j in pat[pr]:
                 if j < c or j in todo:
                     continue
                 kj = key[j]
-                v = (w * (len(cols[j]) - 1) + at) * n + j
+                v = (w * (len(cols[j]) - 1) + pr) * n + j
                 if v < kj:
                     key[j] = v
                     heappush(heap, v)
-                elif v != kj and kj // n % m == at:
+                elif v != kj and kj // n % m == pr:
                     todo.add(j)
                     again.append(j)
         self._rescan(again)
@@ -327,7 +313,7 @@ class _Engine:
             cj1 = len(self.cols[j]) - 1
             for e in self.cols[j]:
                 pr = e >> self.k
-                cand = ((len(self.rows_pat[pr]) - 1) * cj1, self.cur_of[pr], j)
+                cand = ((len(self.rows_pat[pr]) - 1) * cj1, pr, j)
                 if best is None or cand < best:
                     best = cand
         return (best[1], best[2]) if best else None
@@ -355,7 +341,7 @@ class _Engine:
                 assert self.key[j] == -1
                 continue
             cost, i, _ = min(((len(self.rows_pat[e >> self.k]) - 1) * (len(col) - 1),
-                              self.cur_of[e >> self.k], j) for e in col)
+                              e >> self.k, j) for e in col)
             assert self.key[j] == (cost * self.m + i) * self.n + j
             assert self.key[j] in live
 
@@ -584,15 +570,15 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             if opts.paranoid:
                 eng.recheck()
                 assert pivot == eng.reference_pivot(), "pivot search drifted"
-            i, j = pivot
+            pr, j = pivot  # columns hold physical rows
+            i = eng.cur_of[pr]  # moved up to row c once cleared
             if i != c and p_tr is not None:
                 p_tr.append(("S", c, i, None))
             if j != c:
                 eng.swap_cols(c, j)
                 if q_tr is not None:
                     q_tr.append(("S", c, j, None))
-            pr = eng.phys_of[i]  # moved up to row c once cleared
-            d = a.get(pr, c)  # columns hold physical rows
+            d = a.get(pr, c)
             assert d, "pivot vanished"
             if opts.normalize_pivots and d != 1:
                 u = d

@@ -176,17 +176,21 @@ def tie_heavy(p):
     return grid, circ
 
 
-# SHA-256 of p.trn and q.trn for tie_heavy(7)'s circulant, recorded before
-# step 4 cancelled in place: each of its 45 pivot-row updates merges a pivot
-# column of several entries, a path the fixture's runs never take
+# SHA-256 of p.trn and q.trn for tie_heavy(7)'s circulant: each of its 45
+# pivot-row updates merges a pivot column of several entries, a path the
+# fixture's runs never take.  First recorded before step 4 cancelled in
+# place; re-recorded when ties moved from the current to the physical row,
+# which changes this input's pivots
 def test_circulant_transcripts_are_pinned(tmp_path):
-    _, res = run_snf(tie_heavy(7)[1], 7, tmp_path, "circ")
+    rows = tie_heavy(7)[1]
+    a, res = run_snf(rows, 7, tmp_path, "circ")
     assert res.rank == 16
     for tr, want in (
-            (res.p, "eddf43a1362694599688169ae08322cdfbeada78118af4cbecc5a1085ad3920b"),
-            (res.q, "b3e6e8a18017abb40ead407d9ce76d753d2f573577cf217870f57a93956027da")):
+            (res.p, "3ad26098bc7e4d1ccf21caca104ac0268e037750385ebb526c39b6fa55d20add"),
+            (res.q, "d6d9f721d80bceb8c8f77a85d80a306adf68b03d191ce93b9753e0c958d8b1ac")):
         with open(tr.path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == want
+    assert replay(res, a).to_dense() == rows
 
 
 def skinny(seed, m, p):
@@ -200,26 +204,30 @@ def skinny(seed, m, p):
     return a
 
 
-# SHA-256 of p.trn and q.trn for skinny(51, 300, 12379), recorded before
-# row swaps and singleton clears updated pivot keys in O(1): most of its
-# pivot rows are cleared against a singleton pivot column
+# SHA-256 of p.trn and q.trn for skinny(51, 300, 12379): most of its pivot
+# rows are cleared against a singleton pivot column.  First recorded before
+# row swaps and singleton clears updated pivot keys in O(1); re-recorded
+# when ties moved from the current to the physical row, which changes this
+# input's pivots
 SKINNY_TRANSCRIPTS = {
-    False: ("b24842339a444ec01882aa6fd354763631f42d52e753214f636c1f8490e13e55",
-            "fa6f5a2fc0da6298a0d869245fec7e3e366411099762cd016c2fa8de7cb1e4c3"),
-    True: ("4ae1783d3e06cd0e03ad650cabadc285bea1e1f94e349326c93627b6a2121df4",
-           "fa6f5a2fc0da6298a0d869245fec7e3e366411099762cd016c2fa8de7cb1e4c3"),
+    False: ("4180f761a3f4c469f50522ccaa389ab9ddfb61859646855edf3009e712093883",
+            "3c64bebe71e618a495839f18988f129e6a20eba802ab398d4864757e603b916f"),
+    True: ("c6889d352f4a1b9947e18311c97298dd98bbc2a7f9e05493b2d23e44920ffb85",
+           "3c64bebe71e618a495839f18988f129e6a20eba802ab398d4864757e603b916f"),
 }
 
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_skinny_transcripts_are_pinned(tmp_path, normalize):
     a = skinny(51, 300, 12379)
+    rows = a.to_dense()
     res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path),
                             normalize_pivots=normalize))
     assert res.rank == 300
     for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[normalize]):
         with open(tr.path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == want
+    assert replay(res, a).to_dense() == rows
 
 
 def test_clear_row_refuses_a_drifted_pattern(f7):
@@ -229,10 +237,27 @@ def test_clear_row_refuses_a_drifted_pattern(f7):
         eng.clear_row(0, 0, 1)
 
 
+def test_ties_break_on_the_physical_row(f7):
+    """Once a row swap makes current and physical order disagree, equal
+    costs go to the smallest physical row, then the smallest column."""
+    # every entry costs 0; physical row 0 holds only column 1
+    eng = _Engine(SparseMatrix.from_dense([[0, 1], [0, 0], [1, 0]], f7))
+    assert eng.find_pivot() == eng.reference_pivot() == (0, 1)
+    eng.swap_rows(0, 2)
+    assert (eng.cur_of[0], eng.cur_of[2]) == (2, 0)
+    assert eng.find_pivot() == eng.reference_pivot() == (0, 1)
+    # the 4 x 4 circulant with offsets 0, 1: every entry costs 1
+    eng = _Engine(SparseMatrix.from_dense(
+        [[1 if (j - i) % 4 in (0, 1) else 0 for j in range(4)] for i in range(4)], f7))
+    eng.swap_rows(0, 3)
+    eng.swap_rows(1, 2)
+    assert eng.phys_of == [3, 2, 1, 0]
+    assert eng.find_pivot() == eng.reference_pivot() == (0, 0)
+
+
 def test_swap_rows_keeps_every_key_current(f7):
-    """After any row swap made while the keys are current, every cached key
-    matches a fresh scan.  snf swaps the pivot row up only once it is
-    cleared, so no reduction shows a key the row moving up failed to lower."""
+    """After any row swap, every cached key matches a fresh scan: keys name
+    physical rows, so swap_rows leaves them as they are."""
     rng = random.Random(61)
     for trial in range(40):
         m, n = rng.randrange(2, 9), rng.randrange(1, 9)
