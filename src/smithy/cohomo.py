@@ -215,7 +215,7 @@ class CohomologyWorkspace:
     h5: int
     h6: int
     tail: array  # (Q5 y)[rho5 + t] = y[tail[t]]
-    d_top: PackedMatrix
+    d_top: PackedMatrix | None  # None once reducer holds its entries
     p_eta: Transcript
     basis: SparseMatrix
     workdir: str
@@ -231,7 +231,8 @@ class CohomologyWorkspace:
         Built on first use by one replay, E P_eta^-1, of the selector E
         with E[n6 + t, rho_eta + t] = 1 (n6 zero rows on top, so R lands
         in rows n6..); column i of the product is column tail[i] of R.
-        Deterministic, and read-only afterwards.
+        Deterministic, and read-only afterwards.  It takes over d_top,
+        which is dropped: every entry of dTop is in its top rows.
         """
         n5, spec = self.n5, self.basis.spec
         sel = SparseMatrix(self.n6 + self.h5, n5 - self.rho5, spec)
@@ -242,8 +243,10 @@ class CohomologyWorkspace:
         for i, col in zip(self.tail, r.cols):
             r_cols[i] = col
         entries, ptr = self.d_top.entries, self.d_top.ptr
-        return PackedMatrix(self.n6 + self.h5, n5, spec, (
+        out = PackedMatrix(self.n6 + self.h5, n5, spec, (
             chain(entries[ptr[j]:ptr[j + 1]], r_cols[j]) for j in range(n5)))
+        self.d_top = None
+        return out
 
 
 def _meta_path(workdir: str) -> str:

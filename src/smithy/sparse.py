@@ -119,19 +119,6 @@ class SparseMatrix:
                     a.set(i, j, v)
         return a
 
-    @classmethod
-    def identity(cls, n: int, spec: FieldSpec) -> "SparseMatrix":
-        a = cls(n, n, spec)
-        for i in range(n):
-            a.set(i, i, 1)
-        return a
-
-    def copy(self) -> "SparseMatrix":
-        a = SparseMatrix(self.m, self.n, self.spec)
-        a.cols = [list(c) for c in self.cols]
-        a.nnz = self.nnz
-        return a
-
     # -- element access ------------------------------------------------------
 
     def _check_index(self, i: int, j: int) -> None:

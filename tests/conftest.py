@@ -76,6 +76,21 @@ def sparse_from_dense(rows, p):
     return SparseMatrix.from_dense(rows, FieldSpec(p))
 
 
+def sparse_identity(n, spec):
+    a = SparseMatrix(n, n, spec)
+    for i in range(n):
+        a.set(i, i, 1)
+    return a
+
+
+def sparse_copy(a):
+    """An independent copy; snf overwrites the matrix it is given."""
+    b = SparseMatrix(a.m, a.n, a.spec)
+    b.cols = [list(col) for col in a.cols]
+    b.nnz = a.nnz
+    return b
+
+
 def load_gen():
     """perfbench/gen.py, imported by path: the seeded torus generator."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")

@@ -18,7 +18,7 @@ from smithy.cli import bundled_table_path
 from smithy.cohomo import compute_h5, reduce_cocycle
 
 from conftest import (dense_kernel, dense_mat_vec, dense_rank, random_dense,
-                      random_slice)
+                      random_slice, sparse_copy)
 
 TABLE_PNG = {83: 0, 89: 1, 97: 2, 101: 2, 103: 2, 107: 0, 109: 3, 113: 1,
              127: 3, 131: 2, 137: 2, 139: 4, 149: 4, 151: 5, 157: 7,
@@ -27,7 +27,7 @@ TABLE_PNG = {83: 0, 89: 1, 97: 2, 101: 2, 103: 2, 107: 0, 109: 3, 113: 1,
 
 
 def reconstruct(res, d):
-    out = d.copy()
+    out = sparse_copy(d)
     res.q.apply_mat_right(out)
     return res.p.apply_mat_left(out)
 
@@ -188,7 +188,7 @@ def test_out_of_core_stress(tmp_path):
     spec = FieldSpec(12379)
 
     small = _random_skinny(rng, 5000, 15000, spec, 6)
-    twin = small.copy()
+    twin = sparse_copy(small)
     res_m = snf(small, SnfOptions(workdir=str(tmp_path / "m5k")))
     res_h = snf(twin, SnfOptions(tau=20000, workdir=str(tmp_path / "h5k")))
     assert res_h.hnf_stats is not None  # the echelon path really ran

@@ -10,7 +10,8 @@ from smithy import (ComplexSlice, FieldSpec, NotAComplexError,
                     load_workspace, reduce_cocycle, snf, SnfOptions)
 
 from conftest import (dense_kernel, dense_mat_vec, dense_rank, load_gen,
-                      random_slice, sparse_from_dense, torus_coboundary)
+                      random_slice, sparse_copy, sparse_from_dense,
+                      torus_coboundary)
 
 
 def make_slice(rng, n6, n5, n4, p):
@@ -77,13 +78,13 @@ def test_build_eta_examples(tmp_path):
     # zero dBottom: eta is the empty shifted shape
     spec = FieldSpec(7)
     d_top = SparseMatrix.from_dense([[1, 0, 0]], spec)
-    res = snf(d_top.copy(), SnfOptions(emit_q=True,
+    res = snf(sparse_copy(d_top), SnfOptions(emit_q=True,
                                        workdir=str(tmp_path / "q")))
     eta = build_eta(res.q, SparseMatrix(3, 2, spec), res.rank)
     assert (eta.m, eta.n, eta.nnz) == (2, 2, 0)
     # rho5 = 0 leaves dBottom untouched
     sl = circle_slice()
-    res2 = snf(sl.d_top.copy(), SnfOptions(emit_q=True,
+    res2 = snf(sparse_copy(sl.d_top), SnfOptions(emit_q=True,
                                            workdir=str(tmp_path / "q2")))
     eta2 = build_eta(res2.q, sl.d_bottom, 0)
     assert eta2.to_dense() == circle_slice().d_bottom.to_dense()
@@ -92,7 +93,7 @@ def test_build_eta_examples(tmp_path):
 def test_build_eta_detects_corruption(tmp_path):
     spec = FieldSpec(7)
     d_top = SparseMatrix.from_dense([[1, 1]], spec)
-    res = snf(d_top.copy(), SnfOptions(emit_q=True,
+    res = snf(sparse_copy(d_top), SnfOptions(emit_q=True,
                                        workdir=str(tmp_path / "q")))
     not_in_kernel = SparseMatrix.from_dense([[1], [0]], spec)
     with pytest.raises(NotAComplexError):
@@ -332,10 +333,12 @@ def test_p_eta_is_replayed_once_per_workspace(tmp_path, monkeypatch):
         kernel = dense_kernel(top, p, n=ws.n5)
         for each in (ws, load_workspace(wd)):
             replays.clear()
+            assert each.d_top is not None
             for _ in range(20):
                 y = _random_cocycle(rng, kernel, p) or [0] * ws.n5
                 reduce_cocycle(each, y)
             assert replays == [peta]
+            assert each.d_top is None  # dropped: [dTop; R] holds its entries
         # the bottom h5 rows of [dTop; R] are R: R . basis = I, R . dBottom = 0
         m = ws.reducer
         assert (m.m, m.n) == (ws.n6 + ws.h5, ws.n5)

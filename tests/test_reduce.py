@@ -13,7 +13,8 @@ from smithy import (COL, FieldSpec, MatrixFormatError, SnfOptions,
 from smithy.cli import EXIT_PARSE, main
 from smithy.reduce import _Engine
 
-from conftest import dense_rank, load_gen, random_dense, torus_coboundary
+from conftest import (dense_rank, load_gen, random_dense, sparse_copy,
+                      sparse_identity, torus_coboundary)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture30x40.sms")
 
@@ -21,7 +22,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture30x40.sms")
 def replay(res, d):
     """P . D . Q from the transcripts; falls back to D when a side was
     not recorded (the tests only do that when the side is the identity)."""
-    out = d.copy()
+    out = sparse_copy(d)
     if res.q is not None:
         res.q.apply_mat_right(out)
     if res.p is not None:
@@ -42,7 +43,7 @@ def test_markowitz_examples(f7):
         eng = _Engine(a, start=c)
         return eng.find_pivot(), eng.reference_pivot()
 
-    assert pivots(SparseMatrix.identity(2, f7), 0) == ((0, 0), (0, 0))
+    assert pivots(sparse_identity(2, f7), 0) == ((0, 0), (0, 0))
     a = SparseMatrix.from_dense([[1, 1, 1], [1, 0, 0]], f7)
     assert pivots(a, 0) == ((0, 1), (0, 1))
     assert pivots(SparseMatrix(3, 3, f7), 0) == (None, None)
@@ -392,7 +393,7 @@ def test_disk_hnf_echelon_structure(tmp_path, f7):
         for j in range(rank, n):
             assert all(dense[i][j] == 0 for i in range(m))
         # replay: result times the recorded ops restores the input
-        back = a.copy()
+        back = sparse_copy(a)
         Transcript.open(str(tmp_path / ("h%d.trn" % trial)), f7) \
             .apply_mat_right(back)
         assert back.to_dense() == rows
@@ -422,7 +423,7 @@ def test_disk_hnf_below_existing_pivots(tmp_path, f7):
     assert [row[:2] for row in dense] == [row[:2] for row in rows]
     sub = [row[2:] for row in dense[2:]]
     assert dense_rank(sub, 7) == dense_rank([row[2:] for row in rows[2:]], 7)
-    back = a.copy()
+    back = sparse_copy(a)
     Transcript.open(str(tmp_path / "c2.trn"), f7).apply_mat_right(back)
     assert back.to_dense() == rows
 

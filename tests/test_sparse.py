@@ -6,7 +6,7 @@ import pytest
 from smithy import (FieldSpec, MatrixFormatError, ShapeError, SparseMatrix,
                     axpy, read_matrix, write_matrix)
 
-from conftest import random_dense
+from conftest import random_dense, sparse_identity
 
 
 def test_axpy_against_dense(f7):
@@ -61,7 +61,7 @@ def test_get_set(f7):
 
 
 def test_identity_and_eq(f7):
-    i3 = SparseMatrix.identity(3, f7)
+    i3 = sparse_identity(3, f7)
     assert i3.to_dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert i3 == SparseMatrix.from_dense(i3.to_dense(), f7)
     assert i3 != SparseMatrix(3, 3, f7)

@@ -12,7 +12,7 @@ import smithy
 from smithy import (COL, ROW, ElementaryOp, FieldSpec, SparseMatrix,
                     Transcript, TranscriptError)
 
-from conftest import random_dense
+from conftest import random_dense, sparse_identity
 
 
 def dense_op(op, side, dim, p):
@@ -151,7 +151,7 @@ def test_open_errors(tmp_path, f7):
 def test_empty_transcript_is_identity(tmp_path, f7):
     for side in (ROW, COL):
         tr = write_transcript(tmp_path / ("e-%s.trn" % side), side, 4, f7, [])
-        mat = tr.apply_mat_left(SparseMatrix.identity(tr.dim, f7))
+        mat = tr.apply_mat_left(sparse_identity(tr.dim, f7))
         assert mat.to_dense() == np.eye(4, dtype=int).tolist()
         assert tr.apply_vec([1, 2, 3, 4]) == [1, 2, 3, 4]
 
@@ -165,7 +165,7 @@ def test_materialize_matches_dense_product(tmp_path, f7):
         ops = random_ops(rng, dim, 7)
         tr = write_transcript(tmp_path / ("m%d.trn" % trial), side, dim, f7, ops)
         want = dense_product(ops, side, dim, 7)
-        assert tr.apply_mat_left(SparseMatrix.identity(tr.dim, f7)).to_dense() == want.tolist()
+        assert tr.apply_mat_left(sparse_identity(tr.dim, f7)).to_dense() == want.tolist()
 
 
 def test_apply_vec_matches_dense(tmp_path, f7):
