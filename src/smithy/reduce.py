@@ -279,7 +279,6 @@ class _Engine:
         cols, pat, key, heap = self.cols, self.rows_pat, self.key, self.heap
         todo = self.dirty_cols
         self._rescan([j for j in todo if j >= c])
-        again = []  # argmin row got worse: rescanned once every row is read
         for pr in self.dirty_rows:
             w = (len(pat[pr]) - 1) * m
             for j in pat[pr]:
@@ -291,9 +290,8 @@ class _Engine:
                     key[j] = v
                     heappush(heap, v)
                 elif v != kj and kj // n % m == pr:
+                    self._rescan((j,))
                     todo.add(j)
-                    again.append(j)
-        self._rescan(again)
         self.dirty_rows.clear()
         todo.clear()
         if len(heap) > 2 * (n - c):
