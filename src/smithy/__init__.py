@@ -6,8 +6,8 @@ computations."""
 from .gfp import FieldSpec
 from .sparse import (MatrixFormatError, ShapeError, SparseMatrix, axpy,
                      read_matrix, write_matrix)
-from .transcript import COL, ROW, ElementaryOp, Transcript, TranscriptError
-from .reduce import HnfStats, SnfOptions, SnfResult, disk_hnf, snf
+from .transcript import COL, ROW, Transcript, TranscriptError
+from .reduce import HnfStats, SnfOptions, SnfResult, snf
 from .cohomo import (ComplexSlice, CohomologyWorkspace, NotACocycleError,
                      NotAComplexError, build_eta, compute_h5, hecke_matrix,
                      load_workspace, reduce_cocycle)
@@ -25,8 +25,8 @@ __all__ = [
     "FieldSpec",
     "MatrixFormatError", "ShapeError", "SparseMatrix", "axpy",
     "read_matrix", "write_matrix",
-    "COL", "ROW", "ElementaryOp", "Transcript", "TranscriptError",
-    "HnfStats", "SnfOptions", "SnfResult", "disk_hnf", "snf",
+    "COL", "ROW", "Transcript", "TranscriptError",
+    "HnfStats", "SnfOptions", "SnfResult", "snf",
     "ComplexSlice", "CohomologyWorkspace", "NotACocycleError",
     "NotAComplexError", "build_eta", "compute_h5", "hecke_matrix",
     "load_workspace", "reduce_cocycle",

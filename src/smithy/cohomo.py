@@ -19,9 +19,9 @@ the Betti number.  An explicit cocycle basis comes back through the two
 changes of coordinates.  The coefficients of a cocycle y modulo
 coboundaries are the last h5 coordinates of P'^-1 y[tail], a linear map
 R = [0 | I_h5] P'^-1 (row selection by tail) of shape h5 x n5.  A
-workspace builds R on its first reduction, by one replay of P'^-1, and
-stacks it under dTop; every reduction is then one sparse mat-vec
-[dTop; R] y, whose top n6 rows are the check dTop y = 0.
+workspace builds R when it is made, by one replay of P'^-1, and stacks
+it under dTop; every reduction is then one sparse mat-vec [dTop; R] y,
+whose top n6 rows are the check dTop y = 0.
 
 Everything the later reduction steps need (dTop, both transcripts, the
 basis, the ranks) is persisted in a work directory so they can run in
@@ -35,7 +35,6 @@ import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
 
 from .gfp import FieldSpec
@@ -44,6 +43,7 @@ from .sparse import ShapeError, SparseMatrix, axpy, read_matrix, write_matrix
 from .transcript import COL, ROW, Transcript
 
 META_NAME = "meta"
+META_KEYS = ("p", "n4", "n5", "n6", "rho5", "rhoEta", "h5", "h6")
 
 
 class NotAComplexError(ValueError):
@@ -214,39 +214,35 @@ class CohomologyWorkspace:
     rho_eta: int
     h5: int
     h6: int
-    tail: array  # (Q5 y)[rho5 + t] = y[tail[t]]
-    d_top: PackedMatrix | None  # None once reducer holds its entries
-    p_eta: Transcript
+    reducer: PackedMatrix  # [dTop; R], see _reducer
     basis: SparseMatrix
     workdir: str
 
     def basis_column(self, j: int) -> list[int]:
         return self.basis.dense_col(j)
 
-    @cached_property
-    def reducer(self) -> PackedMatrix:
-        """[dTop; R], (n6 + h5) x n5: R = [0 | I_h5] P_eta^-1 (row selection
-        by tail) takes a cocycle to its coefficients.
 
-        Built on first use by one replay, E P_eta^-1, of the selector E
-        with E[n6 + t, rho_eta + t] = 1 (n6 zero rows on top, so R lands
-        in rows n6..); column i of the product is column tail[i] of R.
-        Deterministic, and read-only afterwards.  It takes over d_top,
-        which is dropped: every entry of dTop is in its top rows.
-        """
-        n5, spec = self.n5, self.basis.spec
-        sel = SparseMatrix(self.n6 + self.h5, n5 - self.rho5, spec)
-        for t in range(self.h5):
-            sel.set_col(self.rho_eta + t, [(self.n6 + t) << spec.k | 1])
-        r = self.p_eta.apply_mat_right(sel, inverse=True)
-        r_cols = [()] * n5
-        for i, col in zip(self.tail, r.cols):
-            r_cols[i] = col
-        entries, ptr = self.d_top.entries, self.d_top.ptr
-        out = PackedMatrix(self.n6 + self.h5, n5, spec, (
-            chain(entries[ptr[j]:ptr[j + 1]], r_cols[j]) for j in range(n5)))
-        self.d_top = None
-        return out
+def _reducer(d_top: PackedMatrix, tail: array, p_eta: Transcript, h5: int) -> PackedMatrix:
+    """[dTop; R], (n6 + h5) x n5: R = [0 | I_h5] P_eta^-1 (row selection
+    by tail) takes a cocycle to its coefficients.
+
+    One replay, E P_eta^-1, of the selector E with E[n6 + t, rho_eta + t]
+    = 1 (n6 zero rows on top, so R lands in rows n6..); column i of the
+    product is column tail[i] of R.  A workspace builds it when it is made
+    and only reads it afterwards, so concurrent reductions share it.
+    """
+    n6, n5, spec = d_top.m, d_top.n, d_top.spec
+    rho_eta = len(tail) - h5
+    sel = SparseMatrix(n6 + h5, len(tail), spec)
+    for t in range(h5):
+        sel.set_col(rho_eta + t, [(n6 + t) << spec.k | 1])
+    r = p_eta.apply_mat_right(sel, inverse=True)
+    r_cols = [()] * n5
+    for i, col in zip(tail, r.cols):
+        r_cols[i] = col
+    entries, ptr = d_top.entries, d_top.ptr
+    return PackedMatrix(n6 + h5, n5, spec, (
+        chain(entries[ptr[j]:ptr[j + 1]], r_cols[j]) for j in range(n5)))
 
 
 def _meta_path(workdir: str) -> str:
@@ -257,10 +253,8 @@ def _write_meta(ws: CohomologyWorkspace) -> None:
     """Write meta last and atomically: its presence marks a complete run."""
     path = _meta_path(ws.workdir)
     with open(path + ".tmp", "w", newline="\n") as f:
-        for key, val in (
-            ("p", ws.basis.spec.p), ("n4", ws.n4), ("n5", ws.n5), ("n6", ws.n6),
-            ("rho5", ws.rho5), ("rhoEta", ws.rho_eta), ("h5", ws.h5), ("h6", ws.h6),
-        ):
+        for key, val in zip(META_KEYS, (ws.basis.spec.p, ws.n4, ws.n5, ws.n6,
+                                        ws.rho5, ws.rho_eta, ws.h5, ws.h6)):
             f.write("%s: %d\n" % (key, val))
     os.replace(path + ".tmp", path)
 
@@ -331,44 +325,53 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
 
     ws = CohomologyWorkspace(
         n4=n4, n5=n5, n6=n6, rho5=rho5, rho_eta=rho_eta, h5=h5, h6=h6,
-        tail=tail, d_top=d_top, p_eta=r_eta.p, basis=basis, workdir=workdir)
+        reducer=_reducer(d_top, tail, r_eta.p, h5), basis=basis, workdir=workdir)
     _write_meta(ws)
     return ws
+
+
+def _read_meta(workdir: str) -> dict[str, int]:
+    """meta's values, refused with ValueError unless it holds each of
+    META_KEYS once, no value is negative, h5 = n5 - rho5 - rhoEta and
+    h6 = n6 - rho5."""
+    with open(_meta_path(workdir)) as f:
+        pairs = [line.partition(":")[::2] for line in f if line.strip()]
+    meta = {key.strip(): int(val) for key, val in pairs}
+    if len(meta) != len(pairs) or meta.keys() != set(META_KEYS):
+        raise ValueError("meta must hold each of %s once" % ", ".join(META_KEYS))
+    if (min(meta.values()) < 0 or meta["h5"] != meta["n5"] - meta["rho5"] - meta["rhoEta"]
+            or meta["h6"] != meta["n6"] - meta["rho5"]):
+        raise ValueError("meta's values are inconsistent: %s" % meta)
+    return meta
 
 
 def load_workspace(workdir: str) -> CohomologyWorkspace:
     """Reopen a work directory written by compute_h5 (read-only use).
 
+    meta is checked by _read_meta, and every other file against it.
     q5.trn is decoded and checked in full, but only its tail is kept.
     """
-    meta: dict[str, int] = {}
-    with open(_meta_path(workdir)) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, val = line.partition(":")
-            meta[key.strip()] = int(val)
+    meta = _read_meta(workdir)
     spec = FieldSpec(meta["p"])
+    n5, rho5, h5 = meta["n5"], meta["rho5"], meta["h5"]
     q5 = Transcript.open(os.path.join(workdir, "q5.trn"), spec)
-    if q5.side != COL or q5.dim != meta["n5"]:
+    if q5.side != COL or q5.dim != n5:
         raise ValueError("q5.trn does not match meta")
-    tail = _tail_rows(q5, meta["rho5"])
+    tail = _tail_rows(q5, rho5)
     del q5
     d_top = PackedMatrix.from_sparse(read_matrix(os.path.join(workdir, "d5.sms"), spec))
-    if (d_top.m, d_top.n) != (meta["n6"], meta["n5"]):
+    if (d_top.m, d_top.n) != (meta["n6"], n5):
         raise ValueError("d5.sms does not match meta")
     p_eta = Transcript.open(os.path.join(workdir, "peta.trn"), spec)
-    basis = read_matrix(os.path.join(workdir, "basis.sms"), spec)
-    ws = CohomologyWorkspace(
-        n4=meta["n4"], n5=meta["n5"], n6=meta["n6"], rho5=meta["rho5"],
-        rho_eta=meta["rhoEta"], h5=meta["h5"], h6=meta["h6"],
-        tail=tail, d_top=d_top, p_eta=p_eta, basis=basis, workdir=workdir)
-    if p_eta.side != ROW or p_eta.dim != ws.n5 - ws.rho5:
+    if p_eta.side != ROW or p_eta.dim != n5 - rho5:
         raise ValueError("peta.trn does not match meta")
-    if (basis.m, basis.n) != (ws.n5, ws.h5):
+    basis = read_matrix(os.path.join(workdir, "basis.sms"), spec)
+    if (basis.m, basis.n) != (n5, h5):
         raise ValueError("basis.sms does not match meta")
-    return ws
+    return CohomologyWorkspace(
+        n4=meta["n4"], n5=n5, n6=meta["n6"], rho5=rho5, rho_eta=meta["rhoEta"],
+        h5=h5, h6=meta["h6"], reducer=_reducer(d_top, tail, p_eta, h5),
+        basis=basis, workdir=workdir)
 
 
 def reduce_cocycle(ws: CohomologyWorkspace, y: list[int]) -> list[int]:

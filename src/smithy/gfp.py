@@ -2,8 +2,10 @@
 
 A sparse vector entry is a (row index, nonzero value) pair packed into a
 single integer: ``i << k | v`` where ``k`` is the smallest width with
-``p < 2**k``.  Because ``v < 2**k``, the packed integers sort exactly like
-their row indices, so merge passes can compare packed values directly.
+``p < 2**k``; it unpacks as ``(e >> k, e & mask)``.  Because ``v < 2**k``,
+the packed integers sort exactly like their row indices, so merge passes
+can compare packed values directly.  The code that stores entries packs
+and unpacks them inline.
 
 The modulus must be an odd prime below 2**15 so that a packed entry with a
 row index below 2**(64-k) always fits a 64-bit word.
@@ -14,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .predict import is_prime
-
-WORD_BITS = 64
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -48,9 +48,6 @@ class FieldSpec:
 
     # -- scalar arithmetic ------------------------------------------------
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by extended Euclid."""
         a %= self.p
@@ -60,16 +57,3 @@ class FieldSpec:
         if g != 1:  # cannot happen for prime p; guards corrupted state
             raise ArithmeticError("gcd(%d, %d) = %d" % (a, self.p, g))
         return x % self.p
-
-    # -- packed elements ---------------------------------------------------
-
-    def pack(self, i: int, v: int) -> int:
-        if not 0 < v < self.p:
-            raise ValueError("value %d outside [1, %d)" % (v, self.p))
-        if i < 0 or i >= 1 << (WORD_BITS - self.k):
-            raise OverflowError("row index %d does not fit %d-bit word" % (i, WORD_BITS))
-        return i << self.k | v
-
-    def unpack(self, e: int) -> tuple[int, int]:
-        return e >> self.k, e & self.mask
-

@@ -120,7 +120,7 @@ class _Engine:
         "phys_of", "cur_of", "total", "c", "key", "heap", "dirty_cols", "dirty_rows",
     )
 
-    def __init__(self, mat: SparseMatrix, start: int = 0):
+    def __init__(self, mat: SparseMatrix):
         self.mat = mat
         self.spec = mat.spec
         self.p = mat.spec.p
@@ -138,10 +138,10 @@ class _Engine:
         self.phys_of = list(range(mat.m))
         self.cur_of = list(range(mat.m))
         self.total = mat.nnz
-        self.c = start
+        self.c = 0
         self.key = [-1] * mat.n  # -1: no entry
         self.heap: list[int] = []
-        self.dirty_cols = set(range(start, mat.n))
+        self.dirty_cols = set(range(mat.n))
         self.dirty_rows: set[int] = set()
 
     # -- bookkeeping -------------------------------------------------------
@@ -354,11 +354,6 @@ class _Engine:
         mat.nnz = rank
 
 
-def _resolve_spill_dir(spill_dir: str | None, default: str) -> str:
-    """An explicit spill_dir, else $SMITHY_SPILL_DIR, else default."""
-    return spill_dir or os.environ.get(SPILL_DIR_ENV) or default
-
-
 def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStats:
     """Spill the active region, reduce it to fully reduced column-echelon
     form streaming one column at a time, and write the result back with
@@ -492,29 +487,6 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
     )
 
 
-def disk_hnf(a: SparseMatrix, c: int = 0, q: Transcript | None = None,
-             spill_dir: str | None = None) -> HnfStats:
-    """Public entry for the out-of-core column-echelon pass.
-
-    Columns in the active region must not reach above row c; such a matrix
-    is refused with ValueError before a spill is made.  Column operations
-    are recorded to q when one is given.  The caller gives up
-    the matrix: when the pass fails, for example on a spill that cannot be
-    read back, the active region may be lost, though a.nnz still counts
-    the entries left in its columns.
-    """
-    if not 0 <= c <= min(a.m, a.n):
-        raise ValueError("pivot index %d outside [0, %d]" % (c, min(a.m, a.n)))
-    above = [j for j in range(c, a.n) if a.cols[j] and a.cols[j][0] >> a.spec.k < c]
-    if above:
-        raise ValueError("column %d holds entries above the active region" % above[0])
-    eng = _Engine(a, start=c)
-    try:
-        return _disk_echelon(eng, q, _resolve_spill_dir(spill_dir, tempfile.gettempdir()))
-    finally:
-        a.nnz = eng.total
-
-
 def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     """Reduce a to diag(d_0..d_{rho-1}) in place and stream transcripts.
 
@@ -524,7 +496,8 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     The transcripts get their trailers only if the reduction completes.
 
     Without a workdir, a fresh temp dir is made only for a transcript that
-    has no path of its own, and the spill file goes to the system temp dir.
+    has no path of its own.  The spill file goes to spill_dir, else
+    $SMITHY_SPILL_DIR, else the workdir, else the system temp dir.
     """
     opts = opts or SnfOptions()
     if opts.tau is not None and opts.tau < 0:
@@ -554,8 +527,8 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
         while True:
             active = eng.total - eng.c
             if (hnf_stats is None and opts.tau is not None and active >= opts.tau):
-                hnf_stats = _disk_echelon(eng, q_tr, _resolve_spill_dir(
-                    opts.spill_dir, workdir or tempfile.gettempdir()))
+                hnf_stats = _disk_echelon(eng, q_tr, opts.spill_dir or os.environ.get(
+                    SPILL_DIR_ENV) or workdir or tempfile.gettempdir())
                 active = eng.total - eng.c
             fill_log.append(active)
             if fill_file:

@@ -1,6 +1,6 @@
 """Column-major sparse matrices over GF(p) and their text format.
 
-A column is a Python list of packed entries (see gfp.FieldSpec.pack),
+A column is a Python list of packed entries i << k | v (see gfp),
 strictly increasing in row index, never storing zeros.  The matrix keeps
 only its columns and the total nonzero count.  The row pattern and the
 pivot keys that Markowitz pivoting needs are built and maintained by the
@@ -11,14 +11,14 @@ operations on the transpose: transpose, apply them, transpose back.
 
 The text format is a header line "m n p", one line "i j v" per entry
 (1-based indices, 0 < v < p, any order) and the terminator "0 0 0".  This
-module alone reads and writes it: read_matrix, write_matrix and the
-out-of-core pass's spill file all go through its entry parser and writer.
+module alone reads and writes it: read_matrix and write_matrix, which
+take file paths, and the out-of-core pass's spill file all go through its
+entry parser and writer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import nullcontext
 from itertools import groupby
 from operator import itemgetter
 
@@ -244,13 +244,6 @@ class SparseMatrix:
 # -- text interchange format ----------------------------------------------
 
 
-def _opened(path_or_file, mode: str):
-    """Open a path, to be closed on exit, or pass an open file through."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        return open(path_or_file, mode)
-    return nullcontext(path_or_file)
-
-
 def _write_entries(f, m: int, n: int, p: int, entries) -> None:
     """Write the header, the 0-based (i, j, v) entries and the terminator."""
     f.write("%d %d %d\n" % (m, n, p))
@@ -314,17 +307,18 @@ def _add_entries(col: list[int], entries, k: int) -> list[int]:
     return col
 
 
-def write_matrix(a: SparseMatrix, path_or_file) -> None:
-    with _opened(path_or_file, "w") as f:
+def write_matrix(a: SparseMatrix, path) -> None:
+    with open(path, "w") as f:
         _write_entries(f, a.m, a.n, a.spec.p, a.entries())
 
 
-def read_matrix(path_or_file, spec: FieldSpec | None = None) -> SparseMatrix:
-    """Parse the text format; raises MatrixFormatError with a line number.
+def read_matrix(path, spec: FieldSpec | None = None) -> SparseMatrix:
+    """Parse the text file at path; raises MatrixFormatError with a line
+    number.
 
     When spec is given the file's modulus must match it.
     """
-    with _opened(path_or_file, "r") as f:
+    with open(path) as f:
         entries = _read_entries(f)
         line_no, m, n, p = next(entries)
         if spec is not None and spec.p != p:

@@ -16,9 +16,9 @@ and, once finalized, one trailer line
                       byte before this line
 
 "Line" means row for a ROW transcript and column for a COL transcript.
-Transcript.append takes each record as a plain (kind, a, b, v) tuple (an
-ElementaryOp is one) and is the one place that checks it, so a writer
-builds no object per record.
+Transcript.append takes each record as a plain (kind, a, b, v) tuple, b
+None for a dilation and v None for a swap, and is the one place that
+checks it; records() and records_reversed() give them back in that form.
 Each record stands for the elementary matrix performing that operation on
 its side; for a record with matrix E, a ROW transcript represents the
 product E0 E1 E2 ... in file order, while a COL transcript represents
@@ -40,9 +40,7 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from math import inf
 from operator import eq
-from typing import NamedTuple
 
 from .gfp import FieldSpec
 from .sparse import ShapeError, SparseMatrix
@@ -53,43 +51,6 @@ COL = "COL"
 
 class TranscriptError(ValueError):
     """Malformed transcript file or record."""
-
-
-class ElementaryOp(NamedTuple):
-    """One record: b is None for a dilation, v for a swap.  The constructors
-    refuse what Transcript.append refuses at any dimension and modulus."""
-
-    kind: str  # "S", "T", or "D"
-    a: int
-    b: int | None = None
-    v: int | None = None
-
-    @classmethod
-    def swap(cls, a: int, b: int) -> "ElementaryOp":
-        return cls._checked("S", a, b, None)
-
-    @classmethod
-    def transvection(cls, a: int, b: int, v: int) -> "ElementaryOp":
-        return cls._checked("T", a, b, v)
-
-    @classmethod
-    def dilation(cls, a: int, u: int) -> "ElementaryOp":
-        return cls._checked("D", a, None, u)
-
-    @classmethod
-    def _checked(cls, *rec) -> "ElementaryOp":
-        _encode(rec, inf, inf)
-        return cls(*rec)
-
-    def inverse(self, spec: FieldSpec) -> "ElementaryOp":
-        if self.kind == "S":
-            return self
-        if self.kind == "T":
-            return ElementaryOp("T", self.a, self.b, spec.neg(self.v))
-        return ElementaryOp("D", self.a, None, spec.inv(self.v))
-
-    def encode(self) -> str:
-        return _encode(self, inf, inf)
 
 
 def _encode(op, dim, p) -> str:
@@ -200,8 +161,9 @@ def _decode(path, spec: FieldSpec | None = None):
     return side, dim, file_spec, ops
 
 
-def _op(kind: int, a: int, b: int, v: int) -> ElementaryOp:
-    return ElementaryOp(chr(kind), a, None if kind == _D else b, None if kind == _S else v)
+def _op(kind: int, a: int, b: int, v: int) -> tuple:
+    """A decoded record as the (kind, a, b, v) tuple that append takes."""
+    return chr(kind), a, None if kind == _D else b, None if kind == _S else v
 
 
 def _run_col_ops(target: SparseMatrix, ops) -> None:
@@ -273,7 +235,7 @@ class Transcript:
     # -- records -------------------------------------------------------------
 
     def records(self):
-        """Ops in file order."""
+        """The (kind, a, b, v) records in file order."""
         return map(_op, *self.decoded())
 
     def records_reversed(self):

@@ -253,6 +253,34 @@ def test_reduce_incomplete_workspace(tmp_path, capsys):
     assert "io error" in err
 
 
+@pytest.mark.parametrize("old,new", [
+    ("h6: 0\n", ""),  # a key missing
+    ("p: 7\n", "p: 7\np: 7\n"),  # a key repeated
+    ("rhoEta: 1\n", "rhoEta: 2\n"),  # h5 != n5 - rho5 - rhoEta
+    ("rhoEta: 1\n", "rhoEta: 0\n"),  # likewise, and every shape still fits
+    ("n4: 1\n", "n4: -1\n"),  # a negative value
+], ids=["missing", "repeated", "rhoEta-high", "rhoEta-low", "negative"])
+def test_reduce_refuses_bad_meta(tmp_path, capsys, old, new):
+    d5, d4 = str(tmp_path / "d5.sms"), str(tmp_path / "d4.sms")
+    spec = FieldSpec(7)
+    write_matrix(SparseMatrix.from_dense([[1, 1, 0]], spec), d5)
+    write_matrix(SparseMatrix.from_dense([[1], [6], [0]], spec), d4)
+    wd = str(tmp_path / "ws")
+    assert run(capsys, "cohomology", d5, d4, "--workdir", wd)[0] == 0
+    zfile = str(tmp_path / "z.sms")
+    write_column(zfile, [1, 6, 3])
+    assert run(capsys, "reduce", wd, zfile)[:2] == (0, "s1: 3\n")
+    meta = os.path.join(wd, "meta")
+    with open(meta) as f:
+        text = f.read()
+    assert old in text
+    with open(meta, "w") as f:
+        f.write(text.replace(old, new))
+    code, out, err = run(capsys, "reduce", wd, zfile)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "invalid input: meta" in err
+
+
 def test_reduce_truncated_transcript(tmp_path, capsys):
     d5, d4 = write_circle(str(tmp_path))
     wd = str(tmp_path / "ws")
@@ -433,3 +461,13 @@ def test_library_runs_without_numpy(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["2", "True", "1", "[1]"]
+
+
+def test_star_import_binds_all():
+    """from smithy import * binds exactly smithy.__all__, each name once,
+    and each resolves."""
+    ns = {}
+    exec("from smithy import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(set(smithy.__all__)) == sorted(smithy.__all__)
+    assert all(ns[name] is getattr(smithy, name) for name in smithy.__all__)

@@ -1,6 +1,8 @@
 import os
 import random
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -232,14 +234,15 @@ def test_tau_applies_to_eta(tmp_path):
             [1 if t == j else 0 for t in range(ws_tau.h5)]
 
 
-def _replay_reduce(ws, q5, y):
-    """reduce_cocycle by a full Q5 replay and a truncation, the path that
-    the row selection and the dTop check replace."""
+def _replay_reduce(ws, q5, p_eta, y):
+    """reduce_cocycle by a full Q5 replay, a truncation and a P_eta^-1
+    replay, the path that the row selection, the dTop check and [dTop; R]
+    replace."""
     p = q5.spec.p
     w = q5.apply_vec([v % p for v in y])
     if any(w[:ws.rho5]):
         raise NotACocycleError("Q5.y is nonzero in its first rho5 slots")
-    return ws.p_eta.apply_vec(w[ws.rho5:], inverse=True)[ws.rho_eta:]
+    return p_eta.apply_vec(w[ws.rho5:], inverse=True)[ws.rho_eta:]
 
 
 def _outcome(reduce, *args):
@@ -261,6 +264,7 @@ def test_reduce_cocycle_matches_q5_replay(tmp_path):
         wd = str(tmp_path / ("t%d" % trial))
         ws = compute_h5(sl, wd, normalize_pivots=bool(trial % 3), paranoid=True)
         q5 = Transcript.open(os.path.join(wd, "q5.trn"))
+        p_eta = Transcript.open(os.path.join(wd, "peta.trn"))
         kernel = dense_kernel(top, p, n=ws.n5)
         vecs = [ws.basis_column(j) for j in range(ws.h5)]
         for _ in range(4):
@@ -271,7 +275,7 @@ def test_reduce_cocycle_matches_q5_replay(tmp_path):
             vecs.append([rng.randrange(-p, 2 * p) for _ in range(ws.n5)])
         reloaded = load_workspace(wd)
         for y in vecs:
-            want = _outcome(_replay_reduce, ws, q5, y)
+            want = _outcome(_replay_reduce, ws, q5, p_eta, y)
             assert _outcome(reduce_cocycle, ws, y) == want
             assert _outcome(reduce_cocycle, reloaded, y) == want
 
@@ -306,7 +310,8 @@ def test_written_line_moved_into_tail_is_refused(tmp_path):
     assert (ws.n5, ws.rho5) == (2, 1)
     q5 = os.path.join(wd, "q5.trn")
     _write_q5(q5, [b"S 0 1\n", b"T 0 1 3\n"])  # writes line 0 < rho5
-    assert list(load_workspace(wd).tail) == [0]
+    load_workspace(wd)
+    assert list(cohomo._tail_rows(Transcript.open(q5, spec), 1)) == [0]
     _write_q5(q5, [b"T 0 1 3\n", b"S 0 1\n"])  # then moves it to line 1
     with pytest.raises(NotAComplexError, match="writes line 1"):
         load_workspace(wd)
@@ -328,25 +333,54 @@ def test_p_eta_is_replayed_once_per_workspace(tmp_path, monkeypatch):
         sl, top, bottom = make_slice(rng, rng.randrange(1, 7), rng.randrange(4, 11),
                                      rng.randrange(1, 7), p)
         wd = str(tmp_path / ("t%d" % trial))
-        ws = compute_h5(sl, wd)
         peta = os.path.join(wd, "peta.trn")
+        replays.clear()
+        ws = compute_h5(sl, wd)
+        assert replays == [peta]
+        replays.clear()
+        loaded = load_workspace(wd)
+        assert replays == [peta]
+        replays.clear()
         kernel = dense_kernel(top, p, n=ws.n5)
-        for each in (ws, load_workspace(wd)):
-            replays.clear()
-            assert each.d_top is not None
+        for each in (ws, loaded):
             for _ in range(20):
                 y = _random_cocycle(rng, kernel, p) or [0] * ws.n5
                 reduce_cocycle(each, y)
-            assert replays == [peta]
-            assert each.d_top is None  # dropped: [dTop; R] holds its entries
+        assert replays == []
         # the bottom h5 rows of [dTop; R] are R: R . basis = I, R . dBottom = 0
         m = ws.reducer
+        assert (loaded.reducer.entries, loaded.reducer.ptr) == (m.entries, m.ptr)
         assert (m.m, m.n) == (ws.n6 + ws.h5, ws.n5)
         for j in range(ws.h5):
             assert m.mat_vec(ws.basis_column(j)) == \
                 [0] * ws.n6 + [1 if t == j else 0 for t in range(ws.h5)]
         for j in range(ws.n4):
             assert not any(m.mat_vec([row[j] for row in bottom]))
+
+
+def test_loaded_workspace_reduces_without_a_replay(tmp_path, monkeypatch):
+    """load_workspace builds [dTop; R], so concurrent first reductions
+    share a finished matrix and replay no transcript."""
+    sl, _, _ = make_slice(random.Random(73), 4, 12, 5, 7)
+    wd = str(tmp_path / "ws")
+    compute_h5(sl, wd)
+    ws = load_workspace(wd)
+    assert ws.h5 > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduction replayed a transcript")
+
+    monkeypatch.setattr(Transcript, "apply_mat_right", refuse)
+    want = [[1 if t == j else 0 for t in range(ws.h5)] for j in range(ws.h5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda j: reduce_cocycle(ws, ws.basis_column(j)),
+                                list(range(ws.h5)) * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 4
 
 
 def test_torus_top_slice_known_answer(tmp_path):

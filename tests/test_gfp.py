@@ -12,11 +12,13 @@ def test_bit_width():
 
 
 def test_pack_examples():
+    """An entry packs as i << k | v and unpacks as (e >> k, e & mask)."""
     spec = FieldSpec(12379)
-    assert spec.pack(3, 7) == 3 * 2 ** 14 + 7 == 49159
-    assert spec.pack(1, 12378) == 2 ** 14 + 12378 == 28762
-    assert spec.unpack(49159) == (3, 7)
-    assert spec.unpack(28762) == (1, 12378)
+    assert spec.mask == 2 ** 14 - 1
+    assert 3 << spec.k | 7 == 3 * 2 ** 14 + 7 == 49159
+    assert 1 << spec.k | 12378 == 2 ** 14 + 12378 == 28762
+    assert (49159 >> spec.k, 49159 & spec.mask) == (3, 7)
+    assert (28762 >> spec.k, 28762 & spec.mask) == (1, 12378)
 
 
 def test_pack_sorts_by_row():
@@ -24,21 +26,9 @@ def test_pack_sorts_by_row():
     rng = random.Random(5)
     entries = [(rng.randrange(10 ** 6), rng.randrange(1, spec.p))
                for _ in range(300)]
-    packed = sorted(spec.pack(i, v) for i, v in entries)
-    rows = [spec.unpack(e)[0] for e in packed]
+    packed = sorted(i << spec.k | v for i, v in entries)
+    rows = [e >> spec.k for e in packed]
     assert rows == sorted(rows)
-
-
-def test_pack_validation():
-    spec = FieldSpec(7)
-    with pytest.raises(ValueError):
-        spec.pack(0, 0)
-    with pytest.raises(ValueError):
-        spec.pack(0, 7)
-    with pytest.raises(OverflowError):
-        spec.pack(-1, 3)
-    with pytest.raises(OverflowError):
-        spec.pack(2 ** 61, 3)  # k = 3 leaves 61 bits for the row
 
 
 def test_modulus_validation():
@@ -48,12 +38,6 @@ def test_modulus_validation():
     FieldSpec(32749)  # largest prime below 2^15
     with pytest.raises(ValueError):
         FieldSpec(32771)  # prime but too wide
-
-
-def test_field_ops():
-    spec = FieldSpec(7)
-    assert spec.neg(3) == 4
-    assert spec.neg(0) == 0
 
 
 def test_inverse_exhaustive_small():

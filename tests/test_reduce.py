@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from smithy import (COL, FieldSpec, MatrixFormatError, SnfOptions,
-                    SparseMatrix, Transcript, TranscriptError, disk_hnf,
-                    read_matrix, reduce, snf)
+                    SparseMatrix, Transcript, TranscriptError, read_matrix,
+                    reduce, snf)
 from smithy.cli import EXIT_PARSE, main
-from smithy.reduce import _Engine
+from smithy.reduce import _disk_echelon, _Engine
 
 from conftest import (dense_rank, load_gen, random_dense, sparse_copy,
                       sparse_identity, torus_coboundary)
@@ -40,7 +40,8 @@ def run_snf(rows, p, tmp_path, tag, **kw):
 
 def test_markowitz_examples(f7):
     def pivots(a, c):
-        eng = _Engine(a, start=c)
+        eng = _Engine(a)
+        eng.c = c
         return eng.find_pivot(), eng.reference_pivot()
 
     assert pivots(sparse_identity(2, f7), 0) == ((0, 0), (0, 0))
@@ -369,6 +370,16 @@ def test_tau_zero_triggers_immediately(tmp_path):
     assert replay(res, a).to_dense() == [[1, 1], [0, 1]]
 
 
+def disk_echelon(a, c, spill_dir, q=None):
+    """snf's disk echelon pass over a's active region from pivot index c;
+    columns >= c must be confined to rows >= c."""
+    eng = _Engine(a)
+    eng.c = c
+    stats = _disk_echelon(eng, q, str(spill_dir))
+    a.nnz = eng.total
+    return stats
+
+
 def test_disk_hnf_echelon_structure(tmp_path, f7):
     rng = random.Random(41)
     for trial in range(25):
@@ -376,7 +387,7 @@ def test_disk_hnf_echelon_structure(tmp_path, f7):
         rows = random_dense(rng, m, n, 7, 0.35)
         a = SparseMatrix.from_dense(rows, f7)
         q = Transcript.create(str(tmp_path / ("h%d.trn" % trial)), COL, n, f7)
-        stats = disk_hnf(a, 0, q=q)
+        stats = disk_echelon(a, 0, tmp_path, q)
         q.finalize()
         a.check()
         dense = a.to_dense()
@@ -401,10 +412,10 @@ def test_disk_hnf_echelon_structure(tmp_path, f7):
 
 def test_disk_hnf_zero_and_echelon_inputs(tmp_path, f7):
     a = SparseMatrix.from_dense([[0, 3], [0, 0]], f7)
-    disk_hnf(a, 0)
+    disk_echelon(a, 0, tmp_path)
     assert a.to_dense() == [[3, 0], [0, 0]]  # zero column pushed right
     b = SparseMatrix.from_dense([[1, 0], [0, 2]], f7)
-    disk_hnf(b, 0)
+    disk_echelon(b, 0, tmp_path)
     assert dense_rank(b.to_dense(), 7) == 2
 
 
@@ -416,7 +427,7 @@ def test_disk_hnf_below_existing_pivots(tmp_path, f7):
             [1, 1, 2, 0, 1]]
     a = SparseMatrix.from_dense(rows, f7)
     q = Transcript.create(str(tmp_path / "c2.trn"), COL, 5, f7)
-    disk_hnf(a, 2, q=q)
+    disk_echelon(a, 2, tmp_path, q)
     q.finalize()
     a.check()
     dense = a.to_dense()
@@ -426,15 +437,6 @@ def test_disk_hnf_below_existing_pivots(tmp_path, f7):
     back = sparse_copy(a)
     Transcript.open(str(tmp_path / "c2.trn"), f7).apply_mat_right(back)
     assert back.to_dense() == rows
-
-
-def test_disk_hnf_rejects_entries_above_region(tmp_path, f7):
-    rows = [[0, 0, 2], [0, 1, 0], [0, 0, 3]]
-    a = SparseMatrix.from_dense(rows, f7)
-    with pytest.raises(ValueError):
-        disk_hnf(a, 1, spill_dir=str(tmp_path))
-    assert a.to_dense() == rows  # untouched on refusal
-    assert os.listdir(tmp_path) == []  # refused before a spill is made
 
 
 def test_spill_dir_env(tmp_path, monkeypatch, f7):
@@ -527,26 +529,6 @@ def test_cut_spill_is_refused(tmp_path, monkeypatch):
     for name in ("lib/q.trn", "cli/q.trn"):
         with pytest.raises(TranscriptError):
             Transcript.open(tmp_path / name)
-
-
-def test_disk_hnf_cut_spill_keeps_counts(tmp_path, monkeypatch, f7):
-    """A failed read-back loses the active region, but the matrix the
-    caller gave up still passes its structural check."""
-    real_open = open
-
-    def cutting_open(path, mode="r", *args, **kwargs):
-        if mode == "rb" and os.path.basename(path).startswith("spill-"):
-            with real_open(path, "rb") as f:
-                data = f.read()
-            return io.BytesIO(data[:data.rindex(b"\n", 0, -1) + 1])
-        return real_open(path, mode, *args, **kwargs)
-
-    monkeypatch.setattr(reduce, "open", cutting_open, raising=False)
-    a = SparseMatrix.from_dense([[1, 2, 0], [0, 3, 4]], f7)
-    with pytest.raises(MatrixFormatError, match="terminator"):
-        disk_hnf(a, 0, spill_dir=str(tmp_path))
-    assert a.nnz == sum(len(col) for col in a.cols)
-    a.check()
 
 
 def _repeat_first_entry(lines):

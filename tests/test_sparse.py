@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -129,32 +128,39 @@ def test_set_col_and_counts(f7):
     assert a.nnz == 1
 
 
-def test_write_read_roundtrip(f12379):
+def read_text(tmp_path, text, spec=None):
+    """read_matrix of a file holding text."""
+    path = tmp_path / "m.sms"
+    path.write_text(text)
+    return read_matrix(path, spec)
+
+
+def test_write_read_roundtrip(tmp_path, f12379):
     rng = random.Random(13)
+    path = tmp_path / "m.sms"
     for _ in range(20):
         m, n = rng.randrange(0, 10), rng.randrange(0, 10)
         rows = random_dense(rng, m, n, 12379, 0.3)
         a = SparseMatrix.from_dense(rows, f12379)
-        buf = io.StringIO()
-        write_matrix(a, buf)
-        back = read_matrix(io.StringIO(buf.getvalue()))
+        write_matrix(a, path)
+        back = read_matrix(path)
         assert back == a
         assert back.spec.p == 12379
 
 
-def test_format_text_shape():
+def test_format_text_shape(tmp_path):
     text = "2 3 7\n1 1 5\n2 3 6\n0 0 0\n"
-    a = read_matrix(io.StringIO(text))
+    a = read_text(tmp_path, text)
     assert (a.m, a.n) == (2, 3)
     assert a.to_dense() == [[5, 0, 0], [0, 0, 6]]
     # columns out of order, rows descending within a column
-    b = read_matrix(io.StringIO("3 3 7\n3 3 1\n2 1 4\n2 3 6\n1 1 5\n1 3 2\n0 0 0\n"))
+    b = read_text(tmp_path, "3 3 7\n3 3 1\n2 1 4\n2 3 6\n1 1 5\n1 3 2\n0 0 0\n")
     assert b.to_dense() == [[5, 0, 2], [4, 0, 6], [0, 0, 1]]
     b.check()
 
 
-def test_format_blank_lines_ok():
-    a = read_matrix(io.StringIO("2 2 7\n\n1 1 1\n\n0 0 0\n\n"))
+def test_format_blank_lines_ok(tmp_path):
+    a = read_text(tmp_path, "2 2 7\n\n1 1 1\n\n0 0 0\n\n")
     assert a.to_dense() == [[1, 0], [0, 0]]
 
 
@@ -171,14 +177,14 @@ def test_format_blank_lines_ok():
     ("2 2 7\n1 1 1\n", 3),                  # missing terminator, flagged at EOF
     ("2 2 7\nx y z\n0 0 0\n", 2),           # junk
 ])
-def test_format_errors(text, line):
+def test_format_errors(tmp_path, text, line):
     with pytest.raises(MatrixFormatError) as exc:
-        read_matrix(io.StringIO(text))
+        read_text(tmp_path, text)
     assert exc.value.line_no == line
 
 
-def test_read_with_expected_spec(f7):
+def test_read_with_expected_spec(tmp_path, f7):
     with pytest.raises(MatrixFormatError):
-        read_matrix(io.StringIO("2 2 11\n0 0 0\n"), f7)
-    a = read_matrix(io.StringIO("2 2 7\n0 0 0\n"), f7)
+        read_text(tmp_path, "2 2 11\n0 0 0\n", f7)
+    a = read_text(tmp_path, "2 2 7\n0 0 0\n", f7)
     assert a.spec is f7
