@@ -4,8 +4,7 @@ A sparse vector entry is a (row index, nonzero value) pair packed into a
 single integer: ``i << k | v`` where ``k`` is the smallest width with
 ``p < 2**k``; it unpacks as ``(e >> k, e & mask)``.  Because ``v < 2**k``,
 the packed integers sort exactly like their row indices, so merge passes
-can compare packed values directly.  The code that stores entries packs
-and unpacks them inline.
+can compare packed values directly.
 
 The modulus must be an odd prime below 2**15 so that a packed entry with a
 row index below 2**(64-k) always fits a 64-bit word.
