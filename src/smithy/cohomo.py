@@ -10,8 +10,9 @@ rho5, so the last n5 - rho5 coordinates of Q y are coordinates of y moved
 by Q's swaps alone: (Q y)[rho5 + t] = y[tail[t]].  eta is thus a row
 selection of dBottom, and "Q y vanishes on its first rho5 coordinates",
 the certificate that y is a cocycle, is the exact check dTop y = 0.
-Neither needs Q replayed; the scan that takes tail from Q's records also
-checks that no written line ends in the tail.
+Neither needs Q replayed.  tail comes from one pass over the bytes of Q's
+file, which checks its trailer and that no written line ends in the tail
+but decodes no record.
 
 A second reduction eta = P' D' Q' splits the tail coordinates into rho_eta
 coboundary directions and h5 = n5 - rho5 - rho_eta survivors, which is
@@ -39,8 +40,9 @@ from itertools import chain, compress
 
 from .gfp import FieldSpec
 from .reduce import SnfOptions, snf
-from .sparse import ShapeError, SparseMatrix, axpy, read_matrix, write_matrix
-from .transcript import COL, ROW, Transcript
+from .sparse import (ShapeError, SparseMatrix, axpy, read_header, read_matrix,
+                     write_matrix)
+from .transcript import COL, ROW, Transcript, trace_lines
 
 META_NAME = "meta"
 META_KEYS = ("p", "n4", "n5", "n6", "rho5", "rhoEta", "h5", "h6")
@@ -127,26 +129,16 @@ class ComplexSlice:
                 raise NotAComplexError("dTop.dBottom has a nonzero column at index %d" % j)
 
 
-def _tail_rows(q5: Transcript, rho5: int) -> array:
-    """tail with (Q5 y)[rho5 + t] = y[tail[t]] for every y, from one scan
-    of Q5's records.
+def _q5_tail(path, spec: FieldSpec, n5: int, rho5: int) -> array:
+    """tail with (Q5 y)[rho5 + t] = y[tail[t]] for every y, from one pass
+    over the bytes of the COL transcript Q5 at path (trace_lines).
 
     Replayed on the left, a T or D record writes the line it names first
-    and an S record swaps two lines.  One dirty flag per line follows the
-    writes through the swaps; a line at or above rho5 that ends dirty is
-    not a moved coordinate of y, and the transcript is refused.
+    and an S record swaps two lines.  A line at or above rho5 that ends
+    written is not a moved coordinate of y, and the transcript is refused.
     """
-    kind, a, b, _ = q5.decoded()
-    swap = ord("S")
-    src = list(range(q5.dim))
-    dirty = bytearray(q5.dim)
-    for k, x, y in zip(kind, a, b):
-        if k == swap:
-            src[x], src[y] = src[y], src[x]
-            dirty[x], dirty[y] = dirty[y], dirty[x]
-        else:
-            dirty[x] = 1
-    first = dirty.find(1, rho5)
+    src, written = trace_lines(path, COL, n5, spec)
+    first = written.find(1, rho5)
     if first >= 0:
         raise NotAComplexError(
             "transcript mismatch: Q5 writes line %d, at or above rho5 = %d"
@@ -175,8 +167,8 @@ def build_eta(q5: Transcript, d_bottom: SparseMatrix, rho5: int) -> SparseMatrix
 
     The vanishing certifies the complex: D.Q5.dBottom = P5^-1.dTop.dBottom,
     and D is invertible on its first rho5 coordinates.  compute_h5 takes
-    eta as _select_rows(dBottom, _tail_rows(Q5, rho5)) instead; this full
-    replay is its paranoid-mode oracle.
+    eta as _select_rows(dBottom, _q5_tail(...)) instead; this full replay
+    is its paranoid-mode oracle.
     """
     if q5.side != COL:
         raise ValueError("q5 must be a column-side transcript")
@@ -296,7 +288,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
         normalize_pivots=normalize_pivots, paranoid=paranoid))
     assert r5.hnf_stats is None, "dTop's reduction took the disk echelon"
     rho5 = r5.rank
-    tail = _tail_rows(r5.q, rho5)
+    tail = _q5_tail(r5.q.path, spec, n5, rho5)
     eta = _select_rows(slice_.d_bottom, tail)
     if paranoid:
         assert eta == build_eta(r5.q, slice_.d_bottom, rho5), "eta is not Q5.dBottom"
@@ -348,17 +340,17 @@ def _read_meta(workdir: str) -> dict[str, int]:
 def load_workspace(workdir: str) -> CohomologyWorkspace:
     """Reopen a work directory written by compute_h5 (read-only use).
 
-    meta is checked by _read_meta, and every other file against it.
-    q5.trn is decoded and checked in full, but only its tail is kept.
+    meta is checked by _read_meta, and every other file against it;
+    d4.sms only as far as its header.  q5.trn is not decoded: _q5_tail
+    checks its header, trailer count and CRC-32 and takes the tail from
+    one pass over its bytes.
     """
     meta = _read_meta(workdir)
     spec = FieldSpec(meta["p"])
     n5, rho5, h5 = meta["n5"], meta["rho5"], meta["h5"]
-    q5 = Transcript.open(os.path.join(workdir, "q5.trn"), spec)
-    if q5.side != COL or q5.dim != n5:
-        raise ValueError("q5.trn does not match meta")
-    tail = _tail_rows(q5, rho5)
-    del q5
+    if read_header(os.path.join(workdir, "d4.sms")) != (n5, meta["n4"], spec.p):
+        raise ValueError("meta's n4, n5 or p does not match the header of d4.sms")
+    tail = _q5_tail(os.path.join(workdir, "q5.trn"), spec, n5, rho5)
     d_top = PackedMatrix.from_sparse(read_matrix(os.path.join(workdir, "d5.sms"), spec))
     if (d_top.m, d_top.n) != (meta["n6"], n5):
         raise ValueError("d5.sms does not match meta")

@@ -17,16 +17,6 @@ from dataclasses import dataclass, field
 from .predict import is_prime
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with a*x + b*y == g
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """An odd prime modulus p < 2**15 together with the packing width k."""
@@ -48,11 +38,8 @@ class FieldSpec:
     # -- scalar arithmetic ------------------------------------------------
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by extended Euclid."""
+        """Multiplicative inverse."""
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("0 has no inverse mod %d" % self.p)
-        g, x, _ = _xgcd(a, self.p)
-        if g != 1:  # cannot happen for prime p; guards corrupted state
-            raise ArithmeticError("gcd(%d, %d) = %d" % (a, self.p, g))
-        return x % self.p
+        return pow(a, -1, self.p)

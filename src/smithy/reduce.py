@@ -573,12 +573,9 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             # step 5: clear the pivot column (touches only column c now)
             col = eng.cols[c]
             if len(col) > 1:
-                others = sorted(
-                    (eng.cur_of[e >> eng.k], e & eng.mask)
-                    for e in col if e >> eng.k != pr
-                )
                 if p_tr is not None:
-                    for i2, v2 in others:
+                    for i2, v2 in sorted((eng.cur_of[e >> eng.k], e & eng.mask)
+                                         for e in col if e >> eng.k != pr):
                         p_tr.append(("T", c, i2, v2 * dinv % p))
                 eng.set_col(c, [pr << eng.k | d])
             diag.append(d)

@@ -11,9 +11,9 @@ operations on the transpose: transpose, apply them, transpose back.
 
 The text format is a header line "m n p", one line "i j v" per entry
 (1-based indices, 0 < v < p, any order) and the terminator "0 0 0".  This
-module alone reads and writes it: read_matrix and write_matrix, which
-take file paths, and the out-of-core pass's spill file all go through its
-entry parser and writer.
+module alone reads and writes it: read_matrix, read_header and
+write_matrix, which take file paths, and the out-of-core pass's spill file
+all go through its entry parser and writer.
 """
 
 from __future__ import annotations
@@ -310,6 +310,13 @@ def _add_entries(col: list[int], entries, k: int) -> list[int]:
 def write_matrix(a: SparseMatrix, path) -> None:
     with open(path, "w") as f:
         _write_entries(f, a.m, a.n, a.spec.p, a.entries())
+
+
+def read_header(path) -> tuple[int, int, int]:
+    """The header (m, n, p) of the matrix file at path; nothing after it is
+    parsed."""
+    with open(path) as f:
+        return next(_read_entries(f))[1:]
 
 
 def read_matrix(path, spec: FieldSpec | None = None) -> SparseMatrix:

@@ -34,10 +34,13 @@ so a file cut short, damaged or never finalized is refused, and parses
 the records straight into four parallel typed arrays (kind, a, b, v), 11
 bytes per record, whose ranges it checks once per array.  Every replay
 walks those arrays in whichever direction the requested product needs.
+trace_lines reads a file through the same trailer check without decoding
+it, to follow where its swaps move each line and which lines it writes.
 """
 
 from __future__ import annotations
 
+import re
 import zlib
 from array import array
 from operator import eq
@@ -76,12 +79,13 @@ _S, _T, _D = b"STD"
 _CHUNK = 1 << 16
 
 
-def _parse(body: bytes, ops) -> None:
+def _parse(body: bytes, ops) -> int:
     """Append the records of body, whole lines, to the arrays ops, checking
-    only each record's shape; a dilation keeps its line in both index
-    slots and a swap has v = 0.  A negative index or scalar does not fit
-    its unsigned array and is refused here."""
+    only each record's shape, and return how many there were; a dilation
+    keeps its line in both index slots and a swap has v = 0.  A negative
+    index or scalar does not fit its unsigned array and is refused here."""
     kind, la, lb, val = ops
+    start = len(kind)
     ka, aa, ba, va = kind.append, la.append, lb.append, val.append
     try:
         for raw in body.split(b"\n"):
@@ -104,17 +108,18 @@ def _parse(body: bytes, ops) -> None:
             ka(raw[0])
     except (ValueError, OverflowError) as exc:
         raise TranscriptError("record %d: %s" % (len(kind) + 1, exc)) from None
+    return len(kind) - start
 
 
-def _decode(path, spec: FieldSpec | None = None):
-    """Read a transcript file into (side, dim, spec, ops), ops being the
-    records as parallel arrays (kind, a, b, v); see _parse.
+def _stream(path, spec: FieldSpec | None, consume):
+    """Pass the records of the transcript at path to consume in chunks of
+    whole lines, and return its header as (side, dim, spec).
 
-    The file is streamed in chunks of whole lines.  No record holds an
-    "E", so the first one starts the trailer.  The rules on a record's
-    indices and scalar are checked once per array at the end.
+    consume(body) returns the number of records in body.  Their total and
+    the CRC-32 of every byte before the trailer must be what the trailer
+    says, and nothing may follow it.  No record holds an "E", so the first
+    one starts the trailer.  Memory is one chunk, not the file.
     """
-    ops = kind, la, lb, val = array("B"), array("I"), array("I"), array("H")
     with open(path, "rb") as f:
         header = f.readline()
         parts = header.split()
@@ -129,6 +134,7 @@ def _decode(path, spec: FieldSpec | None = None):
         if spec is not None and spec.p != p:
             raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
         crc = zlib.crc32(header)
+        count = 0
         rest = b""
         while True:
             chunk = f.read(_CHUNK)
@@ -141,15 +147,26 @@ def _decode(path, spec: FieldSpec | None = None):
                 cut = buf.rfind(b"\n") + 1
             body, rest = buf[:cut], buf[cut:]
             crc = zlib.crc32(body, crc)
-            _parse(body, ops)
+            count += consume(body)
             if rest.startswith(b"E"):
                 break
         trailer, end, after = (rest + f.readline()).partition(b"\n")
-        if trailer + end != b"E %d %d\n" % (len(kind), crc):
+        if trailer + end != b"E %d %d\n" % (count, crc):
             raise TranscriptError("%s: trailer %r does not match %d records "
-                                  "with CRC-32 %d" % (path, trailer + end, len(kind), crc))
+                                  "with CRC-32 %d" % (path, trailer + end, count, crc))
         if after or f.read(1):
             raise TranscriptError("%s: bytes after the trailer" % path)
+    return side, dim, file_spec
+
+
+def _decode(path, spec: FieldSpec | None = None):
+    """Read a transcript file into (side, dim, spec, ops), ops being the
+    records as parallel arrays (kind, a, b, v); see _parse.  The rules on
+    a record's indices and scalar are checked once per array at the end.
+    """
+    ops = kind, la, lb, val = array("B"), array("I"), array("I"), array("H")
+    side, dim, file_spec = _stream(path, spec, lambda body: _parse(body, ops))
+    p = file_spec.p
     if kind and (max(la) >= dim or max(lb) >= dim or max(val) >= p):
         raise TranscriptError("%s: a record exceeds dimension %d or modulus %d"
                               % (path, dim, p))
@@ -159,6 +176,73 @@ def _decode(path, spec: FieldSpec | None = None):
     if sum(map(eq, la, lb)) != kinds.count(b"D"):
         raise TranscriptError("%s: a swap or transvection names one line twice" % path)
     return side, dim, file_spec, ops
+
+
+_SWAP = re.compile(rb"\nS (\d+) (\d+)(?=\n)")
+_WRITE = re.compile(rb"[TD] (\d+) ")
+
+
+def trace_lines(path, side: str, dim: int, spec: FieldSpec):
+    """Follow the lines of the side, dim transcript at path through its
+    records in file order, in one pass over its bytes: (src, written), where
+    line i ends up holding the original line src[i], and written[i] is 1
+    when a T or D record wrote it on the way (the line such a record names
+    first).
+
+    The header, the trailer's count and the CRC-32 are checked as by open,
+    but of a record only its kind and the lines it swaps or writes are
+    read: append checked the rest when the file was written, and the CRC
+    has covered it since.  Between two swaps the written lines form a set,
+    so a run of records that all write one line, as nearly every run of a
+    reduction's transcript does, is checked by counting that line's
+    records in the run instead of matching each one.
+    """
+    src = list(range(dim))
+    written = bytearray(dim)
+
+    def line(x: bytes) -> int:
+        i = int(x)
+        if i >= dim:
+            raise TranscriptError("%s: a record names line %d of %d" % (path, i, dim))
+        return i
+
+    def mark(buf: bytes, start: int, stop: int) -> None:
+        """Mark the lines that the records in buf[start:stop], each after
+        a newline, write."""
+        m = _WRITE.match(buf, start + 1)
+        if m is not None:
+            x = m[1]
+            if (buf.count(b"\nT %s " % x, start, stop) + buf.count(b"\nD %s " % x, start, stop)
+                    == buf.count(b"\n", start, stop)):
+                written[line(x)] = 1
+                return
+        for record in buf[start + 1:stop].split(b"\n"):
+            m = _WRITE.match(record)
+            if m is None:
+                raise TranscriptError("%s: unrecognized %r" % (path, record))
+            written[line(m[1])] = 1
+
+    def scan(body: bytes) -> int:
+        if body[-1:] not in (b"", b"\n"):
+            raise TranscriptError("%s: a record runs into the trailer" % path)
+        buf = b"\n" + body
+        start = 0
+        for m in _SWAP.finditer(buf):
+            if m.start() > start:
+                mark(buf, start, m.start())
+            a, b = line(m[1]), line(m[2])
+            src[a], src[b] = src[b], src[a]
+            written[a], written[b] = written[b], written[a]
+            start = m.end()
+        if len(buf) - 1 > start:
+            mark(buf, start, len(buf) - 1)
+        return body.count(b"\n")
+
+    file_side, file_dim, _ = _stream(path, spec, scan)
+    if (file_side, file_dim) != (side, dim):
+        raise TranscriptError("%s: header says %s %d, expected %s %d"
+                              % (path, file_side, file_dim, side, dim))
+    return src, written
 
 
 def _op(kind: int, a: int, b: int, v: int) -> tuple:

@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import pytest
 
@@ -253,14 +254,9 @@ def test_reduce_incomplete_workspace(tmp_path, capsys):
     assert "io error" in err
 
 
-@pytest.mark.parametrize("old,new", [
-    ("h6: 0\n", ""),  # a key missing
-    ("p: 7\n", "p: 7\np: 7\n"),  # a key repeated
-    ("rhoEta: 1\n", "rhoEta: 2\n"),  # h5 != n5 - rho5 - rhoEta
-    ("rhoEta: 1\n", "rhoEta: 0\n"),  # likewise, and every shape still fits
-    ("n4: 1\n", "n4: -1\n"),  # a negative value
-], ids=["missing", "repeated", "rhoEta-high", "rhoEta-low", "negative"])
-def test_reduce_refuses_bad_meta(tmp_path, capsys, old, new):
+def f7_workspace(tmp_path, capsys):
+    """The workspace of the F7 slice d5 = [[1, 1, 0]], d4 = [[1], [6], [0]]
+    and a file holding its cocycle (1, 6, 3), which reduces to s1: 3."""
     d5, d4 = str(tmp_path / "d5.sms"), str(tmp_path / "d4.sms")
     spec = FieldSpec(7)
     write_matrix(SparseMatrix.from_dense([[1, 1, 0]], spec), d5)
@@ -270,6 +266,19 @@ def test_reduce_refuses_bad_meta(tmp_path, capsys, old, new):
     zfile = str(tmp_path / "z.sms")
     write_column(zfile, [1, 6, 3])
     assert run(capsys, "reduce", wd, zfile)[:2] == (0, "s1: 3\n")
+    return wd, zfile
+
+
+@pytest.mark.parametrize("old,new", [
+    ("h6: 0\n", ""),  # a key missing
+    ("p: 7\n", "p: 7\np: 7\n"),  # a key repeated
+    ("rhoEta: 1\n", "rhoEta: 2\n"),  # h5 != n5 - rho5 - rhoEta
+    ("rhoEta: 1\n", "rhoEta: 0\n"),  # likewise, and every shape still fits
+    ("n4: 1\n", "n4: -1\n"),  # a negative value
+    ("n4: 1\n", "n4: 99999\n"),  # d4.sms has 1 column
+], ids=["missing", "repeated", "rhoEta-high", "rhoEta-low", "negative", "n4-vs-d4"])
+def test_reduce_refuses_bad_meta(tmp_path, capsys, old, new):
+    wd, zfile = f7_workspace(tmp_path, capsys)
     meta = os.path.join(wd, "meta")
     with open(meta) as f:
         text = f.read()
@@ -279,6 +288,59 @@ def test_reduce_refuses_bad_meta(tmp_path, capsys, old, new):
     code, out, err = run(capsys, "reduce", wd, zfile)
     assert (code, out) == (EXIT_PARSE, "")
     assert "invalid input: meta" in err
+
+
+def finalized(body, count):
+    """body closed with the trailer of count records and body's CRC-32."""
+    return body + b"E %d %d\n" % (count, zlib.crc32(body))
+
+
+# each takes q5.trn's header line and its records, joined, and the number of
+# records, and gives a q5.trn that load_workspace must refuse
+BAD_Q5 = {
+    "cut": lambda h, r, n: finalized(h + r, n)[:-3],
+    "crc": lambda h, r, n: h + r + b"E %d %d\n" % (n, zlib.crc32(h + r) ^ 1),
+    "count": lambda h, r, n: finalized(h + r, n + 1),
+    "after-trailer": lambda h, r, n: finalized(h + r, n) + b"S 0 1\n",
+    "blank-line": lambda h, r, n: finalized(h + r + b"\n", n + 1),
+    "unknown-line": lambda h, r, n: finalized(h + r + b"X 0 1\n", n + 1),
+    "into-trailer": lambda h, r, n: finalized(h + r[:-1] + b" ", n),
+    "swap-high": lambda h, r, n: finalized(h + r + b"S 0 3\n", n + 1),
+    "swap-negative": lambda h, r, n: finalized(h + r + b"S -1 0\n", n + 1),
+    "write-high": lambda h, r, n: finalized(h + r + b"T 3 0 1\n", n + 1),
+    "write-negative": lambda h, r, n: finalized(h + r + b"T -1 0 1\n", n + 1),
+    "row": lambda h, r, n: finalized(b"ROW 3 7\n" + r, n),
+    "dim": lambda h, r, n: finalized(b"COL 4 7\n" + r, n),
+    "modulus": lambda h, r, n: finalized(b"COL 3 11\n" + r, n),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_Q5)
+def test_reduce_refuses_bad_q5(tmp_path, capsys, damage):
+    wd, zfile = f7_workspace(tmp_path, capsys)
+    q5 = os.path.join(wd, "q5.trn")
+    with open(q5, "rb") as f:
+        lines = f.readlines()
+    assert lines[0] == b"COL 3 7\n" and len(lines) > 2
+    bad = BAD_Q5[damage](lines[0], b"".join(lines[1:-1]), len(lines) - 2)
+    with open(q5, "wb") as f:
+        f.write(bad)
+    with pytest.raises(ValueError):
+        smithy.load_workspace(wd)
+    code, out, _ = run(capsys, "reduce", wd, zfile)
+    assert (code, out) == (EXIT_PARSE, "")
+
+
+def test_reduce_closes_its_files(tmp_path, capsys):
+    """smithy reduce in dev mode, where a file left open is reported."""
+    wd, zfile = f7_workspace(tmp_path, capsys)
+    env = dict(os.environ)
+    pkg_root = os.path.dirname(os.path.dirname(smithy.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "smithy.cli",
+         "reduce", wd, zfile], capture_output=True, text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "s1: 3\n", "")
 
 
 def test_reduce_truncated_transcript(tmp_path, capsys):

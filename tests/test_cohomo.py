@@ -311,7 +311,7 @@ def test_written_line_moved_into_tail_is_refused(tmp_path):
     q5 = os.path.join(wd, "q5.trn")
     _write_q5(q5, [b"S 0 1\n", b"T 0 1 3\n"])  # writes line 0 < rho5
     load_workspace(wd)
-    assert list(cohomo._tail_rows(Transcript.open(q5, spec), 1)) == [0]
+    assert list(cohomo._q5_tail(q5, spec, 2, 1)) == [0]
     _write_q5(q5, [b"T 0 1 3\n", b"S 0 1\n"])  # then moves it to line 1
     with pytest.raises(NotAComplexError, match="writes line 1"):
         load_workspace(wd)

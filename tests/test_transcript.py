@@ -11,6 +11,7 @@ import pytest
 import smithy
 from smithy import (COL, ROW, FieldSpec, SparseMatrix, Transcript,
                     TranscriptError)
+from smithy.transcript import trace_lines
 
 from conftest import random_dense, sparse_identity
 
@@ -284,6 +285,60 @@ def test_decode_across_chunk_boundaries(tmp_path, f7, monkeypatch, chunk):
         path.write_bytes(bad)
         with pytest.raises(TranscriptError):
             Transcript.open(path, f7)
+
+
+def followed_lines(tr):
+    """What trace_lines gives, from the decoded records: a swap exchanges
+    two lines, and a T or D record writes the line it names first."""
+    kind, a, b, _ = tr.decoded()
+    src, written = list(range(tr.dim)), bytearray(tr.dim)
+    for k, x, y in zip(kind, a, b):
+        if k == ord("S"):
+            src[x], src[y] = src[y], src[x]
+            written[x], written[y] = written[y], written[x]
+        else:
+            written[x] = 1
+    return src, written
+
+
+def run_ops(rng, dim, p):
+    """Records in runs between swaps.  A run writes one line, as nearly
+    every run of a reduction does, or two or three."""
+    ops = []
+    for _ in range(rng.randrange(1, 8)):
+        lines = rng.sample(range(dim), min(dim, rng.choice((1, 1, 2, 3))))
+        for _ in range(rng.randrange(0, 5)):
+            x = rng.choice(lines)
+            if rng.randrange(4):
+                y = rng.choice([y for y in range(dim) if y != x])
+                ops.append(("T", x, y, rng.randrange(1, p)))
+            else:
+                ops.append(("D", x, None, rng.randrange(1, p)))
+        if rng.randrange(3):
+            ops.append(("S", *rng.sample(range(dim), 2), None))
+    return ops
+
+
+# runs writing 1 and 10, 1 and 11, 0 and 11: one line's pattern must not
+# count another's records
+SEVERAL_LINES_OPS = [("T", 1, 0, 2), ("T", 10, 0, 3), ("S", 1, 10, None),
+                     ("T", 1, 2, 4), ("D", 11, None, 5), ("T", 1, 3, 6),
+                     ("S", 0, 1, None), ("T", 11, 3, 1), ("D", 0, None, 3)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 16])
+def test_trace_lines_agrees_with_decode(tmp_path, f7, monkeypatch, chunk):
+    """trace_lines follows the decoded records, at any read chunk size."""
+    monkeypatch.setattr(smithy.transcript, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    path = tmp_path / "t.trn"
+    tr = write_transcript(path, COL, 12, f7, SEVERAL_LINES_OPS)
+    want = ([10, 0, 2, 3, 4, 5, 6, 7, 8, 9, 1, 11], bytearray(b"\1" + b"\0" * 9 + b"\1\1"))
+    assert trace_lines(path, COL, 12, f7) == followed_lines(tr) == want
+    for _ in range(40):
+        dim = rng.randrange(2, 13)
+        tr = write_transcript(path, COL, dim, f7, run_ops(rng, dim, 7))
+        assert trace_lines(path, COL, dim, f7) == followed_lines(tr)
 
 
 def test_out_of_range_records_are_refused(tmp_path, f7):
