@@ -111,9 +111,10 @@ def _parse(body: bytes, ops) -> int:
     return len(kind) - start
 
 
-def _stream(path, spec: FieldSpec | None, consume):
-    """Pass the records of the transcript at path to consume in chunks of
-    whole lines, and return its header as (side, dim, spec).
+def _stream(path, spec: FieldSpec | None, begin):
+    """Pass the records of the transcript at path in chunks of whole lines
+    to the consumer that begin(side, dim, spec), called once the header is
+    read, returns, and return that header.
 
     consume(body) returns the number of records in body.  Their total and
     the CRC-32 of every byte before the trailer must be what the trailer
@@ -133,6 +134,7 @@ def _stream(path, spec: FieldSpec | None, consume):
         file_spec = FieldSpec(p)
         if spec is not None and spec.p != p:
             raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
+        consume = begin(side, dim, file_spec)
         crc = zlib.crc32(header)
         count = 0
         rest = b""
@@ -165,7 +167,7 @@ def _decode(path, spec: FieldSpec | None = None):
     a record's indices and scalar are checked once per array at the end.
     """
     ops = kind, la, lb, val = array("B"), array("I"), array("I"), array("H")
-    side, dim, file_spec = _stream(path, spec, lambda body: _parse(body, ops))
+    side, dim, file_spec = _stream(path, spec, lambda *header: lambda body: _parse(body, ops))
     p = file_spec.p
     if kind and (max(la) >= dim or max(lb) >= dim or max(val) >= p):
         raise TranscriptError("%s: a record exceeds dimension %d or modulus %d"
@@ -193,12 +195,21 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
     but of a record only its kind and the lines it swaps or writes are
     read: append checked the rest when the file was written, and the CRC
     has covered it since.  Between two swaps the written lines form a set,
-    so a run of records that all write one line, as nearly every run of a
-    reduction's transcript does, is checked by counting that line's
-    records in the run instead of matching each one.
+    so a run of records that all write one line, as over 99% of the runs
+    in a torus slice's Q5 do, is checked by counting that line's records
+    in the run instead of matching each one.  The lines are allocated
+    only once the header matches side and dim.
     """
-    src = list(range(dim))
-    written = bytearray(dim)
+    src = written = None
+
+    def begin(file_side: str, file_dim: int, _):
+        nonlocal src, written
+        if (file_side, file_dim) != (side, dim):
+            raise TranscriptError("%s: header says %s %d, expected %s %d"
+                                  % (path, file_side, file_dim, side, dim))
+        src = list(range(dim))
+        written = bytearray(dim)
+        return scan
 
     def line(x: bytes) -> int:
         i = int(x)
@@ -238,10 +249,7 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
             mark(buf, start, len(buf) - 1)
         return body.count(b"\n")
 
-    file_side, file_dim, _ = _stream(path, spec, scan)
-    if (file_side, file_dim) != (side, dim):
-        raise TranscriptError("%s: header says %s %d, expected %s %d"
-                              % (path, file_side, file_dim, side, dim))
+    _stream(path, spec, begin)
     return src, written
 
 

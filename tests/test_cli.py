@@ -331,6 +331,31 @@ def test_reduce_refuses_bad_q5(tmp_path, capsys, damage):
     assert (code, out) == (EXIT_PARSE, "")
 
 
+def test_reduce_refuses_q5_short_of_a_huge_n5(tmp_path, capsys):
+    """meta and the header of d4.sms agree on an n5 far too large to hold a
+    line map for, and q5.trn's header does not: refused by that header
+    before anything of size n5 is allocated."""
+    wd, zfile = f7_workspace(tmp_path, capsys)
+    huge = 10 ** 15
+    meta, d4 = os.path.join(wd, "meta"), os.path.join(wd, "d4.sms")
+    with open(meta) as f:
+        text = f.read()
+    assert "n5: 3\n" in text and "h5: 1\n" in text
+    with open(meta, "w") as f:
+        f.write(text.replace("n5: 3\n", "n5: %d\n" % huge)
+                .replace("h5: 1\n", "h5: %d\n" % (huge - 2)))
+    with open(d4) as f:
+        lines = f.readlines()
+    assert lines[0] == "3 1 7\n"
+    with open(d4, "w") as f:
+        f.writelines(["%d 1 7\n" % huge] + lines[1:])
+    with pytest.raises(smithy.TranscriptError):
+        smithy.load_workspace(wd)
+    code, out, err = run(capsys, "reduce", wd, zfile)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "header says COL 3" in err
+
+
 def test_reduce_closes_its_files(tmp_path, capsys):
     """smithy reduce in dev mode, where a file left open is reported."""
     wd, zfile = f7_workspace(tmp_path, capsys)
