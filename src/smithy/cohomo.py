@@ -19,10 +19,10 @@ coboundary directions and h5 = n5 - rho5 - rho_eta survivors, which is
 the Betti number.  An explicit cocycle basis comes back through the two
 changes of coordinates.  The coefficients of a cocycle y modulo
 coboundaries are the last h5 coordinates of P'^-1 y[tail], a linear map
-R = [0 | I_h5] P'^-1 (row selection by tail) of shape h5 x n5.  A
-workspace builds R when it is made, by one replay of P'^-1, and stacks
-it under dTop; every reduction is then one sparse mat-vec [dTop; R] y,
-whose top n6 rows are the check dTop y = 0.
+R = [0 | I_h5] P'^-1 (row selection by tail) of shape h5 x n5.  Both
+compute_h5 and load_workspace build [dTop; R] as one SparseMatrix, from
+d5.sms and one replay of P'^-1; every reduction is then one sparse
+mat-vec [dTop; R] y, whose top n6 rows are the check dTop y = 0.
 
 Everything the later reduction steps need (dTop, both transcripts, the
 basis, the ranks) is persisted in a work directory so they can run in
@@ -36,7 +36,6 @@ import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress
 
 from .gfp import FieldSpec
 from .reduce import SnfOptions, snf
@@ -54,38 +53,6 @@ class NotAComplexError(ValueError):
 
 class NotACocycleError(ValueError):
     """Vector not in ker dTop."""
-
-
-class PackedMatrix:
-    """A read-only m x n matrix in two typed arrays: column j is
-    entries[ptr[j]:ptr[j + 1]], packed and sorted as in SparseMatrix.
-    cols gives the n columns, each as any iterable of packed entries."""
-
-    __slots__ = ("m", "n", "spec", "entries", "ptr")
-
-    def __init__(self, m: int, n: int, spec: FieldSpec, cols):
-        self.m, self.n, self.spec = m, n, spec
-        self.entries = array("q")
-        self.ptr = array("q", [0])
-        for col in cols:
-            self.entries.extend(col)
-            self.ptr.append(len(self.entries))
-
-    @classmethod
-    def from_sparse(cls, a: SparseMatrix) -> "PackedMatrix":
-        return cls(a.m, a.n, a.spec, a.cols)
-
-    def mat_vec(self, x: list[int]) -> list[int]:
-        """self . x, reduced mod p; visits only the nonzero coordinates of x."""
-        k, mask = self.spec.k, self.spec.mask
-        entries, ptr = self.entries, self.ptr
-        out = [0] * self.m
-        for j in compress(range(self.n), x):
-            xj = x[j]
-            for e in entries[ptr[j]:ptr[j + 1]]:
-                out[e >> k] += (e & mask) * xj
-        p = self.spec.p
-        return [v % p for v in out]
 
 
 @dataclass
@@ -206,7 +173,7 @@ class CohomologyWorkspace:
     rho_eta: int
     h5: int
     h6: int
-    reducer: PackedMatrix  # [dTop; R], see _reducer
+    reducer: SparseMatrix  # [dTop; R], built from d5.sms by _reducer
     basis: SparseMatrix
     workdir: str
 
@@ -214,27 +181,27 @@ class CohomologyWorkspace:
         return self.basis.dense_col(j)
 
 
-def _reducer(d_top: PackedMatrix, tail: array, p_eta: Transcript, h5: int) -> PackedMatrix:
+def _reducer(d_top: SparseMatrix, tail: array, p_eta: Transcript, h5: int) -> SparseMatrix:
     """[dTop; R], (n6 + h5) x n5: R = [0 | I_h5] P_eta^-1 (row selection
-    by tail) takes a cocycle to its coefficients.
+    by tail) takes a cocycle to its coefficients.  d_top is consumed: each
+    of its columns is extended in place by R's, whose rows are all >= n6.
 
     One replay, E P_eta^-1, of the selector E with E[n6 + t, rho_eta + t]
     = 1 (n6 zero rows on top, so R lands in rows n6..); column i of the
     product is column tail[i] of R.  A workspace builds it when it is made
     and only reads it afterwards, so concurrent reductions share it.
     """
-    n6, n5, spec = d_top.m, d_top.n, d_top.spec
+    n6, spec = d_top.m, d_top.spec
     rho_eta = len(tail) - h5
     sel = SparseMatrix(n6 + h5, len(tail), spec)
     for t in range(h5):
         sel.set_col(rho_eta + t, [(n6 + t) << spec.k | 1])
     r = p_eta.apply_mat_right(sel, inverse=True)
-    r_cols = [()] * n5
     for i, col in zip(tail, r.cols):
-        r_cols[i] = col
-    entries, ptr = d_top.entries, d_top.ptr
-    return PackedMatrix(n6 + h5, n5, spec, (
-        chain(entries[ptr[j]:ptr[j + 1]], r_cols[j]) for j in range(n5)))
+        d_top.cols[i] += col
+    d_top.m += h5
+    d_top.nnz += r.nnz
+    return d_top
 
 
 def _meta_path(workdir: str) -> str:
@@ -260,7 +227,8 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     basis must be kept, and only then is eta a row selection of dBottom);
     tau applies to the eta reduction, whose column operations are
     discarded anyway.  The input matrices are written to the work
-    directory up front since snf consumes dTop.
+    directory up front since snf consumes dTop; [dTop; R] is built from
+    d5.sms afterwards, as load_workspace builds it.
 
     The certificate is the exact check dTop.dBottom = 0, run once: up
     front with validate, else after the old meta is removed.  paranoid
@@ -282,7 +250,6 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     if not validate:
         slice_.validate()
 
-    d_top = PackedMatrix.from_sparse(slice_.d_top)
     r5 = snf(slice_.d_top, SnfOptions(
         emit_q=True, q_path=os.path.join(workdir, "q5.trn"), workdir=workdir,
         normalize_pivots=normalize_pivots, paranoid=paranoid))
@@ -317,7 +284,9 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
 
     ws = CohomologyWorkspace(
         n4=n4, n5=n5, n6=n6, rho5=rho5, rho_eta=rho_eta, h5=h5, h6=h6,
-        reducer=_reducer(d_top, tail, r_eta.p, h5), basis=basis, workdir=workdir)
+        reducer=_reducer(read_matrix(os.path.join(workdir, "d5.sms"), spec), tail,
+                         r_eta.p, h5),
+        basis=basis, workdir=workdir)
     _write_meta(ws)
     return ws
 
@@ -351,7 +320,7 @@ def load_workspace(workdir: str) -> CohomologyWorkspace:
     if read_header(os.path.join(workdir, "d4.sms")) != (n5, meta["n4"], spec.p):
         raise ValueError("meta's n4, n5 or p does not match the header of d4.sms")
     tail = _q5_tail(os.path.join(workdir, "q5.trn"), spec, n5, rho5)
-    d_top = PackedMatrix.from_sparse(read_matrix(os.path.join(workdir, "d5.sms"), spec))
+    d_top = read_matrix(os.path.join(workdir, "d5.sms"), spec)
     if (d_top.m, d_top.n) != (meta["n6"], n5):
         raise ValueError("d5.sms does not match meta")
     p_eta = Transcript.open(os.path.join(workdir, "peta.trn"), spec)
@@ -375,8 +344,6 @@ def reduce_cocycle(ws: CohomologyWorkspace, y: list[int]) -> list[int]:
     The rest of Q5.y is the row selection w = y[tail], and the bottom h5
     rows are R y, the last h5 coordinates of P_eta^-1 w.
     """
-    if len(y) != ws.n5:
-        raise ShapeError("vector length %d, expected %d" % (len(y), ws.n5))
     out = ws.reducer.mat_vec(y)
     image = out[:ws.n6]
     if any(image):

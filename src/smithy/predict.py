@@ -249,8 +249,6 @@ class ConjugatePair:
 GAMMA = ConjugatePair(g=1)
 GAMMA_CONJ = ConjugatePair(gc=1)
 
-FAMILIES = ("GenericGL4", "IIa", "IIb", "IV", "IIIa", "IIIb", "Spin")
-
 
 @dataclass(frozen=True)
 class HeckePolynomial:

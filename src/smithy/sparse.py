@@ -19,7 +19,7 @@ all go through its entry parser and writer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 
 from .gfp import FieldSpec
@@ -164,6 +164,18 @@ class SparseMatrix:
         for e in self.cols[j]:
             out[e >> k] = e & mask
         return out
+
+    def mat_vec(self, x: list[int]) -> list[int]:
+        """self . x, reduced mod p; visits only the nonzero coordinates of x."""
+        if len(x) != self.n:
+            raise ShapeError("vector length %d, expected %d" % (len(x), self.n))
+        k, mask, p, cols = self.spec.k, self.spec.mask, self.spec.p, self.cols
+        out = [0] * self.m
+        for j in compress(range(self.n), x):
+            xj = x[j]
+            for e in cols[j]:
+                out[e >> k] += (e & mask) * xj
+        return [v % p for v in out]
 
     def entries(self):
         """Yield (i, j, v) column-major, rows ascending within a column."""

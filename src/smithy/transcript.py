@@ -79,16 +79,17 @@ _S, _T, _D = b"STD"
 _CHUNK = 1 << 16
 
 
-def _parse(body: bytes, ops) -> int:
+def _parse(body: bytes, ops) -> None:
     """Append the records of body, whole lines, to the arrays ops, checking
-    only each record's shape, and return how many there were; a dilation
-    keeps its line in both index slots and a swap has v = 0.  A negative
-    index or scalar does not fit its unsigned array and is refused here."""
+    only each record's shape; a dilation keeps its line in both index
+    slots and a swap has v = 0.  A blank line is refused.  A negative index
+    or scalar does not fit its unsigned array and is refused here."""
     kind, la, lb, val = ops
-    start = len(kind)
     ka, aa, ba, va = kind.append, la.append, lb.append, val.append
+    lines = body.split(b"\n")
+    lines.pop()  # the empty piece after body's final newline
     try:
-        for raw in body.split(b"\n"):
+        for raw in lines:
             parts = raw.split()
             n = len(parts)
             if n == 4 and parts[0] == b"T":
@@ -98,17 +99,14 @@ def _parse(body: bytes, ops) -> int:
             elif n == 3 and parts[0] == b"D":
                 a, v = int(parts[1]), int(parts[2])
                 b = a
-            elif n:
-                raise TranscriptError("unrecognized %r" % raw.strip())
             else:
-                continue
+                raise TranscriptError("unrecognized %r" % raw.strip())
             aa(a)
             ba(b)
             va(v)
             ka(raw[0])
     except (ValueError, OverflowError) as exc:
         raise TranscriptError("record %d: %s" % (len(kind) + 1, exc)) from None
-    return len(kind) - start
 
 
 def _stream(path, spec: FieldSpec | None, begin):
@@ -116,10 +114,12 @@ def _stream(path, spec: FieldSpec | None, begin):
     to the consumer that begin(side, dim, spec), called once the header is
     read, returns, and return that header.
 
-    consume(body) returns the number of records in body.  Their total and
-    the CRC-32 of every byte before the trailer must be what the trailer
-    says, and nothing may follow it.  No record holds an "E", so the first
-    one starts the trailer.  Memory is one chunk, not the file.
+    Each record is one line, so the record count is the number of
+    newlines before the trailer.  That count and the CRC-32 of every byte
+    before the trailer must be what the trailer says, and nothing may
+    follow it.  No record holds an "E", so the first one starts the
+    trailer, and a record that runs into it is refused.  Memory is one
+    chunk, not the file.
     """
     with open(path, "rb") as f:
         header = f.readline()
@@ -148,9 +148,13 @@ def _stream(path, spec: FieldSpec | None, begin):
                                           "never finalized" % path)
                 cut = buf.rfind(b"\n") + 1
             body, rest = buf[:cut], buf[cut:]
+            done = rest.startswith(b"E")
+            if done and body[-1:] not in (b"", b"\n"):
+                raise TranscriptError("%s: a record runs into the trailer" % path)
             crc = zlib.crc32(body, crc)
-            count += consume(body)
-            if rest.startswith(b"E"):
+            count += body.count(b"\n")
+            consume(body)
+            if done:
                 break
         trailer, end, after = (rest + f.readline()).partition(b"\n")
         if trailer + end != b"E %d %d\n" % (count, crc):
@@ -233,9 +237,7 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
                 raise TranscriptError("%s: unrecognized %r" % (path, record))
             written[line(m[1])] = 1
 
-    def scan(body: bytes) -> int:
-        if body[-1:] not in (b"", b"\n"):
-            raise TranscriptError("%s: a record runs into the trailer" % path)
+    def scan(body: bytes) -> None:
         buf = b"\n" + body
         start = 0
         for m in _SWAP.finditer(buf):
@@ -247,7 +249,6 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
             start = m.end()
         if len(buf) - 1 > start:
             mark(buf, start, len(buf) - 1)
-        return body.count(b"\n")
 
     _stream(path, spec, begin)
     return src, written

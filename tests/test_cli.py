@@ -356,16 +356,22 @@ def test_reduce_refuses_q5_short_of_a_huge_n5(tmp_path, capsys):
     assert "header says COL 3" in err
 
 
-def test_reduce_closes_its_files(tmp_path, capsys):
-    """smithy reduce in dev mode, where a file left open is reported."""
-    wd, zfile = f7_workspace(tmp_path, capsys)
+@pytest.mark.parametrize("argv,stdout", [
+    (["cohomology", "d5.sms", "d4.sms", "--workdir", "ws2"],
+     "n5: 3\nrho5: 1\nrhoEta: 1\nh5: 1\nh6: 0\n"),
+    (["reduce", "ws", "z.sms"], "s1: 3\n"),
+], ids=["cohomology", "reduce"])
+def test_reduce_closes_its_files(tmp_path, capsys, argv, stdout):
+    """smithy cohomology and smithy reduce on the files of f7_workspace, in
+    dev mode, where a file left open is reported."""
+    f7_workspace(tmp_path, capsys)
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(smithy.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "smithy.cli",
-         "reduce", wd, zfile], capture_output=True, text=True, env=env, timeout=60)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "s1: 3\n", "")
+         *argv], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, stdout, "")
 
 
 def test_reduce_truncated_transcript(tmp_path, capsys):

@@ -349,7 +349,7 @@ def test_p_eta_is_replayed_once_per_workspace(tmp_path, monkeypatch):
         assert replays == []
         # the bottom h5 rows of [dTop; R] are R: R . basis = I, R . dBottom = 0
         m = ws.reducer
-        assert (loaded.reducer.entries, loaded.reducer.ptr) == (m.entries, m.ptr)
+        assert loaded.reducer == m
         assert (m.m, m.n) == (ws.n6 + ws.h5, ws.n5)
         for j in range(ws.h5):
             assert m.mat_vec(ws.basis_column(j)) == \

@@ -255,6 +255,12 @@ def test_damaged_transcripts_are_refused(tmp_path, f7):
     good = path.read_bytes()
     lines = good.splitlines(keepends=True)
     assert lines[1] == b"T 0 1 3\n"
+
+    def signed(body, count=4):  # body under a trailer with body's CRC-32
+        return body + b"E %d %d\n" % (count, zlib.crc32(body))
+
+    into = b"".join(lines[:-1])[:-1] + b" "
+    blank = b"".join(lines[:2]) + b"\n" + b"".join(lines[2:-1])
     damaged = {
         "record boundary cut": b"".join(lines[:3]),
         "mid-record cut": b"".join(lines[:4]) + lines[4][:4],
@@ -263,12 +269,19 @@ def test_damaged_transcripts_are_refused(tmp_path, f7):
         "bytes after trailer": good + b"S 0 1\n",
         "blank line after trailer": good + b"\n",
         "wrong count": b"".join(lines[:-1]) + lines[-1].replace(b"E 4", b"E 3"),
+        "record running into the trailer": signed(into),
+        "record running into the trailer, left out of the count": signed(into, 3),
+        "blank line left out of the count": signed(blank),
+        "blank line in the count": signed(blank, 5),
     }
     for name, data in damaged.items():
         path.write_bytes(data)
         with pytest.raises(TranscriptError):
             Transcript.open(path, f7)
             pytest.fail("accepted a transcript with a " + name)
+        with pytest.raises(TranscriptError):
+            trace_lines(path, ROW, 3, f7)
+            pytest.fail("traced a transcript with a " + name)
     path.write_bytes(good)
     assert list(Transcript.open(path, f7).records()) == DAMAGE_OPS
 
