@@ -58,6 +58,7 @@ def cmd_snf(args) -> int:
     _emit("m", a.m)
     _emit("n", a.n)
     _emit("rank", res.rank)
+    _emit("searchedPivots", res.searched)
     _emit("nnz", nnz_in)
     _emit("peakActive", max(res.fill_log))
     _emit("workdir", workdir)

@@ -10,11 +10,13 @@ The reduction loop, for pivot index c starting at 0:
   3. pick the active nonzero minimizing the Markowitz count
      (r_i - 1)(c_j - 1) over the whole region, ties to the smallest
      physical row (the row's index in the input), then the smallest
-     column, and swap its column to c.  The search does not scan: each
-     column caches its own minimum in a heap, rescanned only when the
-     column is merged or swapped, or the minimum's row gets a higher count
-     or loses its entry; other count changes and entry deletions update it
-     in O(1), and row swaps leave it alone (see _Engine);
+     column, and swap its column to c.  The search does not scan.  An
+     entry of cost 0 (alone in its column or in its row) wins first, from
+     a heap of its own.  Only when there is none does the key search run:
+     each column caches its own minimum in a heap, rescanned only when the
+     column is edited or swapped or the minimum's row gets a higher count;
+     other count changes update it in O(1), and row swaps leave it alone
+     (see _Engine);
   4. clear the pivot row with column transvections; against a pivot column
      holding only the pivot, each just deletes one entry, with no merge.
      Then swap the pivot row up to row c: it holds only column c now;
@@ -84,6 +86,7 @@ class HnfStats:
 @dataclass
 class SnfResult:
     rank: int
+    searched: int  # pivots the key search chose; the other rank - searched had cost 0
     diag: list[int]
     p: Transcript | None
     q: Transcript | None
@@ -105,19 +108,20 @@ class _Engine:
     minimum (cost, physical row, j) packed as (cost*m + pr)*n + j, in a
     heap with lazy deletion; key // n % m is the argmin's physical row, so
     row swaps leave every key as it is.  set_col marks its column and the
-    rows it adds or drops dirty, swap_cols both columns; find_pivot
-    rescans the dirty columns and refreshes the other columns of each
-    dirty row from that row's own cost in O(1), rescanning one only if its
-    argmin row got worse.  clear_row's singleton path marks a column dirty
-    only if its argmin row lost its entry, and otherwise scales the key
-    down to the shorter column in O(1) and pushes it.  Such an update of a
-    column already due a rescan reads a stale key, but only leaves a heap
-    entry that find_pivot discards.
+    rows it adds or drops dirty, swap_cols both columns, and clear_row's
+    singleton path each column it deletes from.  _flush rescans the dirty
+    columns and refreshes the other columns of each dirty row from that
+    row's own cost in O(1), rescanning one only if its argmin row got worse.
+
+    A second heap, zero, holds pr * n + j for every active entry of cost 0
+    (its column holds one entry or its row one column), also with lazy
+    deletion: each edit pushes the entries it may leave at cost 0.  Only
+    when zero holds no live entry does find_pivot flush the keys.
     """
 
     __slots__ = (
-        "mat", "spec", "p", "k", "mask", "m", "n", "cols", "rows_pat",
-        "phys_of", "cur_of", "total", "c", "key", "heap", "dirty_cols", "dirty_rows",
+        "mat", "spec", "p", "k", "mask", "m", "n", "cols", "rows_pat", "phys_of", "cur_of",
+        "total", "c", "key", "heap", "zero", "dirty_cols", "dirty_rows", "searched",
     )
 
     def __init__(self, mat: SparseMatrix):
@@ -141,27 +145,30 @@ class _Engine:
         self.c = 0
         self.key = [-1] * mat.n  # -1: no entry
         self.heap: list[int] = []
+        self.zero = [(e >> k) * mat.n + j for j, col in enumerate(mat.cols) for e in col
+                     if len(col) == 1 or len(rows_pat[e >> k]) == 1]
+        heapify(self.zero)
         self.dirty_cols = set(range(mat.n))
         self.dirty_rows: set[int] = set()
+        self.searched = 0
 
     # -- bookkeeping -------------------------------------------------------
 
     def set_col(self, j: int, new: list[int]) -> None:
         old = self.cols[j]
-        k = self.k
-        pat = self.rows_pat
-        dirty = self.dirty_rows
+        k, n, pat, zero = self.k, self.n, self.rows_pat, self.zero
+        moved = []  # rows that gain or lose column j
         a = b = 0
         na, nb = len(old), len(new)
         while a < na and b < nb:
             ra, rb = old[a] >> k, new[b] >> k
             if ra < rb:
                 pat[ra].discard(j)
-                dirty.add(ra)
+                moved.append(ra)
                 a += 1
             elif ra > rb:
                 pat[rb].add(j)
-                dirty.add(rb)
+                moved.append(rb)
                 b += 1
             else:
                 a += 1
@@ -169,13 +176,19 @@ class _Engine:
         while a < na:
             ra = old[a] >> k
             pat[ra].discard(j)
-            dirty.add(ra)
+            moved.append(ra)
             a += 1
         while b < nb:
             rb = new[b] >> k
             pat[rb].add(j)
-            dirty.add(rb)
+            moved.append(rb)
             b += 1
+        for r in moved:
+            if len(pat[r]) == 1:
+                heappush(zero, r * n + next(iter(pat[r])))
+        if nb == 1:
+            heappush(zero, (new[0] >> k) * n + j)
+        self.dirty_rows.update(moved)
         self.dirty_cols.add(j)
         self.total += nb - na
         self.cols[j] = new
@@ -188,11 +201,16 @@ class _Engine:
         self.cur_of[pa], self.cur_of[pb] = b, a
 
     def swap_cols(self, a: int, b: int) -> None:
-        k, pat = self.k, self.rows_pat
+        k, n, cols, pat, zero = self.k, self.n, self.cols, self.rows_pat, self.zero
         # a row holding exactly one of the two columns trades it for the other
-        for r in {e >> k for e in self.cols[a]} ^ {e >> k for e in self.cols[b]}:
+        for r in {e >> k for e in cols[a]} ^ {e >> k for e in cols[b]}:
             pat[r] ^= {a, b}
-        self.cols[a], self.cols[b] = self.cols[b], self.cols[a]
+            if len(pat[r]) == 1:
+                heappush(zero, r * n + next(iter(pat[r])))
+        cols[a], cols[b] = cols[b], cols[a]
+        for j in (a, b):
+            if len(cols[j]) == 1:
+                heappush(zero, (cols[j][0] >> k) * n + j)
         self.dirty_cols.update((a, b))
 
     def scale_row_values(self, pr: int, u: int) -> None:
@@ -208,8 +226,7 @@ class _Engine:
         s = a[pr, j2] * dinv); return the (j2, s) in increasing j2.  Against
         a singleton pivot column j2 just loses its row-pr entry, deleted in
         place (snf's caller gives up the matrix), and counts update once."""
-        k, p, mask, m, n, cols = self.k, self.p, self.mask, self.m, self.n, self.cols
-        key, heap, pat = self.key, self.heap, self.rows_pat
+        k, p, mask, n, cols, pat = self.k, self.p, self.mask, self.n, self.cols, self.rows_pat
         piv = cols[c]
         single = len(piv) == 1
         ops = []
@@ -223,16 +240,9 @@ class _Engine:
                 self.set_col(j2, axpy(col, piv, p - s, self.spec))
                 continue
             del col[idx]
-            kj = key[j2]
-            i = kj // n % m
-            if i == pr:  # pr was j2's argmin
-                self.dirty_cols.add(j2)
-                continue
-            # the argmin stays, its cost scaled down to the shorter column
-            new = ((len(pat[i]) - 1) * (len(col) - 1) * m + i) * n + j2
-            if new != kj:
-                key[j2] = new
-                heappush(heap, new)
+            self.dirty_cols.add(j2)
+            if len(col) == 1:
+                heappush(self.zero, (col[0] >> k) * n + j2)
         if single:
             # pr is left only in the finished column c: no live key reads it
             self.total -= len(ops)
@@ -262,19 +272,13 @@ class _Engine:
                 if new >= 0:
                     heappush(heap, new)
 
-    def find_pivot(self) -> tuple[int, int] | None:
-        """Exact Markowitz minimum (r_i - 1)(c_j - 1) over the active
-        columns, ties to the smallest physical row, then column; returns
-        (physical row, column).
-
-        Rescans each dirty column, then refreshes the other columns in a
+    def _flush(self) -> None:
+        """Rescan each dirty column, then refresh the other columns in a
         dirty row's pattern from that row's own cost v alone: v below the
         key becomes the key; a key whose argmin is that row and whose cost
         changed is rescanned; any other key stands, since the rows not
-        dirty kept their costs.  Changed keys are pushed.  It then pops
-        heap entries that are stale or belong to a finished column (j < c).
-        The heap is rebuilt from the live keys once it outgrows 2(n - c).
-        """
+        dirty kept their costs.  Changed keys are pushed, and the heap is
+        rebuilt from the live keys once it outgrows 2(n - c)."""
         c, m, n = self.c, self.m, self.n
         cols, pat, key, heap = self.cols, self.rows_pat, self.key, self.heap
         todo = self.dirty_cols
@@ -297,11 +301,31 @@ class _Engine:
         if len(heap) > 2 * (n - c):
             heap[:] = [kj for kj in key[c:] if kj >= 0]
             heapify(heap)
+
+    def find_pivot(self) -> tuple[int, int] | None:
+        """Exact Markowitz minimum (r_i - 1)(c_j - 1) over the active
+        columns, ties to the smallest physical row, then column; returns
+        (physical row, column).
+
+        zero's first live top, pr * n + j being the main key at cost 0, is
+        the exact pivot, tie-break included; stale tops (j < c, the entry
+        gone or of cost > 0) are popped.  With no live top it flushes the
+        keys and pops the main heap's stale or finished (j < c) entries.
+        """
+        c, n, cols, pat, zero = self.c, self.n, self.cols, self.rows_pat, self.zero
+        while zero:
+            pr, j = divmod(zero[0], n)
+            if j >= c and j in pat[pr] and (len(pat[pr]) == 1 or len(cols[j]) == 1):
+                return (pr, j)
+            heappop(zero)
+        self._flush()
+        key, heap = self.key, self.heap
         while heap:
             top = heap[0]
             j = top % n
             if j >= c and key[j] == top:
-                return (top // n % m, j)
+                self.searched += 1
+                return (top // n % self.m, j)
             heappop(heap)
         return None
 
@@ -317,8 +341,9 @@ class _Engine:
         return (best[1], best[2]) if best else None
 
     def recheck(self) -> None:
-        """Check the pattern, the permutation and, after a flush, every
-        live column's cached key against a fresh scan; paranoid mode only."""
+        """Check the pattern, the permutation, that zero holds every active
+        cost-0 entry and, after a flush, every live column's cached key
+        against a fresh scan; paranoid mode only."""
         total = 0
         for j, col in enumerate(self.cols):
             prev = -1
@@ -331,13 +356,16 @@ class _Engine:
                 total += 1
         assert sum(map(len, self.rows_pat)) == total == self.total
         assert all(self.cur_of[pr] == i for i, pr in enumerate(self.phys_of))
-        self.find_pivot()  # flush the dirty state
-        live = set(self.heap)
+        self._flush()
+        live, zero = set(self.heap), set(self.zero)
         for j in range(self.c, self.n):
             col = self.cols[j]
             if not col:
                 assert self.key[j] == -1
                 continue
+            for e in col:
+                pr = e >> self.k
+                assert (len(self.rows_pat[pr]) > 1 and len(col) > 1) or pr * self.n + j in zero
             cost, i, _ = min(((len(self.rows_pat[e >> self.k]) - 1) * (len(col) - 1),
                               e >> self.k, j) for e in col)
             assert self.key[j] == (cost * self.m + i) * self.n + j
@@ -595,6 +623,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             fill_file.close()
     return SnfResult(
         rank=len(diag),
+        searched=eng.searched,
         diag=diag,
         p=p_tr,
         q=q_tr,

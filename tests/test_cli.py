@@ -54,6 +54,7 @@ def test_snf_fixture(tmp_path, capsys):
     assert rep["rank"] == str(FIXTURE_RANK)
     assert rep["nnz"] == "86"
     assert int(rep["peakActive"]) >= 86
+    assert rep["searchedPivots"] == str(smithy.snf(smithy.read_matrix(FIXTURE)).searched)
     assert os.path.exists(os.path.join(wd, "d.sms"))
     assert os.path.exists(rep["pTranscript"])
     assert os.path.exists(rep["qTranscript"])

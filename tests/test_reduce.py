@@ -187,6 +187,7 @@ def test_circulant_transcripts_are_pinned(tmp_path):
     rows = tie_heavy(7)[1]
     a, res = run_snf(rows, 7, tmp_path, "circ")
     assert res.rank == 16
+    assert 0 < res.searched < res.rank  # both the cost-0 lane and the key search pick
     for tr, want in (
             (res.p, "3ad26098bc7e4d1ccf21caca104ac0268e037750385ebb526c39b6fa55d20add"),
             (res.q, "d6d9f721d80bceb8c8f77a85d80a306adf68b03d191ce93b9753e0c958d8b1ac")):
@@ -226,10 +227,23 @@ def test_skinny_transcripts_are_pinned(tmp_path, normalize):
     res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path),
                             normalize_pivots=normalize))
     assert res.rank == 300
+    assert res.searched == 0  # every pivot has Markowitz cost 0
     for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[normalize]):
         with open(tr.path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == want
     assert replay(res, a).to_dense() == rows
+
+
+def test_skinny_cost_zero_pivots_paranoid(tmp_path):
+    """The pinned skinny input under paranoid checks: each of its 300
+    cost-0 pivots, taken from the cost-0 heap, is checked against the
+    reference scan, and the transcripts are the pinned ones."""
+    a = skinny(51, 300, 12379)
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path), paranoid=True))
+    assert (res.rank, res.searched) == (300, 0)
+    for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[False]):
+        with open(tr.path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == want
 
 
 def test_clear_row_refuses_a_drifted_pattern(f7):
