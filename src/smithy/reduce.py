@@ -32,8 +32,10 @@ requested, and replaying them against the diagonal restores the input.
 The engine (_Engine) is the one owner of the pivoting bookkeeping: it
 builds the row pattern (per row, the set of columns holding an entry of
 that row) from the matrix's columns on entry, keeps the pivot keys, and
-every column edit during the reduction goes through it.  The matrix itself
-keeps only columns and its nonzero total.
+every column edit during the reduction goes through it, the disk
+echelon's included: the echelon set lives in the engine's columns, and
+the row pattern finds the vectors a new echelon pivot clears.  The matrix
+itself keeps only columns and its nonzero total.
 
 Rows are never physically moved: the engine keeps a row permutation and
 stores entries under stable physical ids, which the pivot search and its
@@ -384,82 +386,42 @@ class _Engine:
 
 def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStats:
     """Spill the active region, reduce it to fully reduced column-echelon
-    form streaming one column at a time, and write the result back with
+    form streaming one column at a time, and leave it in the engine with
     echelon columns first (ascending pivot row) and zero columns after.
 
-    Memory holds only the accumulated echelon set, whose size stays small
-    when the region has low co-rank.  The spill is in sparse.py's text
-    format and is read back with read_matrix's checks: a spill that ends
-    before its terminator, or holds a malformed line, an index or value
-    outside the region, a repeated row or a column run out of order, raises
-    MatrixFormatError.  The spill is removed on success, kept on failure.
+    Each absorbed vector stays in the engine column it was read into, in
+    physical rows, so the row pattern finds the vectors a new pivot row
+    clears.  Besides that the pass keeps one dict, pivot row -> (column,
+    1 / pivot): reducing a vector of a fully reduced set by another leaves
+    its values on the other pivot rows as they were.  Memory holds only
+    the echelon set, small when the region has low co-rank.  The spill is
+    in sparse.py's text format and is read back with read_matrix's checks:
+    a spill that ends before its terminator, or holds a malformed line, an
+    index or value outside the region, a repeated row or a column run out
+    of order, raises MatrixFormatError.  The spill is removed on success,
+    kept on failure.
     """
     spec = eng.spec
-    p, k = eng.p, eng.k
-    c = eng.c
+    p, k, mask = eng.p, eng.k, eng.mask
+    c, cols, phys_of, cur_of = eng.c, eng.cols, eng.phys_of, eng.cur_of
     m_loc = eng.m - c
     n_loc = eng.n - c
     os.makedirs(spill_dir, exist_ok=True)
     fd, spill = tempfile.mkstemp(prefix="spill-", suffix=".sms", dir=spill_dir)
-    streamed = [j for j in range(c, eng.n) if eng.cols[j]]
+    streamed = [j for j in range(c, eng.n) if cols[j]]
 
     def region():
         for j in range(c, eng.n):
-            for i_cur, v in sorted((eng.cur_of[e >> k], e & eng.mask) for e in eng.cols[j]):
+            for i_cur, v in sorted((cur_of[e >> k], e & mask) for e in cols[j]):
                 yield i_cur - c, j - c, v
 
     with os.fdopen(fd, "w", newline="\n") as f:
         _write_entries(f, m_loc, n_loc, p, region())
     for j in streamed:
         eng.set_col(j, [])
-
-    # echelon state, all in 0-based local coordinates
-    ech_vec: list[list[int]] = []  # packed local columns
-    ech_piv: list[int] = []  # owned pivot row of each echelon column
-    ech_col: list[int] = []  # global column where the ops left it
-    piv_owner: dict[int, int] = {}
-    row_hits: dict[int, set[int]] = {}  # local row -> echelon indices
+    base = eng.total
+    owner: dict[int, tuple[int, int]] = {}  # physical pivot row -> (column, 1 / pivot)
     peak = 0
-
-    def vec_value(vec: list[int], r: int) -> int:
-        idx = bisect_left(vec, r << k)
-        return vec[idx] & eng.mask if idx < len(vec) and vec[idx] >> k == r else 0
-
-    def absorb(j_loc: int, y: list[int]) -> None:
-        nonlocal peak
-        gcol = c + j_loc - 1
-        hits = [e >> k for e in y if e >> k in piv_owner]
-        for r in hits:
-            idx = piv_owner[r]
-            coeff = vec_value(y, r) * spec.inv(vec_value(ech_vec[idx], r)) % p
-            y = axpy(y, ech_vec[idx], p - coeff, spec)
-            if q is not None:
-                q.append(("T", ech_col[idx], gcol, coeff))
-        if not y:
-            return
-        pivr = y[0] >> k
-        mine = len(ech_vec)
-        y_inv = spec.inv(y[0] & eng.mask)
-        for idx in sorted(row_hits.get(pivr, ())):
-            vec = ech_vec[idx]
-            coeff = vec_value(vec, pivr) * y_inv % p
-            new = axpy(vec, y, p - coeff, spec)
-            old_rows = set(e >> k for e in vec)
-            new_rows = set(e >> k for e in new)
-            for r in old_rows - new_rows:
-                row_hits[r].discard(idx)
-            for r in new_rows - old_rows:
-                row_hits.setdefault(r, set()).add(idx)
-            ech_vec[idx] = new
-            if q is not None:
-                q.append(("T", gcol, ech_col[idx], coeff))
-        ech_vec.append(y)
-        ech_piv.append(pivr)
-        ech_col.append(gcol)
-        piv_owner[pivr] = mine
-        for e in y:
-            row_hits.setdefault(e >> k, set()).add(mine)
-        peak = max(peak, sum(len(v) for v in ech_vec))
 
     with open(spill, "rb") as f:
         entries = _read_entries(f)
@@ -472,45 +434,50 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
             if j_loc <= last:
                 raise MatrixFormatError(run[0][0], "column %d after column %d" % (j_loc, last))
             last = j_loc
-            absorb(j_loc, _add_entries([], run, k))
+            gcol = c + j_loc - 1
+            y = sorted(phys_of[c + (e >> k)] << k | (e & mask) for e in _add_entries([], run, k))
+            # y's value on a pivot row changes only when that row's vector
+            # is taken out, so each coefficient comes from the y as read
+            for _, e in sorted((cur_of[e >> k], e) for e in y if e >> k in owner):
+                j, inv = owner[e >> k]
+                coeff = (e & mask) * inv % p
+                y = axpy(y, cols[j], p - coeff, spec)
+                if q is not None:
+                    q.append(("T", j, gcol, coeff))
+            if not y:
+                continue
+            lead = min(y, key=lambda e: cur_of[e >> k])
+            pivr = lead >> k
+            y_inv = spec.inv(lead & mask)
+            for j in sorted(j for j in eng.rows_pat[pivr] if j >= c):
+                vec = cols[j]
+                coeff = (vec[bisect_left(vec, pivr << k)] & mask) * y_inv % p
+                eng.set_col(j, axpy(vec, y, p - coeff, spec))
+                if q is not None:
+                    q.append(("T", gcol, j, coeff))
+            eng.set_col(gcol, y)
+            owner[pivr] = (gcol, y_inv)
+            peak = max(peak, eng.total - base)
 
-    # ordering permutation: echelon columns by ascending pivot row,
-    # zero columns after; emitted as explicit swaps
-    order = sorted(range(len(ech_vec)), key=lambda t: ech_piv[t])
-    occupant = {ech_col[idx] - c: idx for idx in range(len(ech_vec))}
-    where = {idx: ech_col[idx] - c for idx in range(len(ech_vec))}
-    for t, idx in enumerate(order):
-        src = where[idx]
-        if src == t:
+    # echelon columns by ascending pivot row, zero columns after, as
+    # explicit swaps; a vector's one entry on a pivot row names it
+    for t, pivr in enumerate(sorted(owner, key=cur_of.__getitem__), c):
+        j = owner[pivr][0]
+        if j == t:
             continue
-        other = occupant.get(t)
-        occupant[t] = idx
-        where[idx] = t
-        if other is not None:
-            occupant[src] = other
-            where[other] = src
-        else:
-            del occupant[src]
+        moved = next((e >> k for e in cols[t] if e >> k in owner), None)
+        if moved is not None:
+            owner[moved] = (j, owner[moved][1])
         if q is not None:
-            q.append(("S", c + t, c + src, None))
-        eng.swap_cols(c + t, c + src)  # both empty
-
-    phys_of = eng.phys_of
-    final_nnz = 0
-    for t, idx in enumerate(order):
-        vec = ech_vec[idx]
-        final_nnz += len(vec)
-        packed = sorted(
-            phys_of[(e >> k) + c] << k | (e & eng.mask) for e in vec
-        )
-        eng.set_col(c + t, packed)
+            q.append(("S", t, j, None))
+        eng.swap_cols(t, j)
     os.unlink(spill)
     return HnfStats(
         pivot_index=c,
         columns_streamed=len(streamed),
-        echelon_columns=len(ech_vec),
+        echelon_columns=len(owner),
         peak_echelon_nnz=peak,
-        final_echelon_nnz=final_nnz,
+        final_echelon_nnz=eng.total - base,
         spill_path=spill,
     )
 

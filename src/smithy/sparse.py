@@ -267,7 +267,8 @@ def _read_entries(f):
     """Yield the header as (line_no, m, n, p), then each entry up to the
     terminator as (line_no, i, j, v), 1-based, with (i, j) inside m x n and
     0 < v < p.  Blank lines are skipped; f may be text or binary.  Anything
-    else, or a missing terminator, raises MatrixFormatError."""
+    else, a negative m or n, or a missing terminator, raises
+    MatrixFormatError."""
     line_no = 0
     lines = enumerate(f, 1)
     for line_no, line in lines:
@@ -282,6 +283,8 @@ def _read_entries(f):
         m, n, p = map(int, header)
     except ValueError:
         raise MatrixFormatError(line_no, "non-integer header field") from None
+    if m < 0 or n < 0:
+        raise MatrixFormatError(line_no, "negative dimension in header")
     yield line_no, m, n, p
     for line_no, line in lines:
         parts = line.split()

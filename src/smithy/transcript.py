@@ -130,7 +130,9 @@ def _stream(path, spec: FieldSpec | None, begin):
         try:
             dim, p = int(parts[1]), int(parts[2])
         except ValueError:
-            raise TranscriptError("bad header %r" % header) from None
+            dim = -1  # refused with the negative ones
+        if dim < 0:
+            raise TranscriptError("bad header %r" % header)
         file_spec = FieldSpec(p)
         if spec is not None and spec.p != p:
             raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))

@@ -116,6 +116,12 @@ def test_snf_malformed_matrix(tmp_path, capsys):
                        "--workdir", str(tmp_path / "wd"))
     assert code == 3
     assert "line 2" in err
+    # a negative dimension is the header's parse error, not a shape error
+    bad.write_text("-1 2 7\n0 0 0\n")
+    code, _, err = run(capsys, "snf", str(bad),
+                       "--workdir", str(tmp_path / "wd"))
+    assert code == 3
+    assert "line 1: negative dimension" in err
 
 
 def test_cohomology_and_reduce_workflow(tmp_path, capsys):
@@ -361,10 +367,14 @@ def test_reduce_refuses_q5_short_of_a_huge_n5(tmp_path, capsys):
     (["cohomology", "d5.sms", "d4.sms", "--workdir", "ws2"],
      "n5: 3\nrho5: 1\nrhoEta: 1\nh5: 1\nh6: 0\n"),
     (["reduce", "ws", "z.sms"], "s1: 3\n"),
-], ids=["cohomology", "reduce"])
+    (["snf", "d5.sms", "--tau", "0", "--emit-q", "--workdir", "sw"],
+     "m: 1\nn: 3\nrank: 1\nsearchedPivots: 0\nnnz: 2\npeakActive: 1\nworkdir: sw\n"
+     "qTranscript: sw/q.trn\ndiskEchelonAt: 0\n"),
+], ids=["cohomology", "reduce", "snf-spill"])
 def test_reduce_closes_its_files(tmp_path, capsys, argv, stdout):
-    """smithy cohomology and smithy reduce on the files of f7_workspace, in
-    dev mode, where a file left open is reported."""
+    """smithy cohomology, smithy reduce and smithy snf through the disk
+    echelon (its spill written and read back) on the files of f7_workspace,
+    in dev mode, where a file left open is reported."""
     f7_workspace(tmp_path, capsys)
     env = dict(os.environ)
     pkg_root = os.path.dirname(os.path.dirname(smithy.__file__))

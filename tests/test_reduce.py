@@ -196,6 +196,38 @@ def test_circulant_transcripts_are_pinned(tmp_path):
     assert replay(res, a).to_dense() == rows
 
 
+# The disk echelon pass entered at pivot 0 (the fixture at tau 0) and after
+# three pivots (tie_heavy(7)'s circulant at tau 68, its peak fill): every
+# HnfStats field but spill_path, and the SHA-256 of p.trn and q.trn, all
+# recorded before the echelon's vectors moved into the engine's columns
+ECHELON_PASSES = {
+    "fixture-tau0": (dict(pivot_index=0, columns_streamed=35, echelon_columns=29,
+                          peak_echelon_nnz=71, final_echelon_nnz=29),
+                     FIXTURE_TRANSCRIPTS["tau0"][1:]),
+    "circulant-mid-run": (
+        dict(pivot_index=3, columns_streamed=13, echelon_columns=13,
+             peak_echelon_nnz=42, final_echelon_nnz=13),
+        ("2a742e04ccb9e9cb6d0aaf7592f1b9a1a913173b7ab4ef9fd84ec0976ebf2b97",
+         "db43ca212f00775775642d55ef947201df72e6bab964257a13c41fcf02753df5")),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(ECHELON_PASSES))
+def test_echelon_passes_are_pinned(tmp_path, tag):
+    stats, shas = ECHELON_PASSES[tag]
+    if tag == "fixture-tau0":
+        a, tau = read_matrix(FIXTURE), 0
+    else:
+        a, tau = SparseMatrix.from_dense(tie_heavy(7)[1], FieldSpec(7)), 68
+    rows = a.to_dense()
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True, tau=tau, workdir=str(tmp_path)))
+    assert vars(res.hnf_stats) == dict(stats, spill_path=res.hnf_stats.spill_path)
+    for tr, want in zip((res.p, res.q), shas):
+        with open(tr.path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == want
+    assert replay(res, a).to_dense() == rows
+
+
 def skinny(seed, m, p):
     """A seeded m x 3m matrix with 1-6 entries per column, the shape of
     the benchmark's skinny workload."""

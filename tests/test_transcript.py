@@ -147,6 +147,10 @@ def test_open_errors(tmp_path, f7):
     bad.write_text("XYZ 3 7\n")
     with pytest.raises(TranscriptError):
         Transcript.open(bad)
+    # a negative dimension, under a trailer that matches
+    bad.write_bytes(b"ROW -3 7\nE 0 %d\n" % zlib.crc32(b"ROW -3 7\n"))
+    with pytest.raises(TranscriptError, match="bad header"):
+        Transcript.open(bad)
     bad.write_text("ROW 3 7\nK 1 2\n")
     with pytest.raises(TranscriptError):
         list(Transcript.open(bad).records())
