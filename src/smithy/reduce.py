@@ -30,12 +30,12 @@ that diagonal; the row and column operations stream to transcripts when
 requested, and replaying them against the diagonal restores the input.
 
 The engine (_Engine) is the one owner of the pivoting bookkeeping: it
-builds the row pattern (per row, the set of columns holding an entry of
-that row) from the matrix's columns on entry, keeps the pivot keys, and
-every column edit during the reduction goes through it, the disk
-echelon's included: the echelon set lives in the engine's columns, and
-the row pattern finds the vectors a new echelon pivot clears.  The matrix
-itself keeps only columns and its nonzero total.
+builds the row pattern (per row, the sorted list of columns holding an
+entry of that row) from the matrix's columns on entry, keeps the pivot
+keys, and every column edit during the reduction goes through it, the
+disk echelon's included: the echelon set lives in the engine's columns,
+and the row pattern finds the vectors a new echelon pivot clears.  The
+matrix itself keeps only columns and its nonzero total.
 
 Rows are never physically moved: the engine keeps a row permutation and
 stores entries under stable physical ids, which the pivot search and its
@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import os
 import tempfile
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import groupby
@@ -105,15 +106,18 @@ class _Engine:
     (so clear_row and scale_row_values edit its column lists in place),
     and alone keeps the row pattern and the pivot keys that pivoting reads.
 
-    A row's count is the size of its pattern and a column's the length of
-    its list.  Each column j >= c with entries has a cached key, its
-    minimum (cost, physical row, j) packed as (cost*m + pr)*n + j, in a
-    heap with lazy deletion; key // n % m is the argmin's physical row, so
-    row swaps leave every key as it is.  set_col marks its column and the
-    rows it adds or drops dirty, swap_cols both columns, and clear_row's
-    singleton path each column it deletes from.  _flush rescans the dirty
-    columns and refreshes the other columns of each dirty row from that
-    row's own cost in O(1), rescanning one only if its argmin row got worse.
+    A row's pattern is the strictly increasing list of its columns, and its
+    count the pattern's length; a column's count is the length of its list.
+    Each column j >= c with entries has a cached key, its minimum
+    (cost, physical row, j) packed as (cost*m + pr)*n + j, in a heap with
+    lazy deletion; key // n % m is the argmin's physical row, so row swaps
+    leave every key as it is.  The keys stay a list, as the packed key can
+    pass 2^63 at 20M nonzeros; the first flush builds them.  set_col marks
+    its column and the rows it adds or drops dirty, swap_cols both columns,
+    and clear_row's singleton path each column it deletes from.  _flush
+    rescans the dirty columns and refreshes the other columns of each dirty
+    row from that row's own cost in O(1), rescanning one only if its argmin
+    row got worse.
 
     A second heap, zero, holds pr * n + j for every active entry of cost 0
     (its column holds one entry or its row one column), also with lazy
@@ -135,22 +139,22 @@ class _Engine:
         self.m = mat.m
         self.n = mat.n
         self.cols = mat.cols
-        k = self.k
-        rows_pat: list[set[int]] = [set() for _ in range(mat.m)]
+        k, n = self.k, mat.n
+        rows_pat: list[list[int]] = [[] for _ in range(mat.m)]
         for j, col in enumerate(mat.cols):
             for e in col:
-                rows_pat[e >> k].add(j)
+                rows_pat[e >> k].append(j)
         self.rows_pat = rows_pat
-        self.phys_of = list(range(mat.m))
-        self.cur_of = list(range(mat.m))
+        self.phys_of = array("I", range(mat.m))
+        self.cur_of = array("I", range(mat.m))
         self.total = mat.nnz
         self.c = 0
-        self.key = [-1] * mat.n  # -1: no entry
+        self.key: list[int] = []  # per column, -1: no entry; filled by the first _flush
         self.heap: list[int] = []
-        self.zero = [(e >> k) * mat.n + j for j, col in enumerate(mat.cols) for e in col
-                     if len(col) == 1 or len(rows_pat[e >> k]) == 1]
+        self.zero = [(col[0] >> k) * n + j for j, col in enumerate(mat.cols) if len(col) == 1]
+        self.zero += [pr * n + row[0] for pr, row in enumerate(rows_pat) if len(row) == 1]
         heapify(self.zero)
-        self.dirty_cols = set(range(mat.n))
+        self.dirty_cols: set[int] = set()
         self.dirty_rows: set[int] = set()
         self.searched = 0
 
@@ -165,11 +169,12 @@ class _Engine:
         while a < na and b < nb:
             ra, rb = old[a] >> k, new[b] >> k
             if ra < rb:
-                pat[ra].discard(j)
+                row = pat[ra]
+                del row[bisect_left(row, j)]
                 moved.append(ra)
                 a += 1
             elif ra > rb:
-                pat[rb].add(j)
+                insort(pat[rb], j)
                 moved.append(rb)
                 b += 1
             else:
@@ -177,17 +182,18 @@ class _Engine:
                 b += 1
         while a < na:
             ra = old[a] >> k
-            pat[ra].discard(j)
+            row = pat[ra]
+            del row[bisect_left(row, j)]
             moved.append(ra)
             a += 1
         while b < nb:
             rb = new[b] >> k
-            pat[rb].add(j)
+            insort(pat[rb], j)
             moved.append(rb)
             b += 1
         for r in moved:
             if len(pat[r]) == 1:
-                heappush(zero, r * n + next(iter(pat[r])))
+                heappush(zero, r * n + pat[r][0])
         if nb == 1:
             heappush(zero, (new[0] >> k) * n + j)
         self.dirty_rows.update(moved)
@@ -205,10 +211,14 @@ class _Engine:
     def swap_cols(self, a: int, b: int) -> None:
         k, n, cols, pat, zero = self.k, self.n, self.cols, self.rows_pat, self.zero
         # a row holding exactly one of the two columns trades it for the other
-        for r in {e >> k for e in cols[a]} ^ {e >> k for e in cols[b]}:
-            pat[r] ^= {a, b}
-            if len(pat[r]) == 1:
-                heappush(zero, r * n + next(iter(pat[r])))
+        in_a, in_b = {e >> k for e in cols[a]}, {e >> k for e in cols[b]}
+        for rows, old, new in ((in_a - in_b, a, b), (in_b - in_a, b, a)):
+            for r in rows:
+                row = pat[r]
+                del row[bisect_left(row, old)]
+                insort(row, new)
+                if len(row) == 1:
+                    heappush(zero, r * n + new)
         cols[a], cols[b] = cols[b], cols[a]
         for j in (a, b):
             if len(cols[j]) == 1:
@@ -227,14 +237,18 @@ class _Engine:
         """Clear row pr outside the pivot column c (column j2 -= s * column c,
         s = a[pr, j2] * dinv); return the (j2, s) in increasing j2.  Against
         a singleton pivot column j2 just loses its row-pr entry, deleted in
-        place (snf's caller gives up the matrix), and counts update once."""
+        place (snf's caller gives up the matrix), and counts update once.
+        Row pr holds no finished column, so c leads its pattern."""
         k, p, mask, n, cols, pat = self.k, self.p, self.mask, self.n, self.cols, self.rows_pat
         piv = cols[c]
         single = len(piv) == 1
         ops = []
-        for j2 in sorted(pat[pr] - {c}):
+        row = pat[pr]
+        assert row[0] == c, "pivot row holds a finished column"
+        lo = pr << k
+        for j2 in row[1:]:
             col = cols[j2]
-            idx = bisect_left(col, pr << k)
+            idx = bisect_left(col, lo)
             assert col[idx] >> k == pr, "row pattern drifted"
             s = (col[idx] & mask) * dinv % p
             ops.append((j2, s))
@@ -242,13 +256,13 @@ class _Engine:
                 self.set_col(j2, axpy(col, piv, p - s, self.spec))
                 continue
             del col[idx]
-            self.dirty_cols.add(j2)
             if len(col) == 1:
                 heappush(self.zero, (col[0] >> k) * n + j2)
         if single:
             # pr is left only in the finished column c: no live key reads it
             self.total -= len(ops)
-            pat[pr] = {c}
+            self.dirty_cols.update(row[1:])
+            del row[1:]
         return ops
 
     # -- pivot search --------------------------------------------------------
@@ -280,11 +294,17 @@ class _Engine:
         key becomes the key; a key whose argmin is that row and whose cost
         changed is rescanned; any other key stands, since the rows not
         dirty kept their costs.  Changed keys are pushed, and the heap is
-        rebuilt from the live keys once it outgrows 2(n - c)."""
+        rebuilt from the live keys once it outgrows 2(n - c).  The first
+        flush has no keys to refresh: it scans every active column."""
         c, m, n = self.c, self.m, self.n
         cols, pat, key, heap = self.cols, self.rows_pat, self.key, self.heap
         todo = self.dirty_cols
-        self._rescan([j for j in todo if j >= c])
+        if key:
+            self._rescan([j for j in todo if j >= c])
+        else:
+            key += [-1] * n
+            self._rescan(range(c, n))
+            self.dirty_rows.clear()
         for pr in self.dirty_rows:
             w = (len(pat[pr]) - 1) * m
             for j in pat[pr]:
@@ -310,14 +330,15 @@ class _Engine:
         (physical row, column).
 
         zero's first live top, pr * n + j being the main key at cost 0, is
-        the exact pivot, tie-break included; stale tops (j < c, the entry
-        gone or of cost > 0) are popped.  With no live top it flushes the
+        the exact pivot, tie-break included: row pr is [j], or column j is
+        the single entry pr.  Stale tops (j < c, the entry gone or of
+        cost > 0) are popped.  With no live top it flushes the
         keys and pops the main heap's stale or finished (j < c) entries.
         """
-        c, n, cols, pat, zero = self.c, self.n, self.cols, self.rows_pat, self.zero
+        c, n, k, cols, pat, zero = self.c, self.n, self.k, self.cols, self.rows_pat, self.zero
         while zero:
             pr, j = divmod(zero[0], n)
-            if j >= c and j in pat[pr] and (len(pat[pr]) == 1 or len(cols[j]) == 1):
+            if j >= c and (pat[pr] == [j] or (len(cols[j]) == 1 and cols[j][0] >> k == pr)):
                 return (pr, j)
             heappop(zero)
         self._flush()
@@ -346,7 +367,7 @@ class _Engine:
         """Check the pattern, the permutation, that zero holds every active
         cost-0 entry and, after a flush, every live column's cached key
         against a fresh scan; paranoid mode only."""
-        total = 0
+        pat: list[list[int]] = [[] for _ in range(self.m)]
         for j, col in enumerate(self.cols):
             prev = -1
             for e in col:
@@ -354,9 +375,10 @@ class _Engine:
                 assert prev < pr
                 prev = pr
                 assert e & self.mask
-                assert j in self.rows_pat[pr]
-                total += 1
-        assert sum(map(len, self.rows_pat)) == total == self.total
+                pat[pr].append(j)
+        # built in increasing j, so each pattern must be strictly increasing
+        assert pat == self.rows_pat
+        assert sum(map(len, pat)) == self.total
         assert all(self.cur_of[pr] == i for i, pr in enumerate(self.phys_of))
         self._flush()
         live, zero = set(self.heap), set(self.zero)
@@ -449,7 +471,8 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
             lead = min(y, key=lambda e: cur_of[e >> k])
             pivr = lead >> k
             y_inv = spec.inv(lead & mask)
-            for j in sorted(j for j in eng.rows_pat[pivr] if j >= c):
+            row = eng.rows_pat[pivr]
+            for j in row[bisect_left(row, c):]:
                 vec = cols[j]
                 coeff = (vec[bisect_left(vec, pivr << k)] & mask) * y_inv % p
                 eng.set_col(j, axpy(vec, y, p - coeff, spec))
@@ -524,7 +547,6 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             if (hnf_stats is None and opts.tau is not None and active >= opts.tau):
                 hnf_stats = _disk_echelon(eng, q_tr, opts.spill_dir or os.environ.get(
                     SPILL_DIR_ENV) or workdir or tempfile.gettempdir())
-                active = eng.total - eng.c
             fill_log.append(active)
             if fill_file:
                 fill_file.write("%d\n" % active)

@@ -368,7 +368,7 @@ def test_reduce_refuses_q5_short_of_a_huge_n5(tmp_path, capsys):
      "n5: 3\nrho5: 1\nrhoEta: 1\nh5: 1\nh6: 0\n"),
     (["reduce", "ws", "z.sms"], "s1: 3\n"),
     (["snf", "d5.sms", "--tau", "0", "--emit-q", "--workdir", "sw"],
-     "m: 1\nn: 3\nrank: 1\nsearchedPivots: 0\nnnz: 2\npeakActive: 1\nworkdir: sw\n"
+     "m: 1\nn: 3\nrank: 1\nsearchedPivots: 0\nnnz: 2\npeakActive: 2\nworkdir: sw\n"
      "qTranscript: sw/q.trn\ndiskEchelonAt: 0\n"),
 ], ids=["cohomology", "reduce", "snf-spill"])
 def test_reduce_closes_its_files(tmp_path, capsys, argv, stdout):

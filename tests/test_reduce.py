@@ -3,6 +3,7 @@ import io
 import os
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,11 @@ def test_fill_log_semantics(tmp_path):
     res2 = snf(a2, SnfOptions(fill_log_path=str(path),
                               workdir=str(tmp_path / "f2")))
     assert [int(x) for x in path.read_text().split()] == res2.fill_log
+    # at tau = 0 the count that crossed tau is logged, before the disk echelon
+    _, res3 = run_snf(rows, 7, tmp_path, "f3", tau=0)
+    assert res3.hnf_stats is not None
+    assert res3.fill_log[0] == 7
+    assert len(res3.fill_log) == res3.rank + 1
 
 
 def test_diag_values_unnormalized(tmp_path):
@@ -280,9 +286,38 @@ def test_skinny_cost_zero_pivots_paranoid(tmp_path):
 
 def test_clear_row_refuses_a_drifted_pattern(f7):
     eng = _Engine(SparseMatrix.from_dense([[1, 0], [0, 2]], f7))
-    eng.rows_pat[0].add(1)  # column 1 holds no entry in row 0
+    eng.rows_pat[0].append(1)  # column 1 holds no entry in row 0
     with pytest.raises(AssertionError, match="row pattern drifted"):
         eng.clear_row(0, 0, 1)
+
+
+@pytest.mark.parametrize("pattern", [[1, 0], [0, 0, 1]], ids=["out-of-order", "duplicate"])
+def test_recheck_refuses_a_pattern_not_strictly_increasing(f7, pattern):
+    eng = _Engine(SparseMatrix.from_dense([[1, 1], [0, 1]], f7))
+    eng.rows_pat[0] = pattern
+    with pytest.raises(AssertionError):
+        eng.recheck()
+
+
+def engine_bytes_per_nonzero(a):
+    tracemalloc.start()
+    try:
+        eng = _Engine(a)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert eng.total == a.nnz
+    return held / a.nnz
+
+
+def test_engine_memory_per_nonzero():
+    """The engine's own state at entry (row patterns as sorted lists, the
+    permutation as arrays, no pivot keys yet) stays under 60 bytes per
+    stored nonzero; a set per row took over 120."""
+    gen = load_gen()
+    for a in (skinny(1, 2000, 12379),
+              torus_coboundary(gen.Torus(3, 6, 1), 2, FieldSpec(gen.PRIME))):
+        assert engine_bytes_per_nonzero(a) <= 60
 
 
 def test_ties_break_on_the_physical_row(f7):
@@ -299,7 +334,7 @@ def test_ties_break_on_the_physical_row(f7):
         [[1 if (j - i) % 4 in (0, 1) else 0 for j in range(4)] for i in range(4)], f7))
     eng.swap_rows(0, 2)
     eng.swap_rows(1, 3)
-    assert eng.phys_of == [2, 3, 0, 1]  # current row 0 holds columns 2, 3
+    assert list(eng.phys_of) == [2, 3, 0, 1]  # current row 0 holds columns 2, 3
     assert eng.find_pivot() == eng.reference_pivot() == (0, 0)
 
 
