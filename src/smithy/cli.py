@@ -81,8 +81,7 @@ def cmd_cohomology(args) -> int:
                 "characteristic %d collides with the torsion primes of the "
                 "cell structure; use p not in {2, 3, 5}" % mat.spec.p)
     slice_ = ComplexSlice(d_top, d_bottom)
-    ws = compute_h5(slice_, args.workdir, tau=args.tau,
-                    normalize_pivots=args.normalize)
+    ws = compute_h5(slice_, args.workdir, tau=args.tau)
     _emit("n5", ws.n5)
     _emit("rho5", ws.rho5)
     _emit("rhoEta", ws.rho_eta)
@@ -149,23 +148,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "cochain cohomology, and level arithmetic.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, tau=True):
+    def common(p):
         p.add_argument("--prime", type=int, default=None,
                        help="expected field characteristic; must match the "
                             "matrix headers (conventional default %d)"
                             % DEFAULT_PRIME)
-        if tau:
-            p.add_argument("--tau", type=int, default=None,
-                           help="active-nonzero threshold that triggers the "
-                                "out-of-core echelon fallback")
-        p.add_argument("--normalize", action="store_true",
-                       help="scale every pivot to 1 (dilations recorded)")
-        p.add_argument("--workdir", default=None,
-                       help="directory for outputs (default: a fresh temp dir)")
+        p.add_argument("--tau", type=int, default=None,
+                       help="active-nonzero threshold that triggers the "
+                            "out-of-core echelon fallback")
 
     ps = sub.add_parser("snf", help="reduce one matrix to Smith form")
     ps.add_argument("matrix")
     common(ps)
+    ps.add_argument("--workdir", default=None,
+                    help="directory for outputs (default: a fresh temp dir)")
+    ps.add_argument("--normalize", action="store_true",
+                    help="scale every pivot to 1, appending the dilations to "
+                         "P, else to Q")
     ps.add_argument("--emit-p", action="store_true", help="record row ops")
     ps.add_argument("--emit-q", action="store_true", help="record column ops")
     ps.add_argument("--fill-log", default=None,
@@ -177,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("d5", help="top differential, n6 x n5")
     pc.add_argument("d4", help="bottom differential, n5 x n4")
     common(pc)
+    pc.add_argument("--workdir", required=True,
+                    help="directory for the workspace that reduce reads")
     pc.set_defaults(func=cmd_cohomology)
-    # cohomology requires a workdir for the later reduction steps
-    pc.set_defaults(_needs_workdir=True)
 
     pr = sub.add_parser("reduce",
                         help="coefficients of cocycles modulo coboundaries")
@@ -203,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "_needs_workdir", False) and not args.workdir:
-        parser.error("cohomology requires --workdir")
     try:
         return args.func(args)
     except MatrixFormatError as exc:

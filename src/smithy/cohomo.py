@@ -219,8 +219,7 @@ def _write_meta(ws: CohomologyWorkspace) -> None:
 
 
 def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
-               validate: bool = True, normalize_pivots: bool = False,
-               paranoid: bool = False) -> CohomologyWorkspace:
+               validate: bool = True, paranoid: bool = False) -> CohomologyWorkspace:
     """Run the two reductions and persist everything reduce_cocycle needs.
 
     dTop is reduced with Q only and no disk fallback (that side's column
@@ -252,7 +251,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
 
     r5 = snf(slice_.d_top, SnfOptions(
         emit_q=True, q_path=os.path.join(workdir, "q5.trn"), workdir=workdir,
-        normalize_pivots=normalize_pivots, paranoid=paranoid))
+        paranoid=paranoid))
     assert r5.hnf_stats is None, "dTop's reduction took the disk echelon"
     rho5 = r5.rank
     tail = _q5_tail(r5.q.path, spec, n5, rho5)
@@ -261,7 +260,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
         assert eta == build_eta(r5.q, slice_.d_bottom, rho5), "eta is not Q5.dBottom"
     r_eta = snf(eta, SnfOptions(
         emit_p=True, p_path=os.path.join(workdir, "peta.trn"), workdir=workdir,
-        tau=tau, normalize_pivots=normalize_pivots, paranoid=paranoid))
+        tau=tau, paranoid=paranoid))
     rho_eta = r_eta.rank
     h5 = n5 - rho5 - rho_eta
     assert h5 >= 0, "rank accounting broke"

@@ -11,15 +11,16 @@ The reduction loop, for pivot index c starting at 0:
      (r_i - 1)(c_j - 1) over the whole region, ties to the smallest
      physical row (the row's index in the input), then the smallest
      column, and swap its column to c.  The search does not scan.  An
-     entry of cost 0 (alone in its column or in its row) wins first, from
-     a heap of its own.  Only when there is none does the key search run:
+     entry of cost 0 (alone in its column or in its row) wins first, its
+     row taken from a heap of its own.  Only when there is none does the
+     key search run:
      each column caches its own minimum in a heap, rescanned only when the
      column is edited or swapped or the minimum's row gets a higher count;
      other count changes update it in O(1), and row swaps leave it alone
      (see _Engine);
-  4. clear the pivot row with column transvections; against a pivot column
-     holding only the pivot, each just deletes one entry, with no merge.
-     Then swap the pivot row up to row c: it holds only column c now;
+  4. swap the pivot row up to row c, then clear it with column
+     transvections; against a pivot column holding only the pivot, each
+     just deletes one entry, with no merge;
   5. clear the pivot column with row transvections -- after step 4 the
      pivot row is a singleton, so each of these touches only column c;
   6. advance c.
@@ -28,6 +29,8 @@ Over a field every pivot is a unit, so the result is diag(d_0..d_{rho-1})
 with no divisibility bookkeeping.  The input matrix is overwritten with
 that diagonal; the row and column operations stream to transcripts when
 requested, and replaying them against the diagonal restores the input.
+Normalizing is one pass after the last pivot: it appends the dilation
+diag(d) to P, else to Q, and sets every d to 1.
 
 The engine (_Engine) is the one owner of the pivoting bookkeeping: it
 builds the row pattern (per row, the sorted list of columns holding an
@@ -103,7 +106,7 @@ SPILL_DIR_ENV = "SMITHY_SPILL_DIR"
 
 class _Engine:
     """Working state for one reduction; owns the matrix until finalized
-    (so clear_row and scale_row_values edit its column lists in place),
+    (so clear_row edits its column lists in place),
     and alone keeps the row pattern and the pivot keys that pivoting reads.
 
     A row's pattern is the strictly increasing list of its columns, and its
@@ -119,10 +122,12 @@ class _Engine:
     row from that row's own cost in O(1), rescanning one only if its argmin
     row got worse.
 
-    A second heap, zero, holds pr * n + j for every active entry of cost 0
-    (its column holds one entry or its row one column), also with lazy
-    deletion: each edit pushes the entries it may leave at cost 0.  Only
-    when zero holds no live entry does find_pivot flush the keys.
+    A second heap, zero, holds the physical row of every active entry of
+    cost 0 (its column holds one entry or its row one column), also with
+    lazy deletion: an edit pushes each row it leaves with one column, and
+    the row of each column it leaves with one entry.  Counts are all it
+    reads, so swaps push nothing.  Only when zero holds no live row does
+    find_pivot flush the keys.
     """
 
     __slots__ = (
@@ -139,7 +144,7 @@ class _Engine:
         self.m = mat.m
         self.n = mat.n
         self.cols = mat.cols
-        k, n = self.k, mat.n
+        k = self.k
         rows_pat: list[list[int]] = [[] for _ in range(mat.m)]
         for j, col in enumerate(mat.cols):
             for e in col:
@@ -151,9 +156,8 @@ class _Engine:
         self.c = 0
         self.key: list[int] = []  # per column, -1: no entry; filled by the first _flush
         self.heap: list[int] = []
-        self.zero = [(col[0] >> k) * n + j for j, col in enumerate(mat.cols) if len(col) == 1]
-        self.zero += [pr * n + row[0] for pr, row in enumerate(rows_pat) if len(row) == 1]
-        heapify(self.zero)
+        self.zero = sorted({col[0] >> k for col in mat.cols if len(col) == 1}
+                           | {pr for pr, row in enumerate(rows_pat) if len(row) == 1})
         self.dirty_cols: set[int] = set()
         self.dirty_rows: set[int] = set()
         self.searched = 0
@@ -162,7 +166,7 @@ class _Engine:
 
     def set_col(self, j: int, new: list[int]) -> None:
         old = self.cols[j]
-        k, n, pat, zero = self.k, self.n, self.rows_pat, self.zero
+        k, pat, zero = self.k, self.rows_pat, self.zero
         moved = []  # rows that gain or lose column j
         a = b = 0
         na, nb = len(old), len(new)
@@ -193,9 +197,9 @@ class _Engine:
             b += 1
         for r in moved:
             if len(pat[r]) == 1:
-                heappush(zero, r * n + pat[r][0])
+                heappush(zero, r)
         if nb == 1:
-            heappush(zero, (new[0] >> k) * n + j)
+            heappush(zero, new[0] >> k)
         self.dirty_rows.update(moved)
         self.dirty_cols.add(j)
         self.total += nb - na
@@ -209,7 +213,7 @@ class _Engine:
         self.cur_of[pa], self.cur_of[pb] = b, a
 
     def swap_cols(self, a: int, b: int) -> None:
-        k, n, cols, pat, zero = self.k, self.n, self.cols, self.rows_pat, self.zero
+        k, cols, pat = self.k, self.cols, self.rows_pat
         # a row holding exactly one of the two columns trades it for the other
         in_a, in_b = {e >> k for e in cols[a]}, {e >> k for e in cols[b]}
         for rows, old, new in ((in_a - in_b, a, b), (in_b - in_a, b, a)):
@@ -217,21 +221,8 @@ class _Engine:
                 row = pat[r]
                 del row[bisect_left(row, old)]
                 insort(row, new)
-                if len(row) == 1:
-                    heappush(zero, r * n + new)
         cols[a], cols[b] = cols[b], cols[a]
-        for j in (a, b):
-            if len(cols[j]) == 1:
-                heappush(zero, (cols[j][0] >> k) * n + j)
         self.dirty_cols.update((a, b))
-
-    def scale_row_values(self, pr: int, u: int) -> None:
-        k, mask, p = self.k, self.mask, self.p
-        key = pr << k
-        for j in self.rows_pat[pr]:
-            col = self.cols[j]
-            idx = bisect_left(col, key)
-            col[idx] = key | (col[idx] & mask) * u % p
 
     def clear_row(self, pr: int, c: int, dinv: int) -> list[tuple[int, int]]:
         """Clear row pr outside the pivot column c (column j2 -= s * column c,
@@ -239,7 +230,7 @@ class _Engine:
         a singleton pivot column j2 just loses its row-pr entry, deleted in
         place (snf's caller gives up the matrix), and counts update once.
         Row pr holds no finished column, so c leads its pattern."""
-        k, p, mask, n, cols, pat = self.k, self.p, self.mask, self.n, self.cols, self.rows_pat
+        k, p, mask, cols, pat = self.k, self.p, self.mask, self.cols, self.rows_pat
         piv = cols[c]
         single = len(piv) == 1
         ops = []
@@ -257,7 +248,7 @@ class _Engine:
                 continue
             del col[idx]
             if len(col) == 1:
-                heappush(self.zero, (col[0] >> k) * n + j2)
+                heappush(self.zero, col[0] >> k)
         if single:
             # pr is left only in the finished column c: no live key reads it
             self.total -= len(ops)
@@ -329,20 +320,27 @@ class _Engine:
         columns, ties to the smallest physical row, then column; returns
         (physical row, column).
 
-        zero's first live top, pr * n + j being the main key at cost 0, is
-        the exact pivot, tie-break included: row pr is [j], or column j is
-        the single entry pr.  Stale tops (j < c, the entry gone or of
-        cost > 0) are popped.  With no live top it flushes the
-        keys and pops the main heap's stale or finished (j < c) entries.
+        zero's first live top pr gives the exact pivot, tie-break
+        included: row pr's only column, else its first column holding one
+        entry.  A top is stale when its row is empty or finished (a pivot
+        row keeps only its pivot column, below c; an active row holds no
+        finished column) or holds no cost-0 entry; stale tops are popped.
+        With no live top it flushes the keys and pops the main heap's
+        stale or finished (j < c) entries.
         """
-        c, n, k, cols, pat, zero = self.c, self.n, self.k, self.cols, self.rows_pat, self.zero
+        c, cols, pat, zero = self.c, self.cols, self.rows_pat, self.zero
         while zero:
-            pr, j = divmod(zero[0], n)
-            if j >= c and (pat[pr] == [j] or (len(cols[j]) == 1 and cols[j][0] >> k == pr)):
-                return (pr, j)
+            pr = zero[0]
+            row = pat[pr]
+            if row and row[0] >= c:
+                if len(row) == 1:
+                    return (pr, row[0])
+                for j in row:
+                    if len(cols[j]) == 1:
+                        return (pr, j)
             heappop(zero)
         self._flush()
-        key, heap = self.key, self.heap
+        n, key, heap = self.n, self.key, self.heap
         while heap:
             top = heap[0]
             j = top % n
@@ -389,7 +387,7 @@ class _Engine:
                 continue
             for e in col:
                 pr = e >> self.k
-                assert (len(self.rows_pat[pr]) > 1 and len(col) > 1) or pr * self.n + j in zero
+                assert (len(self.rows_pat[pr]) > 1 and len(col) > 1) or pr in zero
             cost, i, _ = min(((len(self.rows_pat[e >> self.k]) - 1) * (len(col) - 1),
                               e >> self.k, j) for e in col)
             assert self.key[j] == (cost * self.m + i) * self.n + j
@@ -559,34 +557,23 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 eng.recheck()
                 assert pivot == eng.reference_pivot(), "pivot search drifted"
             pr, j = pivot  # columns hold physical rows
-            i = eng.cur_of[pr]  # moved up to row c once cleared
-            if i != c and p_tr is not None:
-                p_tr.append(("S", c, i, None))
+            i = eng.cur_of[pr]
+            if i != c:
+                if p_tr is not None:
+                    p_tr.append(("S", c, i, None))
+                eng.swap_rows(c, i)
             if j != c:
                 eng.swap_cols(c, j)
                 if q_tr is not None:
                     q_tr.append(("S", c, j, None))
             d = a.get(pr, c)
             assert d, "pivot vanished"
-            if opts.normalize_pivots and d != 1:
-                u = d
-                dinv = spec.inv(d)
-                if p_tr is not None:
-                    eng.scale_row_values(pr, dinv)
-                    p_tr.append(("D", c, None, u))
-                else:
-                    eng.mat.scale_col(c, dinv)
-                    if q_tr is not None:
-                        q_tr.append(("D", c, None, u))
-                d = 1
-            dinv = spec.inv(d) if d != 1 else 1
-            # step 4: clear the pivot row, then move it up
+            dinv = spec.inv(d)
+            # step 4: clear the pivot row
             ops = eng.clear_row(pr, c, dinv)
             if q_tr is not None:
                 for j2, s in ops:
                     q_tr.append(("T", c, j2, s))
-            if i != c:
-                eng.swap_rows(c, i)
             # step 5: clear the pivot column (touches only column c now)
             col = eng.cols[c]
             if len(col) > 1:
@@ -597,6 +584,14 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 eng.set_col(c, [pr << eng.k | d])
             diag.append(d)
             eng.c += 1
+        if opts.normalize_pivots:
+            # P.D.Q = (P.E)(E^-1.D)Q = P(D.E^-1)(E.Q) for E = diag(d)
+            tr = p_tr if p_tr is not None else q_tr
+            for c, d in enumerate(diag):
+                if d != 1:
+                    if tr is not None:
+                        tr.append(("D", c, None, d))
+                    diag[c] = 1
         eng.overwrite_with_diagonal(diag)
         done = True
     finally:

@@ -262,7 +262,7 @@ def test_reduce_cocycle_matches_q5_replay(tmp_path):
         slices.append((sl, top, bottom, p))
     for trial, (sl, top, bottom, p) in enumerate(slices):
         wd = str(tmp_path / ("t%d" % trial))
-        ws = compute_h5(sl, wd, normalize_pivots=bool(trial % 3), paranoid=True)
+        ws = compute_h5(sl, wd, paranoid=True)
         q5 = Transcript.open(os.path.join(wd, "q5.trn"))
         p_eta = Transcript.open(os.path.join(wd, "peta.trn"))
         kernel = dense_kernel(top, p, n=ws.n5)

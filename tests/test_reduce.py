@@ -59,7 +59,9 @@ def test_markowitz_examples(f7):
 
 # SHA-256 of p.trn and q.trn for the 30x40 fixture, recorded before the
 # cached-key pivot search replaced the scanning one: any change to the pivot
-# order, the tie-break or the record format shows here
+# order, the tie-break or the record format shows here.  The normalized P
+# was re-recorded when the dilations moved after the last pivot: the plain
+# P's records, then "D c d" for each plain pivot d != 1
 FIXTURE_TRANSCRIPTS = {
     "plain": ({},
               "df347c04d864f6e9e03aed8c657bf0ef092d39963cd3b7ac959458bad0e1083f",
@@ -68,7 +70,7 @@ FIXTURE_TRANSCRIPTS = {
              "49e903cc9489dfaba44574d31da1c120314812edcb09d2990db06d315356b76b",
              "5f54fece1f8f9ed0226d280138533482542f3533bcd68ec84168811bbad571aa"),
     "normalized": ({"normalize_pivots": True},
-                   "22ed964621316b10e28c5b6f2506fa8af2b074dc0cb58dec7e9cd7cddbd2400d",
+                   "280d7283efe87a15628018e38eca693f44f9e0dc8378e4998576986eb959da5e",
                    "300dd39d328b0cd2b5260dcf7b0590962e51c7666b0392ca5e2eae320f8de68d"),
 }
 
@@ -249,11 +251,11 @@ def skinny(seed, m, p):
 # rows are cleared against a singleton pivot column.  First recorded before
 # row swaps and singleton clears updated pivot keys in O(1); re-recorded
 # when ties moved from the current to the physical row, which changes this
-# input's pivots
+# input's pivots.  The normalized P was re-recorded as the fixture's was
 SKINNY_TRANSCRIPTS = {
     False: ("4180f761a3f4c469f50522ccaa389ab9ddfb61859646855edf3009e712093883",
             "3c64bebe71e618a495839f18988f129e6a20eba802ab398d4864757e603b916f"),
-    True: ("c6889d352f4a1b9947e18311c97298dd98bbc2a7f9e05493b2d23e44920ffb85",
+    True: ("825c3718f638b8073ff7766dac6a5a421d39614b6419c3c1cea0512ec56a1714",
            "3c64bebe71e618a495839f18988f129e6a20eba802ab398d4864757e603b916f"),
 }
 
@@ -270,6 +272,37 @@ def test_skinny_transcripts_are_pinned(tmp_path, normalize):
         with open(tr.path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == want
     assert replay(res, a).to_dense() == rows
+
+
+@pytest.mark.parametrize("case", ["fixture", "skinny"])
+def test_normalized_transcripts_append_the_dilations(tmp_path, case):
+    """Normalizing keeps the plain run's pivots, Q and fill log and appends
+    "D c d" for each plain pivot d != 1, in increasing c, to P; with only
+    Q emitted, to Q.  Both replay to the input with the plain other side."""
+    def load():
+        return read_matrix(FIXTURE) if case == "fixture" else skinny(51, 300, 12379)
+
+    rows = load().to_dense()
+    runs = {}
+    for tag, emit_p in (("plain", True), ("norm", True), ("qonly", False)):
+        a = load()
+        res = snf(a, SnfOptions(emit_p=emit_p, emit_q=True, normalize_pivots=tag != "plain",
+                                workdir=str(tmp_path / tag)))
+        runs[tag] = a, res
+    plain, norm, qonly = (runs[tag][1] for tag in ("plain", "norm", "qonly"))
+    dilations = [("D", c, None, d) for c, d in enumerate(plain.diag) if d != 1]
+    assert dilations
+    for res in (norm, qonly):
+        assert (res.rank, res.searched, res.fill_log) == (plain.rank, plain.searched,
+                                                          plain.fill_log)
+        assert res.diag == [1] * plain.rank
+    assert Path(norm.q.path).read_bytes() == Path(plain.q.path).read_bytes()
+    assert list(norm.p.records()) == list(plain.p.records()) + dilations
+    assert list(qonly.q.records()) == list(plain.q.records()) + dilations
+    assert replay(norm, runs["norm"][0]).to_dense() == rows
+    out = sparse_copy(runs["qonly"][0])
+    qonly.q.apply_mat_right(out)
+    assert plain.p.apply_mat_left(out).to_dense() == rows
 
 
 def test_skinny_cost_zero_pivots_paranoid(tmp_path):
@@ -340,7 +373,9 @@ def test_ties_break_on_the_physical_row(f7):
 
 def test_swap_rows_keeps_every_key_current(f7):
     """After any row swap, every cached key matches a fresh scan: keys name
-    physical rows, so swap_rows leaves them as they are."""
+    physical rows, so swap_rows leaves them as they are.  zero names
+    physical rows too, so swap_cols leaves it as it is, and the search
+    still finds the reference pivot."""
     rng = random.Random(61)
     for trial in range(40):
         m, n = rng.randrange(2, 9), rng.randrange(1, 9)
@@ -349,6 +384,12 @@ def test_swap_rows_keeps_every_key_current(f7):
             eng.find_pivot()
             eng.swap_rows(*sorted(rng.sample(range(m), 2)))
             eng.recheck()
+            if n > 1:
+                zero = list(eng.zero)
+                eng.swap_cols(*rng.sample(range(n), 2))
+                assert eng.zero == zero
+                eng.recheck()
+            assert eng.find_pivot() == eng.reference_pivot()
 
 
 def test_row_count_changes_keep_every_key_current(f7):
