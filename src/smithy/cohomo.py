@@ -200,7 +200,6 @@ def _reducer(d_top: SparseMatrix, tail: array, p_eta: Transcript, h5: int) -> Sp
     for i, col in zip(tail, r.cols):
         d_top.cols[i] += col
     d_top.m += h5
-    d_top.nnz += r.nnz
     return d_top
 
 

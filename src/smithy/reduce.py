@@ -5,7 +5,9 @@ The reduction loop, for pivot index c starting at 0:
 
   1. if the active region (rows >= c, cols >= c) holds at least tau
      nonzeros and the fallback has not run yet, spill the region to disk
-     and replace it with its fully reduced column-echelon form;
+     and replace it with a fully reduced set spanning the same space:
+     each vector owns one pivot row and is zero on every other vector's
+     pivot row, so every pivot of step 3 is then of cost 0;
   2. stop when the active region is empty;
   3. pick the active nonzero minimizing the Markowitz count
      (r_i - 1)(c_j - 1) over the whole region, ties to the smallest
@@ -38,7 +40,7 @@ entry of that row) from the matrix's columns on entry, keeps the pivot
 keys, and every column edit during the reduction goes through it, the
 disk echelon's included: the echelon set lives in the engine's columns,
 and the row pattern finds the vectors a new echelon pivot clears.  The
-matrix itself keeps only columns and its nonzero total.
+matrix itself keeps only its columns.
 
 Rows are never physically moved: the engine keeps a row permutation and
 stores entries under stable physical ids, which the pivot search and its
@@ -362,18 +364,15 @@ class _Engine:
         return (best[1], best[2]) if best else None
 
     def recheck(self) -> None:
-        """Check the pattern, the permutation, that zero holds every active
-        cost-0 entry and, after a flush, every live column's cached key
-        against a fresh scan; paranoid mode only."""
+        """Check the matrix (SparseMatrix.check), the pattern, the
+        permutation, that zero holds every active cost-0 entry and, after a
+        flush, every live column's cached key against a fresh scan;
+        paranoid mode only."""
+        self.mat.check()
         pat: list[list[int]] = [[] for _ in range(self.m)]
         for j, col in enumerate(self.cols):
-            prev = -1
             for e in col:
-                pr = e >> self.k
-                assert prev < pr
-                prev = pr
-                assert e & self.mask
-                pat[pr].append(j)
+                pat[e >> self.k].append(j)
         # built in increasing j, so each pattern must be strictly increasing
         assert pat == self.rows_pat
         assert sum(map(len, pat)) == self.total
@@ -401,19 +400,19 @@ class _Engine:
         rank = len(diag)
         for t in range(self.n):
             mat.cols[t] = [t << k | diag[t]] if t < rank else []
-        mat.nnz = rank
 
 
 def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStats:
-    """Spill the active region, reduce it to fully reduced column-echelon
-    form streaming one column at a time, and leave it in the engine with
-    echelon columns first (ascending pivot row) and zero columns after.
-
-    Each absorbed vector stays in the engine column it was read into, in
-    physical rows, so the row pattern finds the vectors a new pivot row
-    clears.  Besides that the pass keeps one dict, pivot row -> (column,
-    1 / pivot): reducing a vector of a fully reduced set by another leaves
-    its values on the other pivot rows as they were.  Memory holds only
+    """Spill the active region and reduce it to a fully reduced set,
+    streaming one column at a time: each vector owns one pivot row and is
+    zero on every other vector's pivot row, which is column-echelon form up
+    to the order of the columns.  Each absorbed vector stays in the engine
+    column it was read into, in physical rows, and a column that reduces to
+    zero stays empty: snf's loop then takes every pivot at cost 0 and swaps
+    each column into place itself.  The row pattern finds the vectors a new
+    pivot row clears.  Besides that the pass keeps one dict, pivot row ->
+    (column, 1 / pivot): reducing a vector of a fully reduced set by another
+    leaves its values on the other pivot rows as they were.  Memory holds only
     the echelon set, small when the region has low co-rank.  The spill is
     in sparse.py's text format and is read back with read_matrix's checks:
     a spill that ends before its terminator, or holds a malformed line, an
@@ -480,18 +479,6 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
             owner[pivr] = (gcol, y_inv)
             peak = max(peak, eng.total - base)
 
-    # echelon columns by ascending pivot row, zero columns after, as
-    # explicit swaps; a vector's one entry on a pivot row names it
-    for t, pivr in enumerate(sorted(owner, key=cur_of.__getitem__), c):
-        j = owner[pivr][0]
-        if j == t:
-            continue
-        moved = next((e >> k for e in cols[t] if e >> k in owner), None)
-        if moved is not None:
-            owner[moved] = (j, owner[moved][1])
-        if q is not None:
-            q.append(("S", t, j, None))
-        eng.swap_cols(t, j)
     os.unlink(spill)
     return HnfStats(
         pivot_index=c,

@@ -2,9 +2,9 @@
 
 A column is a Python list of packed entries i << k | v (see gfp),
 strictly increasing in row index, never storing zeros.  The matrix keeps
-only its columns and the total nonzero count.  The row pattern and the
-pivot keys that Markowitz pivoting needs are built and maintained by the
-reduction engine (reduce._Engine), the only code that pivots.
+only its columns; nnz is counted from them when read.  The row pattern and
+the pivot keys that Markowitz pivoting needs are built and maintained by
+the reduction engine (reduce._Engine), the only code that pivots.
 
 Only column operations are offered.  Row operations are column
 operations on the transpose: transpose, apply them, transpose back.
@@ -92,7 +92,7 @@ def axpy(dst: list[int], src: list[int], s: int, spec: FieldSpec) -> list[int]:
 class SparseMatrix:
     """m x n matrix over GF(p), columns stored as sorted packed lists."""
 
-    __slots__ = ("m", "n", "spec", "cols", "nnz")
+    __slots__ = ("m", "n", "spec", "cols")
 
     def __init__(self, m: int, n: int, spec: FieldSpec):
         if m < 0 or n < 0:
@@ -101,7 +101,11 @@ class SparseMatrix:
         self.n = n
         self.spec = spec
         self.cols: list[list[int]] = [[] for _ in range(n)]
-        self.nnz = 0
+
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries, counted: O(n)."""
+        return sum(map(len, self.cols))
 
     # -- construction -------------------------------------------------------
 
@@ -147,14 +151,11 @@ class SparseMatrix:
                 col[idx] = i << k | v
             else:
                 col.insert(idx, i << k | v)
-                self.nnz += 1
         elif present:
             del col[idx]
-            self.nnz -= 1
 
     def set_col(self, j: int, new: list[int]) -> None:
         """Replace column j with a sorted packed list."""
-        self.nnz += len(new) - len(self.cols[j])
         self.cols[j] = new
 
     def dense_col(self, j: int) -> list[int]:
@@ -221,7 +222,6 @@ class SparseMatrix:
             for e in col:
                 tcols[e >> k].append(jk | (e & mask))
         # source columns ascend in j, so each target column is already sorted
-        t.nnz = self.nnz
         return t
 
     def to_dense(self) -> list[list[int]]:
@@ -236,11 +236,11 @@ class SparseMatrix:
         return (self.m, self.n, self.spec.p) == (other.m, other.n, other.spec.p) and self.cols == other.cols
 
     def check(self) -> None:
-        """Validate every structural invariant; cheap insurance in tests."""
+        """Validate every structural invariant: the tests and the engine's
+        paranoid recheck call it."""
         assert len(self.cols) == self.n
         k = self.spec.k
         mask = self.spec.mask
-        total = 0
         for j, col in enumerate(self.cols):
             prev = -1
             for e in col:
@@ -249,8 +249,6 @@ class SparseMatrix:
                 assert 0 < v < self.spec.p, "stored zero or out-of-range value"
                 assert i < self.m
                 prev = i
-                total += 1
-        assert total == self.nnz
 
 
 # -- text interchange format ----------------------------------------------
@@ -352,5 +350,4 @@ def read_matrix(path, spec: FieldSpec | None = None) -> SparseMatrix:
         a = SparseMatrix(m, n, spec)
         for j, group in groupby(entries, itemgetter(2)):
             _add_entries(a.cols[j - 1], group, spec.k)
-        a.nnz = sum(map(len, a.cols))
         return a

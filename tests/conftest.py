@@ -87,7 +87,6 @@ def sparse_copy(a):
     """An independent copy; snf overwrites the matrix it is given."""
     b = SparseMatrix(a.m, a.n, a.spec)
     b.cols = [list(col) for col in a.cols]
-    b.nnz = a.nnz
     return b
 
 

@@ -302,6 +302,39 @@ def finalized(body, count):
     return body + b"E %d %d\n" % (count, zlib.crc32(body))
 
 
+def grown(data, field):
+    """data, a matrix or transcript file, with its header's field (0-based)
+    one more."""
+    header, _, rest = data.partition(b"\n")
+    fields = header.split()
+    fields[field] = b"%d" % (int(fields[field]) + 1)
+    return b" ".join(fields) + b"\n" + rest
+
+
+# each names a workspace file and gives it a shape meta does not describe
+BAD_SHAPE = {
+    "d5-row": ("d5.sms", lambda data: grown(data, 0)),
+    "peta-dim": ("peta.trn", lambda data: finalized(
+        grown(data, 1).rpartition(b"E ")[0], data.count(b"\n") - 2)),
+    "basis-column": ("basis.sms", lambda data: grown(data, 1)),
+}
+
+
+@pytest.mark.parametrize("name,damage", BAD_SHAPE.values(), ids=list(BAD_SHAPE))
+def test_reduce_refuses_a_file_shaped_unlike_meta(tmp_path, capsys, name, damage):
+    wd, zfile = f7_workspace(tmp_path, capsys)
+    path = os.path.join(wd, name)
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(damage(data))
+    with pytest.raises(ValueError, match="%s does not match meta" % name):
+        smithy.load_workspace(wd)
+    code, out, err = run(capsys, "reduce", wd, zfile)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "%s does not match meta" % name in err
+
+
 # each takes q5.trn's header line and its records, joined, and the number of
 # records, and gives a q5.trn that load_workspace must refuse
 BAD_Q5 = {

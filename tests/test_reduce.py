@@ -207,7 +207,10 @@ def test_circulant_transcripts_are_pinned(tmp_path):
 # The disk echelon pass entered at pivot 0 (the fixture at tau 0) and after
 # three pivots (tie_heavy(7)'s circulant at tau 68, its peak fill): every
 # HnfStats field but spill_path, and the SHA-256 of p.trn and q.trn, all
-# recorded before the echelon's vectors moved into the engine's columns
+# recorded before the echelon's vectors moved into the engine's columns.
+# The circulant's q.trn was re-recorded when the pass stopped reordering its
+# columns: the loop swaps each pivot column into place itself, so two
+# redundant swaps went (102 -> 100 records); its stats and p.trn are as before
 ECHELON_PASSES = {
     "fixture-tau0": (dict(pivot_index=0, columns_streamed=35, echelon_columns=29,
                           peak_echelon_nnz=71, final_echelon_nnz=29),
@@ -216,7 +219,7 @@ ECHELON_PASSES = {
         dict(pivot_index=3, columns_streamed=13, echelon_columns=13,
              peak_echelon_nnz=42, final_echelon_nnz=13),
         ("2a742e04ccb9e9cb6d0aaf7592f1b9a1a913173b7ab4ef9fd84ec0976ebf2b97",
-         "db43ca212f00775775642d55ef947201df72e6bab964257a13c41fcf02753df5")),
+         "dc67add54f95ef0e14d7992f98b6f3834f154b4d150c84e2b862aa09751c2954")),
 }
 
 
@@ -492,14 +495,37 @@ def test_tau_zero_triggers_immediately(tmp_path):
     assert replay(res, a).to_dense() == [[1, 1], [0, 1]]
 
 
+def test_snf_makes_its_own_temp_dir(tmp_path, monkeypatch, f7):
+    """Without a workdir or transcript paths, snf puts both transcripts in
+    one fresh smithy-* dir under the system temp dir and returns it."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    rows = [[1, 2, 0], [3, 4, 5]]
+    a = SparseMatrix.from_dense(rows, f7)
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True))
+    [made] = os.listdir(tmp_path)
+    assert made.startswith("smithy-")
+    assert res.workdir == str(tmp_path / made)
+    assert sorted(os.listdir(res.workdir)) == ["p.trn", "q.trn"]
+    assert (res.p.path, res.q.path) == (os.path.join(res.workdir, "p.trn"),
+                                        os.path.join(res.workdir, "q.trn"))
+    assert replay(res, a).to_dense() == rows
+
+
+def test_negative_tau_is_refused(tmp_path, capsys, f7):
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        snf(SparseMatrix.from_dense([[1]], f7), SnfOptions(tau=-1))
+    assert main(["snf", FIXTURE, "--workdir", str(tmp_path / "wd"), "--tau", "-1"]) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "tau must be nonnegative" in out.err
+
+
 def disk_echelon(a, c, spill_dir, q=None):
     """snf's disk echelon pass over a's active region from pivot index c;
     columns >= c must be confined to rows >= c."""
     eng = _Engine(a)
     eng.c = c
-    stats = _disk_echelon(eng, q, str(spill_dir))
-    a.nnz = eng.total
-    return stats
+    return _disk_echelon(eng, q, str(spill_dir))
 
 
 def test_disk_hnf_echelon_structure(tmp_path, f7):
@@ -515,16 +541,13 @@ def test_disk_hnf_echelon_structure(tmp_path, f7):
         dense = a.to_dense()
         rank = dense_rank(rows, 7)
         assert stats.echelon_columns == rank
-        pivots = []
-        for j in range(rank):
+        nonzero = [j for j in range(n) if any(dense[i][j] for i in range(m))]
+        assert len(nonzero) == rank
+        for j in nonzero:
             col = [dense[i][j] for i in range(m)]
             piv = next(i for i, v in enumerate(col) if v)
-            pivots.append(piv)
             # full reduction: the pivot row is zero everywhere else
             assert all(dense[piv][j2] == 0 for j2 in range(n) if j2 != j)
-        assert pivots == sorted(pivots)
-        for j in range(rank, n):
-            assert all(dense[i][j] == 0 for i in range(m))
         # replay: result times the recorded ops restores the input
         back = sparse_copy(a)
         Transcript.open(str(tmp_path / ("h%d.trn" % trial)), f7) \
@@ -535,7 +558,7 @@ def test_disk_hnf_echelon_structure(tmp_path, f7):
 def test_disk_hnf_zero_and_echelon_inputs(tmp_path, f7):
     a = SparseMatrix.from_dense([[0, 3], [0, 0]], f7)
     disk_echelon(a, 0, tmp_path)
-    assert a.to_dense() == [[3, 0], [0, 0]]  # zero column pushed right
+    assert a.to_dense() == [[0, 3], [0, 0]]  # each vector stays in its column
     b = SparseMatrix.from_dense([[1, 0], [0, 2]], f7)
     disk_echelon(b, 0, tmp_path)
     assert dense_rank(b.to_dense(), 7) == 2

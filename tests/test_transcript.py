@@ -360,10 +360,13 @@ def test_trace_lines_agrees_with_decode(tmp_path, f7, monkeypatch, chunk):
 
 def test_out_of_range_records_are_refused(tmp_path, f7):
     path = tmp_path / "t.trn"
-    for record in (b"S 0 3\n", b"T 3 0 1\n", b"T 0 1 7\n", b"D 2 9\n"):
+    for record, why in ((b"S 0 3\n", "exceeds"), (b"T 3 0 1\n", "exceeds"),
+                        (b"T 0 1 7\n", "exceeds"), (b"D 2 9\n", "exceeds"),
+                        (b"T 0 1 0\n", "scalar 0"), (b"D 1 0\n", "scalar 0"),
+                        (b"S 1 1\n", "one line twice"), (b"T 2 2 5\n", "one line twice")):
         body = b"ROW 3 7\nS 0 1\n" + record
         path.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
-        with pytest.raises(TranscriptError):
+        with pytest.raises(TranscriptError, match=why):
             Transcript.open(path, f7)
     path.write_bytes(b"ROW 3 7\nS 0 2\nE 1 %d\n" % zlib.crc32(b"ROW 3 7\nS 0 2\n"))
     assert list(Transcript.open(path, f7).records()) == [("S", 0, 2, None)]
