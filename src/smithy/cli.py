@@ -43,15 +43,16 @@ def _spec_arg(args) -> FieldSpec | None:
 
 def cmd_snf(args) -> int:
     a = read_matrix(args.matrix, _spec_arg(args))
-    workdir = args.workdir or tempfile.mkdtemp(prefix="smithy-")
     opts = SnfOptions(
         emit_p=args.emit_p,
         emit_q=args.emit_q,
         tau=args.tau,
         normalize_pivots=args.normalize,
         fill_log_path=args.fill_log,
-        workdir=workdir,
+        workdir=args.workdir,
     )
+    # made once the options pass, so a refused run leaves no empty dir
+    workdir = opts.workdir = args.workdir or tempfile.mkdtemp(prefix="smithy-")
     nnz_in = a.nnz
     res = snf(a, opts)
     write_matrix(a, os.path.join(workdir, "d.sms"))

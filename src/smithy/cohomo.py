@@ -156,11 +156,8 @@ def build_eta(q5: Transcript, d_bottom: SparseMatrix, rho5: int) -> SparseMatrix
             % (len(bad), rho5, bad[0]))
     spec = d_bottom.spec
     eta = SparseMatrix(d_bottom.m - rho5, d_bottom.n, spec)
-    for j in range(folded.n):
-        col = folded.cols[j]
-        if col:
-            eta.set_col(j, [((e >> spec.k) - rho5) << spec.k | (e & spec.mask)
-                            for e in col])
+    for j, col in enumerate(folded.cols):
+        eta.set_col(j, [((e >> spec.k) - rho5) << spec.k | (e & spec.mask) for e in col])
     return eta
 
 
@@ -269,14 +266,11 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     # through both changes of basis
     b = SparseMatrix(n5 - rho5, h5, spec)
     for t in range(h5):
-        b.set(rho_eta + t, t, 1)
+        b.set_col(t, [(rho_eta + t) << spec.k | 1])
     bbar = r_eta.p.apply_mat_left(b)
     padded = SparseMatrix(n5, h5, spec)
-    for j in range(h5):
-        col = bbar.cols[j]
-        if col:
-            padded.set_col(j, [((e >> spec.k) + rho5) << spec.k | (e & spec.mask)
-                               for e in col])
+    for j, col in enumerate(bbar.cols):
+        padded.set_col(j, [((e >> spec.k) + rho5) << spec.k | (e & spec.mask) for e in col])
     basis = r5.q.apply_mat_left(padded, inverse=True)
     write_matrix(basis, os.path.join(workdir, "basis.sms"))
 
@@ -352,20 +346,13 @@ def reduce_cocycle(ws: CohomologyWorkspace, y: list[int]) -> list[int]:
     return out[ws.n6:]
 
 
-def hecke_matrix(ws: CohomologyWorkspace,
-                 translates: SparseMatrix | list[list[int]]) -> SparseMatrix:
-    """Assemble the h5 x h5 matrix whose column j reduces translate j."""
-    if isinstance(translates, SparseMatrix):
-        if translates.m != ws.n5:
-            raise ShapeError("translates have %d rows, expected %d"
-                             % (translates.m, ws.n5))
-        vecs = [translates.dense_col(j) for j in range(translates.n)]
-    else:
-        vecs = list(translates)
-    if len(vecs) != ws.h5:
-        raise ShapeError("expected %d translates, got %d" % (ws.h5, len(vecs)))
+def hecke_matrix(ws: CohomologyWorkspace, translates: list[list[int]]) -> SparseMatrix:
+    """Assemble the h5 x h5 matrix whose column j reduces translate j, a
+    length-n5 vector."""
+    if len(translates) != ws.h5:
+        raise ShapeError("expected %d translates, got %d" % (ws.h5, len(translates)))
     out = SparseMatrix(ws.h5, ws.h5, ws.basis.spec)
-    for j, vec in enumerate(vecs):
+    for j, vec in enumerate(translates):
         s = reduce_cocycle(ws, vec)
         out.set_col(j, [i << out.spec.k | si for i, si in enumerate(s) if si])
     return out

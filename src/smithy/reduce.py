@@ -20,12 +20,12 @@ The reduction loop, for pivot index c starting at 0:
      column is edited or swapped or the minimum's row gets a higher count;
      other count changes update it in O(1), and row swaps leave it alone
      (see _Engine);
-  4. swap the pivot row up to row c, then clear it with column
-     transvections; against a pivot column holding only the pivot, each
-     just deletes one entry, with no merge;
+  4. swap the pivot row up to row c and advance c, so that no edit puts
+     the pivot row on the cost-0 heap; clear it with column transvections;
+     against a pivot column holding only the pivot, each just deletes one
+     entry, with no merge;
   5. clear the pivot column with row transvections -- after step 4 the
-     pivot row is a singleton, so each of these touches only column c;
-  6. advance c.
+     pivot row is a singleton, so each of these touches only column c.
 
 Over a field every pivot is a unit, so the result is diag(d_0..d_{rho-1})
 with no divisibility bookkeeping.  The input matrix is overwritten with
@@ -78,6 +78,10 @@ class SnfOptions:
     spill_dir: str | None = None  # overrides workdir for the spill file
     paranoid: bool = False  # cross-check every pivot against the reference scan
 
+    def __post_init__(self):
+        if self.tau is not None and self.tau < 0:
+            raise ValueError("tau must be nonnegative")
+
 
 @dataclass
 class HnfStats:
@@ -127,9 +131,10 @@ class _Engine:
     A second heap, zero, holds the physical row of every active entry of
     cost 0 (its column holds one entry or its row one column), also with
     lazy deletion: an edit pushes each row it leaves with one column, and
-    the row of each column it leaves with one entry.  Counts are all it
-    reads, so swaps push nothing.  Only when zero holds no live row does
-    find_pivot flush the keys.
+    the row of each column it leaves with one entry, that column being c
+    or past it (snf advances c before it clears the pivot's row and
+    column).  Counts are all it reads, so swaps push nothing.  Only when
+    zero holds no live row does find_pivot flush the keys.
     """
 
     __slots__ = (
@@ -168,7 +173,7 @@ class _Engine:
 
     def set_col(self, j: int, new: list[int]) -> None:
         old = self.cols[j]
-        k, pat, zero = self.k, self.rows_pat, self.zero
+        k, pat, zero, c = self.k, self.rows_pat, self.zero, self.c
         moved = []  # rows that gain or lose column j
         a = b = 0
         na, nb = len(old), len(new)
@@ -198,9 +203,9 @@ class _Engine:
             moved.append(rb)
             b += 1
         for r in moved:
-            if len(pat[r]) == 1:
+            if len(pat[r]) == 1 and pat[r][0] >= c:
                 heappush(zero, r)
-        if nb == 1:
+        if nb == 1 and j >= c:
             heappush(zero, new[0] >> k)
         self.dirty_rows.update(moved)
         self.dirty_cols.add(j)
@@ -231,7 +236,7 @@ class _Engine:
         s = a[pr, j2] * dinv); return the (j2, s) in increasing j2.  Against
         a singleton pivot column j2 just loses its row-pr entry, deleted in
         place (snf's caller gives up the matrix), and counts update once.
-        Row pr holds no finished column, so c leads its pattern."""
+        Row pr holds no column below c, so c leads it; self.c is c + 1."""
         k, p, mask, cols, pat = self.k, self.p, self.mask, self.cols, self.rows_pat
         piv = cols[c]
         single = len(piv) == 1
@@ -503,8 +508,6 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     $SMITHY_SPILL_DIR, else the workdir, else the system temp dir.
     """
     opts = opts or SnfOptions()
-    if opts.tau is not None and opts.tau < 0:
-        raise ValueError("tau must be nonnegative")
     workdir = opts.workdir
     if workdir:
         os.makedirs(workdir, exist_ok=True)
@@ -556,7 +559,8 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             d = a.get(pr, c)
             assert d, "pivot vanished"
             dinv = spec.inv(d)
-            # step 4: clear the pivot row
+            # step 4: clear the pivot row, its column now finished
+            eng.c += 1
             ops = eng.clear_row(pr, c, dinv)
             if q_tr is not None:
                 for j2, s in ops:
@@ -570,7 +574,6 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                         p_tr.append(("T", c, i2, v2 * dinv % p))
                 eng.set_col(c, [pr << eng.k | d])
             diag.append(d)
-            eng.c += 1
         if opts.normalize_pivots:
             # P.D.Q = (P.E)(E^-1.D)Q = P(D.E^-1)(E.Q) for E = diag(d)
             tr = p_tr if p_tr is not None else q_tr

@@ -6,8 +6,12 @@ only its columns; nnz is counted from them when read.  The row pattern and
 the pivot keys that Markowitz pivoting needs are built and maintained by
 the reduction engine (reduce._Engine), the only code that pivots.
 
-Only column operations are offered.  Row operations are column
-operations on the transpose: transpose, apply them, transpose back.
+A matrix changes only by whole-column replacement: set_col, or an
+assignment to cols[j] inside the library (the reduction engine, which owns
+the matrix while it reduces it, also edits its columns in place).  No
+elementary operation is a method: transcript replay applies each to the
+columns with axpy, and a row operation is a column operation on the
+transpose.
 
 The text format is a header line "m n p", one line "i j v" per entry
 (1-based indices, 0 < v < p, any order) and the terminator "0 0 0".  This
@@ -113,46 +117,25 @@ class SparseMatrix:
     def from_dense(cls, rows, spec: FieldSpec) -> "SparseMatrix":
         m = len(rows)
         n = len(rows[0]) if m else 0
+        if any(len(row) != n for row in rows):
+            raise ShapeError("ragged rows")
         a = cls(m, n, spec)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ShapeError("ragged rows")
-            for j, v in enumerate(row):
-                v %= spec.p
-                if v:
-                    a.set(i, j, v)
+        k, p = spec.k, spec.p
+        for j in range(n):
+            a.set_col(j, [i << k | v for i, v in enumerate(row[j] % p for row in rows) if v])
         return a
 
     # -- element access ------------------------------------------------------
 
-    def _check_index(self, i: int, j: int) -> None:
+    def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.m and 0 <= j < self.n):
             raise IndexError("index (%d, %d) outside %dx%d" % (i, j, self.m, self.n))
-
-    def get(self, i: int, j: int) -> int:
-        self._check_index(i, j)
         col = self.cols[j]
         k = self.spec.k
         idx = bisect_left(col, i << k)
         if idx < len(col) and col[idx] >> k == i:
             return col[idx] & self.spec.mask
         return 0
-
-    def set(self, i: int, j: int, v: int) -> None:
-        """Write entry (i, j); v == 0 deletes."""
-        self._check_index(i, j)
-        v %= self.spec.p
-        col = self.cols[j]
-        k = self.spec.k
-        idx = bisect_left(col, i << k)
-        present = idx < len(col) and col[idx] >> k == i
-        if v:
-            if present:
-                col[idx] = i << k | v
-            else:
-                col.insert(idx, i << k | v)
-        elif present:
-            del col[idx]
 
     def set_col(self, j: int, new: list[int]) -> None:
         """Replace column j with a sorted packed list."""
@@ -185,30 +168,6 @@ class SparseMatrix:
         for j, col in enumerate(self.cols):
             for e in col:
                 yield e >> k, j, e & mask
-
-    # -- elementary operations ------------------------------------------------
-
-    def swap_cols(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("swap needs distinct columns")
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise IndexError("column swap (%d, %d) outside %d columns" % (a, b, self.n))
-        self.cols[a], self.cols[b] = self.cols[b], self.cols[a]
-
-    def add_col_multiple(self, src: int, dst: int, s: int) -> None:
-        """col[dst] += s * col[src]."""
-        if src == dst:
-            raise ValueError("transvection needs distinct columns")
-        self.set_col(dst, axpy(self.cols[dst], self.cols[src], s, self.spec))
-
-    def scale_col(self, j: int, u: int) -> None:
-        u %= self.spec.p
-        if u == 0:
-            raise ValueError("dilation scalar must be nonzero")
-        k = self.spec.k
-        mask = self.spec.mask
-        p = self.spec.p
-        self.cols[j] = [(e >> k) << k | (e & mask) * u % p for e in self.cols[j]]
 
     # -- whole-matrix operations ----------------------------------------------
 

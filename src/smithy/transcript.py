@@ -46,7 +46,7 @@ from array import array
 from operator import eq
 
 from .gfp import FieldSpec
-from .sparse import ShapeError, SparseMatrix
+from .sparse import ShapeError, SparseMatrix, axpy
 
 ROW = "ROW"
 COL = "COL"
@@ -262,13 +262,17 @@ def _op(kind: int, a: int, b: int, v: int) -> tuple:
 
 
 def _run_col_ops(target: SparseMatrix, ops) -> None:
+    """Apply _replay's (kind, src, dst, v) column operations, which _decode
+    checked, to target's columns: S swaps two slots, T adds v*cols[src] to
+    cols[dst], and D, whose src is its dst, adds v*cols[dst] to []."""
+    cols, spec = target.cols, target.spec
     for k, src, dst, v in ops:
         if k == _T:
-            target.add_col_multiple(src, dst, v)
+            cols[dst] = axpy(cols[dst], cols[src], v, spec)
         elif k == _S:
-            target.swap_cols(src, dst)
+            cols[src], cols[dst] = cols[dst], cols[src]
         else:
-            target.scale_col(dst, v)
+            cols[dst] = axpy([], cols[dst], v, spec)
 
 
 class Transcript:

@@ -79,7 +79,7 @@ def sparse_from_dense(rows, p):
 def sparse_identity(n, spec):
     a = SparseMatrix(n, n, spec)
     for i in range(n):
-        a.set(i, i, 1)
+        a.set_col(i, [i << spec.k | 1])
     return a
 
 

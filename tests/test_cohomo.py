@@ -12,8 +12,7 @@ from smithy import (ComplexSlice, FieldSpec, NotAComplexError,
                     load_workspace, reduce_cocycle, snf, SnfOptions)
 
 from conftest import (dense_kernel, dense_mat_vec, dense_rank, load_gen,
-                      random_slice, sparse_copy, sparse_from_dense,
-                      torus_coboundary)
+                      random_slice, sparse_copy, torus_coboundary)
 
 
 def make_slice(rng, n6, n5, n4, p):
@@ -172,11 +171,10 @@ def test_hecke_matrix(tmp_path):
     ws = compute_h5(sl, str(tmp_path / "ws"))
     assert ws.h5 == 2  # seed chosen so the matrices are 2x2
     ident = [[1 if i == j else 0 for j in range(ws.h5)] for i in range(ws.h5)]
-    assert hecke_matrix(ws, ws.basis).to_dense() == ident
+    assert hecke_matrix(ws, [ws.basis_column(j) for j in range(ws.h5)]).to_dense() == ident
     lam = 5
-    scaled = [[lam * ws.basis_column(j)[i] % 12379 for j in range(ws.h5)]
-              for i in range(ws.n5)]
-    scaled_mat = hecke_matrix(ws, sparse_from_dense(scaled, 12379))
+    scaled = [[lam * v % 12379 for v in ws.basis_column(j)] for j in range(ws.h5)]
+    scaled_mat = hecke_matrix(ws, scaled)
     assert scaled_mat.to_dense() == [[lam * v % 12379 for v in row]
                                      for row in ident]
     noisy_cols = []

@@ -4,6 +4,7 @@ import os
 import random
 import tempfile
 import tracemalloc
+from heapq import heappush
 from pathlib import Path
 
 import pytest
@@ -245,8 +246,8 @@ def skinny(seed, m, p):
     rng = random.Random(seed)
     a = SparseMatrix(m, 3 * m, FieldSpec(p))
     for j in range(3 * m):
-        for i in rng.sample(range(m), rng.randint(1, 6)):
-            a.set(i, j, rng.randrange(1, p))
+        a.set_col(j, sorted(i << a.spec.k | rng.randrange(1, p)
+                            for i in rng.sample(range(m), rng.randint(1, 6))))
     return a
 
 
@@ -395,6 +396,44 @@ def test_swap_rows_keeps_every_key_current(f7):
             assert eng.find_pivot() == eng.reference_pivot()
 
 
+def test_finished_rows_stay_off_the_cost0_heap(monkeypatch):
+    """snf advances c before it clears a pivot's row and column, so no row
+    is pushed onto zero whose pattern holds only finished columns (the
+    pivot column counts as finished once the pivot is chosen).  The
+    (3, 4) torus delta_1 takes every pivot from the key search, each
+    against a column of several entries; the fixture takes every pivot at
+    cost 0, and its pushes show that the hook sees them."""
+    engines = []
+
+    class Recorder(_Engine):
+        def __init__(self, mat):
+            super().__init__(mat)
+            self.done = 0  # columns below it are finished
+            engines.append(self)
+
+        def find_pivot(self):
+            pivot = super().find_pivot()
+            self.done = self.c + 1
+            return pivot
+
+    pushes, finished = [], []
+
+    def push(heap, item):
+        eng = engines[-1]
+        if heap is eng.zero:
+            pushes.append(item)
+            if all(j < eng.done for j in eng.rows_pat[item]):
+                finished.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(reduce, "_Engine", Recorder)
+    monkeypatch.setattr(reduce, "heappush", push)
+    gen = load_gen()
+    assert snf(torus_coboundary(gen.Torus(3, 4, 1), 1, FieldSpec(gen.PRIME))).searched > 0
+    snf(read_matrix(FIXTURE))
+    assert pushes and finished == []
+
+
 def test_row_count_changes_keep_every_key_current(f7):
     """Column edits between searches raise and lower row counts; the keys
     of the columns those rows touch are refreshed from each row's own cost
@@ -511,13 +550,20 @@ def test_snf_makes_its_own_temp_dir(tmp_path, monkeypatch, f7):
     assert replay(res, a).to_dense() == rows
 
 
-def test_negative_tau_is_refused(tmp_path, capsys, f7):
+def test_negative_tau_is_refused(tmp_path, capsys, monkeypatch, f7):
+    """Refused by the library and by smithy snf, with or without a
+    --workdir; without one, no temp dir is made."""
     with pytest.raises(ValueError, match="tau must be nonnegative"):
         snf(SparseMatrix.from_dense([[1]], f7), SnfOptions(tau=-1))
-    assert main(["snf", FIXTURE, "--workdir", str(tmp_path / "wd"), "--tau", "-1"]) == EXIT_PARSE
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "tau must be nonnegative" in out.err
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    for workdir in (["--workdir", str(tmp_path / "wd")], []):
+        assert main(["snf", FIXTURE, *workdir, "--tau", "-1"]) == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "tau must be nonnegative" in out.err
+    assert os.listdir(tmp) == []
 
 
 def disk_echelon(a, c, spill_dir, q=None):

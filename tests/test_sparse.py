@@ -40,23 +40,18 @@ def test_from_dense_roundtrip(f7):
         a.check()
         assert a.to_dense() == rows
         assert a.nnz == sum(v != 0 for row in rows for v in row)
+    # values reduce mod p on the way in, and rows must share one length
+    assert SparseMatrix.from_dense([[9, 7], [-1, 0]], f7).to_dense() == [[2, 0], [6, 0]]
+    with pytest.raises(ShapeError):
+        SparseMatrix.from_dense([[1, 2], [3]], f7)
 
 
-def test_get_set(f7):
-    a = SparseMatrix(3, 3, f7)
-    a.set(1, 2, 5)
+def test_get(f7):
+    a = SparseMatrix.from_dense([[0, 0, 0], [0, 0, 5], [0, 0, 0]], f7)
     assert a.get(1, 2) == 5
     assert a.get(0, 0) == 0
-    a.set(1, 2, 0)
-    assert a.get(1, 2) == 0
-    assert a.nnz == 0
-    a.check()
     with pytest.raises(IndexError):
         a.get(3, 0)
-    a.set(0, 0, 9)  # values reduce mod p on the way in
-    assert a.get(0, 0) == 2
-    a.set(0, 0, 7)
-    assert a.get(0, 0) == 0
 
 
 def test_identity_and_eq(f7):
@@ -87,40 +82,6 @@ def test_mat_vec_against_dense(p):
     assert SparseMatrix(0, 3, spec).mat_vec([1, 2, 3]) == []
     with pytest.raises(ShapeError):
         a.mat_vec([1] * (n + 1))
-
-
-def test_elementary_ops_against_dense(f7):
-    rng = random.Random(7)
-    for _ in range(120):
-        m, n = rng.randrange(2, 7), rng.randrange(2, 7)
-        rows = random_dense(rng, m, n, 7, 0.5)
-        a = SparseMatrix.from_dense(rows, f7)
-        op = rng.randrange(3)
-        if op == 0:
-            x, y = rng.sample(range(n), 2)
-            a.swap_cols(x, y)
-            for r in rows:
-                r[x], r[y] = r[y], r[x]
-        elif op == 1:
-            x, y = rng.sample(range(n), 2)
-            s = rng.randrange(7)
-            a.add_col_multiple(x, y, s)
-            for r in rows:
-                r[y] = (r[y] + s * r[x]) % 7
-        else:
-            x, u = rng.randrange(n), rng.randrange(1, 7)
-            a.scale_col(x, u)
-            for r in rows:
-                r[x] = r[x] * u % 7
-        a.check()
-        assert a.to_dense() == rows
-
-
-def test_swap_cols_shared_rows(f7):
-    a = SparseMatrix.from_dense([[1, 2], [3, 4]], f7)
-    a.swap_cols(0, 1)
-    a.check()
-    assert a.to_dense() == [[2, 1], [4, 3]]
 
 
 def test_transpose(f7):

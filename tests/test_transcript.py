@@ -208,6 +208,7 @@ def test_apply_mat_matches_dense(tmp_path, f7):
             mat = dense_product(ops, side, dim, 7, inverse)
             a = SparseMatrix.from_dense(left_rows, f7)
             got = tr.apply_mat_left(a, inverse=inverse)
+            got.check()
             assert got.to_dense() == (mat @ np.array(left_rows) % 7).tolist()
             assert a.to_dense() == left_rows  # left-apply must not mutate
             b = SparseMatrix.from_dense(right_rows, f7)
