@@ -57,10 +57,8 @@ from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import groupby
-from operator import itemgetter
 
-from .sparse import (MatrixFormatError, SparseMatrix, _add_entries, _read_entries,
+from .sparse import (MatrixFormatError, SparseMatrix, _read_header, _read_runs,
                      _write_entries, axpy)
 from .transcript import COL, ROW, Transcript
 
@@ -419,11 +417,11 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
     (column, 1 / pivot): reducing a vector of a fully reduced set by another
     leaves its values on the other pivot rows as they were.  Memory holds only
     the echelon set, small when the region has low co-rank.  The spill is
-    in sparse.py's text format and is read back with read_matrix's checks:
-    a spill that ends before its terminator, or holds a malformed line, an
-    index or value outside the region, a repeated row or a column run out
-    of order, raises MatrixFormatError.  The spill is removed on success,
-    kept on failure.
+    in sparse.py's text format, its column runs ascending, and is read back
+    one run at a time by read_matrix's reader loop: a spill that ends before
+    its terminator, or holds a malformed line, an index or value outside the
+    region, a repeated row, a column run out of order or content after the
+    terminator raises MatrixFormatError.  Removed on success, kept on failure.
     """
     spec = eng.spec
     p, k, mask = eng.p, eng.k, eng.mask
@@ -448,18 +446,13 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
     peak = 0
 
     with open(spill, "rb") as f:
-        entries = _read_entries(f)
-        line_no, *shape = next(entries)
+        lines = enumerate(f, 1)
+        header = line_no, *shape = _read_header(lines)
         if shape != [m_loc, n_loc, p]:
             raise MatrixFormatError(line_no, "spill header %s, not %s" % (shape, [m_loc, n_loc, p]))
-        last = 0
-        for j_loc, group in groupby(entries, itemgetter(2)):
-            run = list(group)
-            if j_loc <= last:
-                raise MatrixFormatError(run[0][0], "column %d after column %d" % (j_loc, last))
-            last = j_loc
+        for j_loc, run in _read_runs(lines, header, k):
             gcol = c + j_loc - 1
-            y = sorted(phys_of[c + (e >> k)] << k | (e & mask) for e in _add_entries([], run, k))
+            y = sorted(phys_of[c + (e >> k)] << k | (e & mask) for e in run)
             # y's value on a pivot row changes only when that row's vector
             # is taken out, so each coefficient comes from the y as read
             for _, e in sorted((cur_of[e >> k], e) for e in y if e >> k in owner):

@@ -14,17 +14,16 @@ columns with axpy, and a row operation is a column operation on the
 transpose.
 
 The text format is a header line "m n p", one line "i j v" per entry
-(1-based indices, 0 < v < p, any order) and the terminator "0 0 0".  This
-module alone reads and writes it: read_matrix, read_header and
-write_matrix, which take file paths, and the out-of-core pass's spill file
-all go through its entry parser and writer.
+(1-based indices, 0 < v < p, any order), the terminator "0 0 0" and nothing
+after it but blank lines.  This module alone reads and writes it.  It reads
+bytes, so a field that is not an ASCII integer fails at its line, in the one
+reader (_read_header, _read_runs) of read_matrix, read_header and the spill.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import compress
 
 from .gfp import FieldSpec
 
@@ -220,63 +219,74 @@ def _write_entries(f, m: int, n: int, p: int, entries) -> None:
     f.write("0 0 0\n")
 
 
-def _read_entries(f):
-    """Yield the header as (line_no, m, n, p), then each entry up to the
-    terminator as (line_no, i, j, v), 1-based, with (i, j) inside m x n and
-    0 < v < p.  Blank lines are skipped; f may be text or binary.  Anything
-    else, a negative m or n, or a missing terminator, raises
-    MatrixFormatError."""
+def _read_header(lines) -> tuple[int, int, int, int]:
+    """The header (line_no, m, n, p) from lines, enumerate(f, 1) of a binary f."""
     line_no = 0
-    lines = enumerate(f, 1)
     for line_no, line in lines:
         header = line.split()
         if header:
             break
     else:
         raise MatrixFormatError(line_no + 1, "missing header")
-    if len(header) != 3:
-        raise MatrixFormatError(line_no, "header must be 'm n p'")
     try:
         m, n, p = map(int, header)
     except ValueError:
-        raise MatrixFormatError(line_no, "non-integer header field") from None
+        raise MatrixFormatError(line_no, "header must be 'm n p'" if len(header) != 3
+                                else "non-integer header field") from None
     if m < 0 or n < 0:
         raise MatrixFormatError(line_no, "negative dimension in header")
-    yield line_no, m, n, p
+    return line_no, m, n, p
+
+
+def _read_runs(lines, header, k: int, cols: list[list[int]] | None = None):
+    """Yield each maximal run of entry lines in one column, after header =
+    _read_header(lines) and up to the terminator, as (j, col): its 1-based
+    column and its sorted packed list, cols[j - 1] if cols is given (it may
+    hold an earlier run of j), else a new list, and then each column must
+    come in one run, ascending.  A line that continues the run with a higher
+    row costs one split, three int calls, one range compare and one append;
+    any other takes every check, and a fault raises MatrixFormatError."""
+    line_no, m, n, p = header
+    jcur, last = 0, m  # last: the run's last 1-based row; none yet, no fast path
     for line_no, line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise MatrixFormatError(line_no, "entry must be 'i j v'")
         try:
-            i, j, v = map(int, parts)
+            i, j, v = line.split()
+            i, j, v = int(i), int(j), int(v)
         except ValueError:
-            raise MatrixFormatError(line_no, "non-integer entry field") from None
+            if not line.split():
+                continue
+            raise MatrixFormatError(line_no, "entry must be 'i j v'" if len(line.split()) != 3
+                                    else "non-integer entry field") from None
+        if j == jcur and last < i <= m and 0 < v < p:
+            append((i - 1) << k | v)
+            last = i
+            continue
         if not (1 <= i <= m and 1 <= j <= n):
             if i == j == v == 0:
-                return
+                break
             raise MatrixFormatError(line_no, "index (%d, %d) outside %dx%d" % (i, j, m, n))
         if not 0 < v < p:
             raise MatrixFormatError(line_no, "value %d outside [1, %d)" % (v, p))
-        yield line_no, i, j, v
-    raise MatrixFormatError(line_no + 1, "missing '0 0 0' terminator")
-
-
-def _add_entries(col: list[int], entries, k: int) -> list[int]:
-    """Put entries of one column, as _read_entries yields them, into col
-    and return it.  A row past the column's last row is appended, any other
-    is inserted in place; a row already present raises MatrixFormatError."""
-    for line_no, i, j, v in entries:
-        i -= 1
-        if not col or col[-1] >> k < i:
-            col.append(i << k | v)
-            continue
-        idx = bisect_left(col, i << k)
-        if col[idx] >> k == i:
-            raise MatrixFormatError(line_no, "duplicate entry (%d, %d)" % (i + 1, j))
-        col.insert(idx, i << k | v)
-    return col
+        if j != jcur:
+            if cols is None and j < jcur:
+                raise MatrixFormatError(line_no, "column %d after column %d" % (j, jcur))
+            if jcur:
+                yield jcur, col
+            jcur = j
+            col = [] if cols is None else cols[j - 1]
+            append = col.append
+        idx = bisect_left(col, (i - 1) << k)
+        if idx < len(col) and col[idx] >> k == i - 1:
+            raise MatrixFormatError(line_no, "duplicate entry (%d, %d)" % (i, j))
+        col.insert(idx, (i - 1) << k | v)
+        last = (col[-1] >> k) + 1
+    else:
+        raise MatrixFormatError(line_no + 1, "missing '0 0 0' terminator")
+    for line_no, line in lines:
+        if line.split():
+            raise MatrixFormatError(line_no, "content after the '0 0 0' terminator")
+    if jcur:
+        yield jcur, col
 
 
 def write_matrix(a: SparseMatrix, path) -> None:
@@ -287,19 +297,16 @@ def write_matrix(a: SparseMatrix, path) -> None:
 def read_header(path) -> tuple[int, int, int]:
     """The header (m, n, p) of the matrix file at path; nothing after it is
     parsed."""
-    with open(path) as f:
-        return next(_read_entries(f))[1:]
+    with open(path, "rb") as f:
+        return _read_header(enumerate(f, 1))[1:]
 
 
 def read_matrix(path, spec: FieldSpec | None = None) -> SparseMatrix:
-    """Parse the text file at path; raises MatrixFormatError with a line
-    number.
-
-    When spec is given the file's modulus must match it.
-    """
-    with open(path) as f:
-        entries = _read_entries(f)
-        line_no, m, n, p = next(entries)
+    """Parse the matrix file at path, whose modulus must be spec's if spec is
+    given; raises MatrixFormatError with a line number."""
+    with open(path, "rb") as f:
+        lines = enumerate(f, 1)
+        header = line_no, m, n, p = _read_header(lines)
         if spec is not None and spec.p != p:
             raise MatrixFormatError(line_no, "modulus %d does not match expected %d" % (p, spec.p))
         try:
@@ -307,6 +314,6 @@ def read_matrix(path, spec: FieldSpec | None = None) -> SparseMatrix:
         except ValueError as exc:
             raise MatrixFormatError(line_no, str(exc)) from None
         a = SparseMatrix(m, n, spec)
-        for j, group in groupby(entries, itemgetter(2)):
-            _add_entries(a.cols[j - 1], group, spec.k)
+        for _ in _read_runs(lines, header, spec.k, a.cols):
+            pass
         return a

@@ -67,6 +67,42 @@ def dense_mat_vec(rows, x, p):
     return [sum(rv * xv for rv, xv in zip(row, x)) % p for row in rows]
 
 
+def reference_read(data):
+    """The matrix text format read naively from bytes: ((m, n, p), {(i, j): v})
+    with 1-based indices, or the line number of the first fault."""
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    rows = [(no, line.split()) for no, line in enumerate(lines, 1) if line.split()]
+    if not rows:
+        return len(lines) + 1
+    no, header = rows[0]
+    try:
+        m, n, p = map(int, header)
+        FieldSpec(p)
+    except ValueError:
+        return no
+    if m < 0 or n < 0:
+        return no
+    entries = {}
+    rest = iter(rows[1:])
+    for no, parts in rest:
+        try:
+            i, j, v = map(int, parts)
+        except ValueError:
+            return no
+        if (i, j, v) == (0, 0, 0):
+            break
+        if not (1 <= i <= m and 1 <= j <= n and 0 < v < p) or (i, j) in entries:
+            return no
+        entries[i, j] = v
+    else:
+        return len(lines) + 1
+    for no, _ in rest:
+        return no
+    return (m, n, p), entries
+
+
 def random_dense(rng, m, n, p, density):
     return [[rng.randrange(1, p) if rng.random() < density else 0
              for _ in range(n)] for _ in range(m)]

@@ -122,6 +122,12 @@ def test_snf_malformed_matrix(tmp_path, capsys):
                        "--workdir", str(tmp_path / "wd"))
     assert code == 3
     assert "line 1: negative dimension" in err
+    # a byte that is not UTF-8 is a parse error at its line
+    bad.write_bytes(b"2 2 7\n1 1 \xff\n0 0 0\n")
+    code, _, err = run(capsys, "snf", str(bad),
+                       "--workdir", str(tmp_path / "wd"))
+    assert code == 3
+    assert "parse error: line 2" in err
 
 
 def test_cohomology_and_reduce_workflow(tmp_path, capsys):

@@ -747,12 +747,17 @@ def _first_entry_last(lines):
     return [lines[0]] + lines[2:-1] + [lines[1], lines[-1]]
 
 
+def _entry_after_terminator(lines):
+    return [lines[0]] + lines[2:] + [lines[1]]
+
+
 @pytest.mark.parametrize("damage,match,line_no", [
     (_repeat_first_entry, "duplicate", 3),
     (_row_outside, "outside", 2),
     (_value_outside, "value", 2),
     (_header_too_tall, "spill header", 1),
     (_first_entry_last, "column 1 after column 8", 22),
+    (_entry_after_terminator, "content after", 23),
 ])
 def test_damaged_spill_is_refused(tmp_path, monkeypatch, damage, match, line_no):
     """A spill damaged between write and read is refused with read_matrix's

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
 from smithy import (FieldSpec, MatrixFormatError, ShapeError, SparseMatrix,
                     axpy, read_matrix, write_matrix)
+from smithy.sparse import read_header
 
-from conftest import dense_mat_vec, random_dense, sparse_identity
+from conftest import dense_mat_vec, random_dense, reference_read, sparse_identity
 
 
 def test_axpy_against_dense(f7):
@@ -112,11 +114,15 @@ def test_set_col_and_counts(f7):
     assert a.nnz == 1
 
 
-def read_text(tmp_path, text, spec=None):
-    """read_matrix of a file holding text."""
+def write_text(tmp_path, text):
+    """The path of a file holding text, or bytes."""
     path = tmp_path / "m.sms"
-    path.write_text(text)
-    return read_matrix(path, spec)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return path
+
+
+def read_text(tmp_path, text, spec=None):
+    return read_matrix(write_text(tmp_path, text), spec)
 
 
 def test_write_read_roundtrip(tmp_path, f12379):
@@ -162,11 +168,97 @@ def test_format_blank_lines_ok(tmp_path):
     ("2 2 7\n2 1 1\n1 1 1\n2 1 3\n0 0 0\n", 4),  # duplicate out of order
     ("2 2 7\n1 1 1\n", 3),                  # missing terminator, flagged at EOF
     ("2 2 7\nx y z\n0 0 0\n", 2),           # junk
+    ("2 2 7\n1 1 1\n0 0 0\n\n2 2 1\n", 5),  # entry after the terminator
+    ("2 2 7\n0 0 0\nx\n", 3),              # junk after the terminator
+    (b"2 2 7\n1 \xff 1\n0 0 0\n", 2),      # a byte that is not UTF-8
+    (b"2 \xff 7\n0 0 0\n", 1),              # ... in the header
+    (b"2 2 7\n0 0 0\n\xff\n", 3),           # ... after the terminator
 ])
 def test_format_errors(tmp_path, text, line):
     with pytest.raises(MatrixFormatError) as exc:
         read_text(tmp_path, text)
     assert exc.value.line_no == line
+
+
+def test_read_header_parses_only_the_header(tmp_path):
+    for body in ("junk\n", "1 1 1\n", "3 1 1\n1 1\n", ""):
+        assert read_header(write_text(tmp_path, "\n2 3 7\n" + body)) == (2, 3, 7)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("", 1),
+    ("\n\n", 3),
+    ("2 3\n0 0 0\n", 1),
+    ("\n2 3 7 1\n0 0 0\n", 2),
+    ("2 x 7\n0 0 0\n", 1),
+    (b"2 3 \xff\n0 0 0\n", 1),
+    ("2 -3 7\n0 0 0\n", 1),
+])
+def test_read_header_errors(tmp_path, text, line):
+    with pytest.raises(MatrixFormatError) as exc:
+        read_header(write_text(tmp_path, text))
+    assert exc.value.line_no == line
+
+
+def random_matrix_file(rng):
+    """A small matrix file as bytes, sound or damaged: blank lines, CRLF
+    endings, tabs, short, long and junk lines, rows and columns in any order,
+    repeated entries, indices or values out of range, a missing terminator
+    and content after it."""
+    m, n, p = rng.randrange(5), rng.randrange(5), rng.choice([3, 5, 7])
+    cells = [(i, j) for j in range(1, n + 1) for i in range(1, m + 1)]
+    cells = rng.sample(cells, rng.randrange(len(cells) + 1))
+    order = rng.randrange(3)
+    if order < 2:  # column runs, rows ascending or shuffled within each
+        cells.sort(key=lambda c: (c[1], c[0] if order else rng.random()))
+    lines = [[m, n, p]] + [[i, j, rng.randrange(1, p)] for i, j in cells]
+    if rng.random() < 0.1:
+        lines[0] = rng.choice([[m, n], [m, n, p, 1], [-1, n, p], [m, -1, p], [m, n, 9],
+                               [m, b"x", p], [m, n, b"\xff"]])
+    for t in range(len(lines) - 1, 0, -1):
+        if rng.random() < 0.03:
+            i, j, v = lines[t]
+            lines[t] = rng.choice([[b"x", j, v], [i, b"\xff", v], [i, j], [i, j, v, 1],
+                                   [rng.choice([0, m + 1]), j, v], [i, rng.choice([0, n + 1]), v],
+                                   [i, j, rng.choice([0, p, -1])], [b"junk"]])
+        elif rng.random() < 0.03:  # a repeated cell, later in its run or in another
+            lines.insert(rng.randrange(t + 1, len(lines) + 1), lines[t][:2] + [1])
+    if rng.random() < 0.9:
+        lines.append([0, 0, 0])
+        if rng.random() < 0.05:
+            lines.append(rng.choice([[1, 1, 1], [0, 0, 0], [b"x"]]))
+    if rng.random() < 0.05:
+        lines = []
+    for t in range(len(lines) + 1):
+        if rng.random() < 0.05:
+            lines.insert(t, [])
+    sep, end = rng.choice([b" ", b"\t", b"  "]), rng.choice([b"\n", b"\r\n"])
+    text = end.join(sep.join(f if isinstance(f, bytes) else b"%d" % f for f in line)
+                    for line in lines)
+    return text + end if rng.random() < 0.9 else text
+
+
+def test_reader_matches_reference(tmp_path):
+    """read_matrix and the naive reference reader agree on 3,000 small files:
+    the same matrix, or a refusal at the same line."""
+    rng = random.Random(21)
+    path = tmp_path / "m.sms"
+    outcomes = Counter()
+    for _ in range(3000):
+        data = random_matrix_file(rng)
+        path.write_bytes(data)
+        want = reference_read(data)
+        try:
+            a = read_matrix(path)
+        except MatrixFormatError as exc:
+            assert exc.line_no == want, data
+            outcomes["refused"] += 1
+        else:
+            a.check()
+            got = {(i + 1, j + 1): v for i, j, v in a.entries()}
+            assert ((a.m, a.n, a.spec.p), got) == want, data
+            outcomes["read"] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_read_with_expected_spec(tmp_path, f7):
