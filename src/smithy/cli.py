@@ -47,7 +47,6 @@ def cmd_snf(args) -> int:
         emit_p=args.emit_p,
         emit_q=args.emit_q,
         tau=args.tau,
-        normalize_pivots=args.normalize,
         fill_log_path=args.fill_log,
         workdir=args.workdir,
     )
@@ -163,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--workdir", default=None,
                     help="directory for outputs (default: a fresh temp dir)")
-    ps.add_argument("--normalize", action="store_true",
-                    help="scale every pivot to 1, appending the dilations to "
-                         "P, else to Q")
     ps.add_argument("--emit-p", action="store_true", help="record row ops")
     ps.add_argument("--emit-q", action="store_true", help="record column ops")
     ps.add_argument("--fill-log", default=None,

@@ -5,7 +5,7 @@ in the coordinates y = Q x on C5 the cocycles are exactly the vectors
 whose first rho5 coordinates vanish (D is invertible there), so the
 coboundary map folds down to eta = the last n5 - rho5 rows of Q dBottom.
 
-Every transvection and dilation of Q writes a pivot line, one of the first
+Every transvection of Q writes a pivot line, one of the first
 rho5, so the last n5 - rho5 coordinates of Q y are coordinates of y moved
 by Q's swaps alone: (Q y)[rho5 + t] = y[tail[t]].  eta is thus a row
 selection of dBottom, and "Q y vanishes on its first rho5 coordinates",
@@ -100,7 +100,7 @@ def _q5_tail(path, spec: FieldSpec, n5: int, rho5: int) -> array:
     """tail with (Q5 y)[rho5 + t] = y[tail[t]] for every y, from one pass
     over the bytes of the COL transcript Q5 at path (trace_lines).
 
-    Replayed on the left, a T or D record writes the line it names first
+    Replayed on the left, a T record writes the line it names first
     and an S record swaps two lines.  A line at or above rho5 that ends
     written is not a moved coordinate of y, and the transcript is refused.
     """
@@ -231,8 +231,10 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
 
     Any earlier meta in workdir is removed before the first file is
     written, and meta is written last, so a run that fails leaves a
-    directory that load_workspace refuses.
+    directory that load_workspace refuses.  A refused tau touches nothing.
     """
+    eta_opts = SnfOptions(emit_p=True, p_path=os.path.join(workdir, "peta.trn"),
+                          workdir=workdir, tau=tau, paranoid=paranoid)
     os.makedirs(workdir, exist_ok=True)
     if validate:
         slice_.validate()
@@ -254,9 +256,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     eta = _select_rows(slice_.d_bottom, tail)
     if paranoid:
         assert eta == build_eta(r5.q, slice_.d_bottom, rho5), "eta is not Q5.dBottom"
-    r_eta = snf(eta, SnfOptions(
-        emit_p=True, p_path=os.path.join(workdir, "peta.trn"), workdir=workdir,
-        tau=tau, paranoid=paranoid))
+    r_eta = snf(eta, eta_opts)
     rho_eta = r_eta.rank
     h5 = n5 - rho5 - rho_eta
     assert h5 >= 0, "rank accounting broke"

@@ -31,8 +31,6 @@ Over a field every pivot is a unit, so the result is diag(d_0..d_{rho-1})
 with no divisibility bookkeeping.  The input matrix is overwritten with
 that diagonal; the row and column operations stream to transcripts when
 requested, and replaying them against the diagonal restores the input.
-Normalizing is one pass after the last pivot: it appends the dilation
-diag(d) to P, else to Q, and sets every d to 1.
 
 The engine (_Engine) is the one owner of the pivoting bookkeeping: it
 builds the row pattern (per row, the sorted list of columns holding an
@@ -68,7 +66,6 @@ class SnfOptions:
     emit_p: bool = False
     emit_q: bool = False
     tau: int | None = None  # active-nonzero threshold for the disk fallback
-    normalize_pivots: bool = False
     fill_log_path: str | None = None
     workdir: str | None = None  # transcripts and spill live here; see snf
     p_path: str | None = None
@@ -567,14 +564,6 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                         p_tr.append(("T", c, i2, v2 * dinv % p))
                 eng.set_col(c, [pr << eng.k | d])
             diag.append(d)
-        if opts.normalize_pivots:
-            # P.D.Q = (P.E)(E^-1.D)Q = P(D.E^-1)(E.Q) for E = diag(d)
-            tr = p_tr if p_tr is not None else q_tr
-            for c, d in enumerate(diag):
-                if d != 1:
-                    if tr is not None:
-                        tr.append(("D", c, None, d))
-                    diag[c] = 1
         eng.overwrite_with_diagonal(diag)
         done = True
     finally:

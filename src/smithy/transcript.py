@@ -8,7 +8,6 @@ followed by one record per elementary operation, 0-based indices:
 
     S a b             swap lines a and b
     T a b v           add v times line a to line b   (0 < v < p)
-    D a u             scale line a by u              (0 < u < p)
 
 and, once finalized, one trailer line
 
@@ -16,9 +15,9 @@ and, once finalized, one trailer line
                       byte before this line
 
 "Line" means row for a ROW transcript and column for a COL transcript.
-Transcript.append takes each record as a plain (kind, a, b, v) tuple, b
-None for a dilation and v None for a swap, and is the one place that
-checks it; records() and records_reversed() give them back in that form.
+Transcript.append takes each record as a plain (kind, a, b, v) tuple, v
+None for a swap, and is the one place that checks it; records() and
+records_reversed() give them back in that form.
 Each record stands for the elementary matrix performing that operation on
 its side; for a record with matrix E, a ROW transcript represents the
 product E0 E1 E2 ... in file order, while a COL transcript represents
@@ -57,8 +56,8 @@ class TranscriptError(ValueError):
 
 
 def _encode(op, dim, p) -> str:
-    """The file line of op = (kind, a, b, v), once each index is in [0, dim),
-    S and T name two lines, T and D have a scalar in (0, p), D no b, S no v."""
+    """The file line of op = (kind, a, b, v), once a and b are two lines in
+    [0, dim), and v is None for S and in (0, p) for T."""
     kind, a, b, v = op
     if kind == "T":
         if 0 <= a < dim and 0 <= b < dim and a != b and 0 < v < p:
@@ -66,24 +65,21 @@ def _encode(op, dim, p) -> str:
     elif kind == "S":
         if 0 <= a < dim and 0 <= b < dim and a != b and v is None:
             return "S %d %d\n" % (a, b)
-    elif kind == "D":
-        if 0 <= a < dim and b is None and 0 < v < p:
-            return "D %d %d\n" % (a, v)
     else:
         raise TranscriptError("unknown op kind %r" % (kind,))
     raise TranscriptError("bad record %r for dimension %s and modulus %s" % (op, dim, p))
 
 
 # record kinds as the decoded kind array stores them
-_S, _T, _D = b"STD"
+_S, _T = b"ST"
 _CHUNK = 1 << 16
 
 
 def _parse(body: bytes, ops) -> None:
     """Append the records of body, whole lines, to the arrays ops, checking
-    only each record's shape; a dilation keeps its line in both index
-    slots and a swap has v = 0.  A blank line is refused.  A negative index
-    or scalar does not fit its unsigned array and is refused here."""
+    only each record's shape; a swap has v = 0.  A blank line is refused.
+    A negative index or scalar does not fit its unsigned array and is
+    refused here."""
     kind, la, lb, val = ops
     ka, aa, ba, va = kind.append, la.append, lb.append, val.append
     lines = body.split(b"\n")
@@ -96,9 +92,6 @@ def _parse(body: bytes, ops) -> None:
                 a, b, v = int(parts[1]), int(parts[2]), int(parts[3])
             elif n == 3 and parts[0] == b"S":
                 a, b, v = int(parts[1]), int(parts[2]), 0
-            elif n == 3 and parts[0] == b"D":
-                a, v = int(parts[1]), int(parts[2])
-                b = a
             else:
                 raise TranscriptError("unrecognized %r" % raw.strip())
             aa(a)
@@ -178,23 +171,22 @@ def _decode(path, spec: FieldSpec | None = None):
     if kind and (max(la) >= dim or max(lb) >= dim or max(val) >= p):
         raise TranscriptError("%s: a record exceeds dimension %d or modulus %d"
                               % (path, dim, p))
-    kinds = kind.tobytes()
-    if val.count(0) != kinds.count(b"S"):
-        raise TranscriptError("%s: a transvection or dilation has scalar 0" % path)
-    if sum(map(eq, la, lb)) != kinds.count(b"D"):
+    if val.count(0) != kind.tobytes().count(b"S"):
+        raise TranscriptError("%s: a transvection has scalar 0" % path)
+    if any(map(eq, la, lb)):
         raise TranscriptError("%s: a swap or transvection names one line twice" % path)
     return side, dim, file_spec, ops
 
 
 _SWAP = re.compile(rb"\nS (\d+) (\d+)(?=\n)")
-_WRITE = re.compile(rb"[TD] (\d+) ")
+_WRITE = re.compile(rb"T (\d+) ")
 
 
 def trace_lines(path, side: str, dim: int, spec: FieldSpec):
     """Follow the lines of the side, dim transcript at path through its
     records in file order, in one pass over its bytes: (src, written), where
     line i ends up holding the original line src[i], and written[i] is 1
-    when a T or D record wrote it on the way (the line such a record names
+    when a T record wrote it on the way (the line such a record names
     first).
 
     The header, the trailer's count and the CRC-32 are checked as by open,
@@ -229,8 +221,7 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
         m = _WRITE.match(buf, start + 1)
         if m is not None:
             x = m[1]
-            if (buf.count(b"\nT %s " % x, start, stop) + buf.count(b"\nD %s " % x, start, stop)
-                    == buf.count(b"\n", start, stop)):
+            if buf.count(b"\nT %s " % x, start, stop) == buf.count(b"\n", start, stop):
                 written[line(x)] = 1
                 return
         for record in buf[start + 1:stop].split(b"\n"):
@@ -258,21 +249,19 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
 
 def _op(kind: int, a: int, b: int, v: int) -> tuple:
     """A decoded record as the (kind, a, b, v) tuple that append takes."""
-    return chr(kind), a, None if kind == _D else b, None if kind == _S else v
+    return chr(kind), a, b, None if kind == _S else v
 
 
 def _run_col_ops(target: SparseMatrix, ops) -> None:
     """Apply _replay's (kind, src, dst, v) column operations, which _decode
-    checked, to target's columns: S swaps two slots, T adds v*cols[src] to
-    cols[dst], and D, whose src is its dst, adds v*cols[dst] to []."""
+    checked, to target's columns: T adds v*cols[src] to cols[dst], and S
+    swaps two slots."""
     cols, spec = target.cols, target.spec
     for k, src, dst, v in ops:
         if k == _T:
             cols[dst] = axpy(cols[dst], cols[src], v, spec)
-        elif k == _S:
-            cols[src], cols[dst] = cols[dst], cols[src]
         else:
-            cols[dst] = axpy([], cols[dst], v, spec)
+            cols[src], cols[dst] = cols[dst], cols[src]
 
 
 class Transcript:
@@ -354,14 +343,14 @@ class Transcript:
         a target by M (or M^-1) on the left or right.  A ROW record applied
         on the right, or a COL record on the left, exchanges the roles of
         T a b v (col[b] += v*col[a]) and walks the file forward; the
-        inverse walks it the other way with inverted scalars."""
+        inverse walks it the other way with negated scalars."""
         kind, a, b, v = self.decoded()
         flip = (self.side == COL) == left
         if flip:
             a, b = b, a
         if inverse:
-            p, inv = self.spec.p, self.spec.inv
-            v = [inv(s) if k == _D else p - s for k, s in zip(kind, v)]
+            p = self.spec.p
+            v = [p - s for s in v]
         if flip != inverse:
             return zip(kind, a, b, v)
         return zip(reversed(kind), reversed(a), reversed(b), reversed(v))
@@ -376,10 +365,8 @@ class Transcript:
         for k, src, dst, v in self._replay(True, inverse):
             if k == _T:
                 x[dst] = (x[dst] + v * x[src]) % p
-            elif k == _S:
-                x[src], x[dst] = x[dst], x[src]
             else:
-                x[dst] = x[dst] * v % p
+                x[src], x[dst] = x[dst], x[src]
         return x
 
     def apply_mat_left(self, a: SparseMatrix, inverse: bool = False) -> SparseMatrix:

@@ -282,6 +282,24 @@ def f7_workspace(tmp_path, capsys):
     return wd, zfile
 
 
+def test_cohomology_refused_tau_leaves_the_workspace(tmp_path, capsys):
+    """A negative --tau is refused (exit 3) before the workdir is touched:
+    a complete workspace keeps every file byte for byte and still reduces."""
+    wd, zfile = f7_workspace(tmp_path, capsys)
+
+    def files():
+        return {path.name: path.read_bytes() for path in (tmp_path / "ws").iterdir()}
+
+    before = files()
+    assert "meta" in before
+    code, out, err = run(capsys, "cohomology", str(tmp_path / "d5.sms"),
+                         str(tmp_path / "d4.sms"), "--workdir", wd, "--tau", "-1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "tau must be nonnegative" in err
+    assert files() == before
+    assert run(capsys, "reduce", wd, zfile)[:2] == (0, "s1: 3\n")
+
+
 @pytest.mark.parametrize("old,new", [
     ("h6: 0\n", ""),  # a key missing
     ("p: 7\n", "p: 7\np: 7\n"),  # a key repeated
@@ -355,6 +373,7 @@ BAD_Q5 = {
     "swap-negative": lambda h, r, n: finalized(h + r + b"S -1 0\n", n + 1),
     "write-high": lambda h, r, n: finalized(h + r + b"T 3 0 1\n", n + 1),
     "write-negative": lambda h, r, n: finalized(h + r + b"T -1 0 1\n", n + 1),
+    "dilation": lambda h, r, n: finalized(h + r + b"D 0 3\n", n + 1),
     "row": lambda h, r, n: finalized(b"ROW 3 7\n" + r, n),
     "dim": lambda h, r, n: finalized(b"COL 4 7\n" + r, n),
     "modulus": lambda h, r, n: finalized(b"COL 3 11\n" + r, n),
@@ -363,6 +382,8 @@ BAD_Q5 = {
 
 @pytest.mark.parametrize("damage", BAD_Q5)
 def test_reduce_refuses_bad_q5(tmp_path, capsys, damage):
+    """q5.trn is refused by trace_lines, exit 3; a D line, which writes
+    only a pivot line here, is refused as an unrecognized record."""
     wd, zfile = f7_workspace(tmp_path, capsys)
     q5 = os.path.join(wd, "q5.trn")
     with open(q5, "rb") as f:

@@ -60,9 +60,7 @@ def test_markowitz_examples(f7):
 
 # SHA-256 of p.trn and q.trn for the 30x40 fixture, recorded before the
 # cached-key pivot search replaced the scanning one: any change to the pivot
-# order, the tie-break or the record format shows here.  The normalized P
-# was re-recorded when the dilations moved after the last pivot: the plain
-# P's records, then "D c d" for each plain pivot d != 1
+# order, the tie-break or the record format shows here.
 FIXTURE_TRANSCRIPTS = {
     "plain": ({},
               "df347c04d864f6e9e03aed8c657bf0ef092d39963cd3b7ac959458bad0e1083f",
@@ -70,9 +68,6 @@ FIXTURE_TRANSCRIPTS = {
     "tau0": ({"tau": 0},
              "49e903cc9489dfaba44574d31da1c120314812edcb09d2990db06d315356b76b",
              "5f54fece1f8f9ed0226d280138533482542f3533bcd68ec84168811bbad571aa"),
-    "normalized": ({"normalize_pivots": True},
-                   "280d7283efe87a15628018e38eca693f44f9e0dc8378e4998576986eb959da5e",
-                   "300dd39d328b0cd2b5260dcf7b0590962e51c7666b0392ca5e2eae320f8de68d"),
 }
 
 
@@ -153,20 +148,7 @@ def test_fill_log_semantics(tmp_path):
 
 def test_diag_values_unnormalized(tmp_path):
     a, res = run_snf([[0, 2], [3, 0]], 7, tmp_path, "u")
-    assert res.diag == [2, 3]  # pivots keep their values unless asked
-
-
-def test_normalize_pivots(tmp_path):
-    for tag, emit_p, emit_q in (("pp", True, True), ("pq", False, True),
-                                ("pr", True, False), ("ps", False, False)):
-        a = SparseMatrix.from_dense([[0, 2], [3, 0]], FieldSpec(7))
-        res = snf(a, SnfOptions(emit_p=emit_p, emit_q=emit_q,
-                                normalize_pivots=True,
-                                workdir=str(tmp_path / tag)))
-        assert res.diag == [1, 1]
-        assert a.to_dense() == [[1, 0], [0, 1]]
-        if emit_p and emit_q:
-            assert replay(res, a).to_dense() == [[0, 2], [3, 0]]
+    assert res.diag == [2, 3]  # pivots keep their values
 
 
 def tie_heavy(p):
@@ -255,58 +237,24 @@ def skinny(seed, m, p):
 # rows are cleared against a singleton pivot column.  First recorded before
 # row swaps and singleton clears updated pivot keys in O(1); re-recorded
 # when ties moved from the current to the physical row, which changes this
-# input's pivots.  The normalized P was re-recorded as the fixture's was
+# input's pivots.  Keyed False: the pivots are not normalized
 SKINNY_TRANSCRIPTS = {
     False: ("4180f761a3f4c469f50522ccaa389ab9ddfb61859646855edf3009e712093883",
             "3c64bebe71e618a495839f18988f129e6a20eba802ab398d4864757e603b916f"),
-    True: ("825c3718f638b8073ff7766dac6a5a421d39614b6419c3c1cea0512ec56a1714",
-           "3c64bebe71e618a495839f18988f129e6a20eba802ab398d4864757e603b916f"),
 }
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_skinny_transcripts_are_pinned(tmp_path, normalize):
+@pytest.mark.parametrize("normalized", list(SKINNY_TRANSCRIPTS))
+def test_skinny_transcripts_are_pinned(tmp_path, normalized):
     a = skinny(51, 300, 12379)
     rows = a.to_dense()
-    res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path),
-                            normalize_pivots=normalize))
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path)))
     assert res.rank == 300
     assert res.searched == 0  # every pivot has Markowitz cost 0
-    for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[normalize]):
+    for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[normalized]):
         with open(tr.path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == want
     assert replay(res, a).to_dense() == rows
-
-
-@pytest.mark.parametrize("case", ["fixture", "skinny"])
-def test_normalized_transcripts_append_the_dilations(tmp_path, case):
-    """Normalizing keeps the plain run's pivots, Q and fill log and appends
-    "D c d" for each plain pivot d != 1, in increasing c, to P; with only
-    Q emitted, to Q.  Both replay to the input with the plain other side."""
-    def load():
-        return read_matrix(FIXTURE) if case == "fixture" else skinny(51, 300, 12379)
-
-    rows = load().to_dense()
-    runs = {}
-    for tag, emit_p in (("plain", True), ("norm", True), ("qonly", False)):
-        a = load()
-        res = snf(a, SnfOptions(emit_p=emit_p, emit_q=True, normalize_pivots=tag != "plain",
-                                workdir=str(tmp_path / tag)))
-        runs[tag] = a, res
-    plain, norm, qonly = (runs[tag][1] for tag in ("plain", "norm", "qonly"))
-    dilations = [("D", c, None, d) for c, d in enumerate(plain.diag) if d != 1]
-    assert dilations
-    for res in (norm, qonly):
-        assert (res.rank, res.searched, res.fill_log) == (plain.rank, plain.searched,
-                                                          plain.fill_log)
-        assert res.diag == [1] * plain.rank
-    assert Path(norm.q.path).read_bytes() == Path(plain.q.path).read_bytes()
-    assert list(norm.p.records()) == list(plain.p.records()) + dilations
-    assert list(qonly.q.records()) == list(plain.q.records()) + dilations
-    assert replay(norm, runs["norm"][0]).to_dense() == rows
-    out = sparse_copy(runs["qonly"][0])
-    qonly.q.apply_mat_right(out)
-    assert plain.p.apply_mat_left(out).to_dense() == rows
 
 
 def test_skinny_cost_zero_pivots_paranoid(tmp_path):

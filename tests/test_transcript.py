@@ -22,19 +22,16 @@ def dense_op(op, side, dim, p):
 
     Row-side transvection T a b v is the left factor adding v x (row a)
     to row b; column-side is the right factor adding v x (col a) to col b.
-    Swaps and dilations look the same from either side.
+    A swap looks the same from either side.
     """
     kind, a, b, v = op
     e = np.eye(dim, dtype=np.int64)
     if kind == "S":
         e[[a, b]] = e[[b, a]]
-    elif kind == "T":
-        if side == ROW:
-            e[b, a] = v % p
-        else:
-            e[a, b] = v % p
+    elif side == ROW:
+        e[b, a] = v % p
     else:
-        e[a, a] = v % p
+        e[a, b] = v % p
     return e
 
 
@@ -43,9 +40,7 @@ def inverse_op(op, spec):
     kind, a, b, v = op
     if kind == "S":
         return op
-    if kind == "T":
-        return ("T", a, b, spec.p - v)
-    return ("D", a, None, spec.inv(v))
+    return ("T", a, b, spec.p - v)
 
 
 def dense_product(ops, side, dim, p, inverse=False):
@@ -62,17 +57,11 @@ def dense_product(ops, side, dim, p, inverse=False):
 
 
 def random_ops(rng, dim, p):
+    """Up to 24 swaps and transvections; none when dim < 2."""
     ops = []
-    for _ in range(rng.randrange(0, 25)):
-        kind = rng.randrange(3)
-        if kind == 0 and dim >= 2:
-            a, b = rng.sample(range(dim), 2)
-            ops.append(("S", a, b, None))
-        elif kind == 1 and dim >= 2:
-            a, b = rng.sample(range(dim), 2)
-            ops.append(("T", a, b, rng.randrange(1, p)))
-        else:
-            ops.append(("D", rng.randrange(dim), None, rng.randrange(1, p)))
+    for _ in range(rng.randrange(0, 25) if dim >= 2 else 0):
+        a, b = rng.sample(range(dim), 2)
+        ops.append(("S", a, b, None) if rng.randrange(2) else ("T", a, b, rng.randrange(1, p)))
     return ops
 
 
@@ -85,7 +74,7 @@ def write_transcript(path, side, dim, spec, ops):
 
 
 def test_roundtrip_and_order(tmp_path, f7):
-    ops = [("S", 0, 2, None), ("T", 1, 0, 4), ("D", 2, None, 6)]
+    ops = [("S", 0, 2, None), ("T", 1, 0, 4), ("T", 2, 1, 6)]
     tr = write_transcript(tmp_path / "t.trn", ROW, 3, f7, ops)
     assert len(tr) == 3
     assert list(tr.records()) == ops
@@ -97,7 +86,7 @@ def test_records_append_back_byte_identical(tmp_path, f7):
     the file byte for byte, on either side."""
     rng = random.Random(26)
     for side in (ROW, COL):
-        ops = [("S", 0, 3, None), ("T", 2, 1, 5), ("D", 4, None, 3)] + random_ops(rng, 5, 7)
+        ops = [("S", 0, 3, None), ("T", 2, 1, 5), ("T", 4, 0, 3)] + random_ops(rng, 5, 7)
         src, dst = tmp_path / ("src-%s.trn" % side), tmp_path / ("dst-%s.trn" % side)
         records = list(write_transcript(src, side, 5, f7, ops).records())
         copy = Transcript.create(dst, side, 5, f7)
@@ -120,14 +109,14 @@ def test_append_refuses_bad_plain_records(tmp_path, f7):
     """append takes plain (kind, a, b, v) tuples and checks each itself."""
     path = tmp_path / "t.trn"
     tr = Transcript.create(path, ROW, 3, f7)
-    good = [("S", 0, 2, None), ("T", 1, 0, 4), ("D", 2, None, 6)]
-    bad = [("S", -1, 2, None), ("T", 0, -1, 3), ("D", -1, None, 3),  # negative
-           ("S", 0, 3, None), ("T", 3, 0, 1), ("D", 3, None, 1),  # index >= dim
+    good = [("S", 0, 2, None), ("T", 1, 0, 4), ("T", 2, 1, 6)]
+    bad = [("S", -1, 2, None), ("T", 0, -1, 3),  # negative
+           ("S", 0, 3, None), ("T", 3, 0, 1),  # index >= dim
            ("S", 1, 1, None), ("T", 2, 2, 5),  # one line twice
-           ("T", 0, 1, 0), ("D", 0, None, 0),  # scalar 0
-           ("T", 0, 1, 7), ("D", 0, None, 9),  # scalar >= p
-           ("S", 0, 1, 3), ("D", 0, 1, 3),  # a scalar on a swap, two lines on a dilation
-           ("K", 0, 1, 1)]  # unknown kind
+           ("T", 0, 1, 0),  # scalar 0
+           ("T", 0, 1, 7),  # scalar >= p
+           ("S", 0, 1, 3),  # a scalar on a swap
+           ("K", 0, 1, 1), ("D", 0, None, 3)]  # unknown kind; a dilation is none
     tr.append(good[0])
     for rec in bad:
         with pytest.raises(ValueError):  # TranscriptError is a ValueError
@@ -154,6 +143,13 @@ def test_open_errors(tmp_path, f7):
     bad.write_text("ROW 3 7\nK 1 2\n")
     with pytest.raises(TranscriptError):
         list(Transcript.open(bad).records())
+    # a dilation is no record kind, even under a trailer that matches
+    body = b"ROW 3 7\nS 0 1\nD 1 3\n"
+    bad.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
+    with pytest.raises(TranscriptError, match="record 2: unrecognized b'D 1 3'"):
+        Transcript.open(bad, f7)
+    with pytest.raises(TranscriptError, match="unrecognized b'D 1 3'"):
+        trace_lines(bad, ROW, 3, f7)
     good = tmp_path / "good.trn"
     good.write_text("ROW 3 7\nS 0 1\n")
     with pytest.raises(TranscriptError):
@@ -231,7 +227,7 @@ def test_inverse_really_inverts(tmp_path, f12379):
 
 
 def test_concurrent_record_streams(tmp_path, f7):
-    ops = [("S", 0, 1, None), ("D", 0, None, 3), ("T", 0, 1, 2)]
+    ops = [("S", 0, 1, None), ("T", 1, 0, 3), ("T", 0, 1, 2)]
     tr = write_transcript(tmp_path / "c.trn", ROW, 2, f7, ops)
     it1 = tr.records()
     it2 = tr.records_reversed()
@@ -243,7 +239,7 @@ def test_concurrent_record_streams(tmp_path, f7):
     assert list(it2) == [ops[0]]
 
 
-DAMAGE_OPS = [("T", 0, 1, 3), ("S", 1, 2, None), ("D", 2, None, 5), ("T", 2, 0, 6)]
+DAMAGE_OPS = [("T", 0, 1, 3), ("S", 1, 2, None), ("T", 2, 1, 5), ("T", 2, 0, 6)]
 
 
 def test_trailer_counts_and_checksums(tmp_path, f7):
@@ -251,7 +247,7 @@ def test_trailer_counts_and_checksums(tmp_path, f7):
     write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
     body, trailer = path.read_bytes().rsplit(b"\n", 2)[0:2]
     assert trailer == b"E 4 %d" % zlib.crc32(body + b"\n")
-    assert body.splitlines()[1:] == [b"T 0 1 3", b"S 1 2", b"D 2 5", b"T 2 0 6"]
+    assert body.splitlines()[1:] == [b"T 0 1 3", b"S 1 2", b"T 2 1 5", b"T 2 0 6"]
 
 
 def test_damaged_transcripts_are_refused(tmp_path, f7):
@@ -307,7 +303,7 @@ def test_decode_across_chunk_boundaries(tmp_path, f7, monkeypatch, chunk):
 
 def followed_lines(tr):
     """What trace_lines gives, from the decoded records: a swap exchanges
-    two lines, and a T or D record writes the line it names first."""
+    two lines, and a T record writes the line it names first."""
     kind, a, b, _ = tr.decoded()
     src, written = list(range(tr.dim)), bytearray(tr.dim)
     for k, x, y in zip(kind, a, b):
@@ -327,11 +323,8 @@ def run_ops(rng, dim, p):
         lines = rng.sample(range(dim), min(dim, rng.choice((1, 1, 2, 3))))
         for _ in range(rng.randrange(0, 5)):
             x = rng.choice(lines)
-            if rng.randrange(4):
-                y = rng.choice([y for y in range(dim) if y != x])
-                ops.append(("T", x, y, rng.randrange(1, p)))
-            else:
-                ops.append(("D", x, None, rng.randrange(1, p)))
+            y = rng.choice([y for y in range(dim) if y != x])
+            ops.append(("T", x, y, rng.randrange(1, p)))
         if rng.randrange(3):
             ops.append(("S", *rng.sample(range(dim), 2), None))
     return ops
@@ -340,8 +333,8 @@ def run_ops(rng, dim, p):
 # runs writing 1 and 10, 1 and 11, 0 and 11: one line's pattern must not
 # count another's records
 SEVERAL_LINES_OPS = [("T", 1, 0, 2), ("T", 10, 0, 3), ("S", 1, 10, None),
-                     ("T", 1, 2, 4), ("D", 11, None, 5), ("T", 1, 3, 6),
-                     ("S", 0, 1, None), ("T", 11, 3, 1), ("D", 0, None, 3)]
+                     ("T", 1, 2, 4), ("T", 11, 4, 5), ("T", 1, 3, 6),
+                     ("S", 0, 1, None), ("T", 11, 3, 1), ("T", 0, 2, 3)]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 16])
@@ -362,8 +355,7 @@ def test_trace_lines_agrees_with_decode(tmp_path, f7, monkeypatch, chunk):
 def test_out_of_range_records_are_refused(tmp_path, f7):
     path = tmp_path / "t.trn"
     for record, why in ((b"S 0 3\n", "exceeds"), (b"T 3 0 1\n", "exceeds"),
-                        (b"T 0 1 7\n", "exceeds"), (b"D 2 9\n", "exceeds"),
-                        (b"T 0 1 0\n", "scalar 0"), (b"D 1 0\n", "scalar 0"),
+                        (b"T 0 1 7\n", "exceeds"), (b"T 0 1 0\n", "scalar 0"),
                         (b"S 1 1\n", "one line twice"), (b"T 2 2 5\n", "one line twice")):
         body = b"ROW 3 7\nS 0 1\n" + record
         path.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
