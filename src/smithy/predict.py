@@ -405,6 +405,8 @@ def load_betti_csv(path) -> list[BettiRow]:
             if len(rec) != 6:
                 raise ValueError("bad row: %r" % (rec,))
             rows.append(BettiRow(*[int(x) for x in rec]))
+    if not rows:
+        raise ValueError("%s holds no rows" % path)
     return rows
 
 

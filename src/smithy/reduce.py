@@ -19,7 +19,8 @@ The reduction loop, for pivot index c starting at 0:
      each column caches its own minimum in a heap, rescanned only when the
      column is edited or swapped or the minimum's row gets a higher count;
      other count changes update it in O(1), and row swaps leave it alone
-     (see _Engine);
+     (see _Engine).  The first search builds the keys from a full scan,
+     so the cost-0 pivots before it keep no key up to date;
   4. swap the pivot row up to row c and advance c, so that no edit puts
      the pivot row on the cost-0 heap; clear it with column transvections;
      against a pivot column holding only the pivot, each just deletes one
@@ -87,7 +88,6 @@ class HnfStats:
     echelon_columns: int
     peak_echelon_nnz: int
     final_echelon_nnz: int
-    spill_path: str
 
 
 @dataclass
@@ -116,12 +116,13 @@ class _Engine:
     (cost, physical row, j) packed as (cost*m + pr)*n + j, in a heap with
     lazy deletion; key // n % m is the argmin's physical row, so row swaps
     leave every key as it is.  The keys stay a list, as the packed key can
-    pass 2^63 at 20M nonzeros; the first flush builds them.  set_col marks
-    its column and the rows it adds or drops dirty, swap_cols both columns,
-    and clear_row's singleton path each column it deletes from.  _flush
-    rescans the dirty columns and refreshes the other columns of each dirty
-    row from that row's own cost in O(1), rescanning one only if its argmin
-    row got worse.
+    pass 2^63 at 20M nonzeros; the first flush builds them by scanning
+    every active column.  From then on set_col marks its column and the
+    rows it adds or drops dirty, swap_cols both columns, and clear_row's
+    singleton path each column it deletes from; before it, with no key to
+    keep, they mark nothing.  _flush rescans the dirty columns and refreshes
+    the other columns of each dirty row from that row's own cost in O(1),
+    rescanning one only if its argmin row got worse.
 
     A second heap, zero, holds the physical row of every active entry of
     cost 0 (its column holds one entry or its row one column), also with
@@ -202,8 +203,9 @@ class _Engine:
                 heappush(zero, r)
         if nb == 1 and j >= c:
             heappush(zero, new[0] >> k)
-        self.dirty_rows.update(moved)
-        self.dirty_cols.add(j)
+        if self.key:
+            self.dirty_rows.update(moved)
+            self.dirty_cols.add(j)
         self.total += nb - na
         self.cols[j] = new
 
@@ -217,46 +219,61 @@ class _Engine:
     def swap_cols(self, a: int, b: int) -> None:
         k, cols, pat = self.k, self.cols, self.rows_pat
         # a row holding exactly one of the two columns trades it for the other
-        in_a, in_b = {e >> k for e in cols[a]}, {e >> k for e in cols[b]}
-        for rows, old, new in ((in_a - in_b, a, b), (in_b - in_a, b, a)):
-            for r in rows:
+        only_b = {e >> k for e in cols[b]}
+        for e in cols[a]:
+            r = e >> k
+            if r in only_b:
+                only_b.remove(r)
+            else:
                 row = pat[r]
-                del row[bisect_left(row, old)]
-                insort(row, new)
+                del row[bisect_left(row, a)]
+                insort(row, b)
+        for r in only_b:
+            row = pat[r]
+            del row[bisect_left(row, b)]
+            insort(row, a)
         cols[a], cols[b] = cols[b], cols[a]
-        self.dirty_cols.update((a, b))
+        if self.key:
+            self.dirty_cols.update((a, b))
 
-    def clear_row(self, pr: int, c: int, dinv: int) -> list[tuple[int, int]]:
+    def clear_row(self, pr: int, c: int, dinv: int) -> tuple[list[int], list[int]]:
         """Clear row pr outside the pivot column c (column j2 -= s * column c,
-        s = a[pr, j2] * dinv); return the (j2, s) in increasing j2.  Against
-        a singleton pivot column j2 just loses its row-pr entry, deleted in
-        place (snf's caller gives up the matrix), and counts update once.
-        Row pr holds no column below c, so c leads it; self.c is c + 1."""
-        k, p, mask, cols, pat = self.k, self.p, self.mask, self.cols, self.rows_pat
-        piv = cols[c]
-        single = len(piv) == 1
-        ops = []
-        row = pat[pr]
+        s = a[pr, j2] * dinv); return (js, ss), the columns j2 in increasing
+        order and their scalars s.  Against a singleton pivot column j2 just
+        loses its row-pr entry, deleted in place (snf's caller gives up the
+        matrix), and counts update once.  Row pr holds no column below c, so
+        c leads it; self.c is c + 1."""
+        k, p, mask, cols = self.k, self.p, self.mask, self.cols
+        row = self.rows_pat[pr]
         assert row[0] == c, "pivot row holds a finished column"
+        js = row[1:]
+        ss = []
         lo = pr << k
-        for j2 in row[1:]:
+        piv = cols[c]
+        if len(piv) > 1:
+            for j2 in js:
+                col = cols[j2]
+                idx = bisect_left(col, lo)
+                assert col[idx] >> k == pr, "row pattern drifted"
+                s = (col[idx] & mask) * dinv % p
+                ss.append(s)
+                self.set_col(j2, axpy(col, piv, p - s, self.spec))
+            return js, ss
+        zero = self.zero
+        for j2 in js:
             col = cols[j2]
             idx = bisect_left(col, lo)
             assert col[idx] >> k == pr, "row pattern drifted"
-            s = (col[idx] & mask) * dinv % p
-            ops.append((j2, s))
-            if not single:
-                self.set_col(j2, axpy(col, piv, p - s, self.spec))
-                continue
+            ss.append((col[idx] & mask) * dinv % p)
             del col[idx]
             if len(col) == 1:
-                heappush(self.zero, col[0] >> k)
-        if single:
-            # pr is left only in the finished column c: no live key reads it
-            self.total -= len(ops)
-            self.dirty_cols.update(row[1:])
-            del row[1:]
-        return ops
+                heappush(zero, col[0] >> k)
+        # pr is left only in the finished column c: no live key reads it
+        self.total -= len(js)
+        if self.key:
+            self.dirty_cols.update(js)
+        del row[1:]
+        return js, ss
 
     # -- pivot search --------------------------------------------------------
 
@@ -418,7 +435,8 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
     one run at a time by read_matrix's reader loop: a spill that ends before
     its terminator, or holds a malformed line, an index or value outside the
     region, a repeated row, a column run out of order or content after the
-    terminator raises MatrixFormatError.  Removed on success, kept on failure.
+    terminator raises MatrixFormatError, its message naming the spill and
+    its line_no the line.  Removed on success, kept on failure.
     """
     spec = eng.spec
     p, k, mask = eng.p, eng.k, eng.mask
@@ -442,37 +460,42 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
     owner: dict[int, tuple[int, int]] = {}  # physical pivot row -> (column, 1 / pivot)
     peak = 0
 
-    with open(spill, "rb") as f:
-        lines = enumerate(f, 1)
-        header = line_no, *shape = _read_header(lines)
-        if shape != [m_loc, n_loc, p]:
-            raise MatrixFormatError(line_no, "spill header %s, not %s" % (shape, [m_loc, n_loc, p]))
-        for j_loc, run in _read_runs(lines, header, k):
-            gcol = c + j_loc - 1
-            y = sorted(phys_of[c + (e >> k)] << k | (e & mask) for e in run)
-            # y's value on a pivot row changes only when that row's vector
-            # is taken out, so each coefficient comes from the y as read
-            for _, e in sorted((cur_of[e >> k], e) for e in y if e >> k in owner):
-                j, inv = owner[e >> k]
-                coeff = (e & mask) * inv % p
-                y = axpy(y, cols[j], p - coeff, spec)
-                if q is not None:
-                    q.append(("T", j, gcol, coeff))
-            if not y:
-                continue
-            lead = min(y, key=lambda e: cur_of[e >> k])
-            pivr = lead >> k
-            y_inv = spec.inv(lead & mask)
-            row = eng.rows_pat[pivr]
-            for j in row[bisect_left(row, c):]:
-                vec = cols[j]
-                coeff = (vec[bisect_left(vec, pivr << k)] & mask) * y_inv % p
-                eng.set_col(j, axpy(vec, y, p - coeff, spec))
-                if q is not None:
-                    q.append(("T", gcol, j, coeff))
-            eng.set_col(gcol, y)
-            owner[pivr] = (gcol, y_inv)
-            peak = max(peak, eng.total - base)
+    try:
+        with open(spill, "rb") as f:
+            lines = enumerate(f, 1)
+            header = line_no, *shape = _read_header(lines)
+            if shape != [m_loc, n_loc, p]:
+                raise MatrixFormatError(line_no, "spill header %s, not %s"
+                                        % (shape, [m_loc, n_loc, p]))
+            for j_loc, run in _read_runs(lines, header, k):
+                gcol = c + j_loc - 1
+                y = sorted(phys_of[c + (e >> k)] << k | (e & mask) for e in run)
+                # y's value on a pivot row changes only when that row's vector
+                # is taken out, so each coefficient comes from the y as read
+                for _, e in sorted((cur_of[e >> k], e) for e in y if e >> k in owner):
+                    j, inv = owner[e >> k]
+                    coeff = (e & mask) * inv % p
+                    y = axpy(y, cols[j], p - coeff, spec)
+                    if q is not None:
+                        q.append(("T", j, gcol, coeff))
+                if not y:
+                    continue
+                lead = min(y, key=lambda e: cur_of[e >> k])
+                pivr = lead >> k
+                y_inv = spec.inv(lead & mask)
+                row = eng.rows_pat[pivr]
+                for j in row[bisect_left(row, c):]:
+                    vec = cols[j]
+                    coeff = (vec[bisect_left(vec, pivr << k)] & mask) * y_inv % p
+                    eng.set_col(j, axpy(vec, y, p - coeff, spec))
+                    if q is not None:
+                        q.append(("T", gcol, j, coeff))
+                eng.set_col(gcol, y)
+                owner[pivr] = (gcol, y_inv)
+                peak = max(peak, eng.total - base)
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(exc.line_no, "%s, in spill %s (kept for inspection)"
+                                % (exc.message, spill)) from None
 
     os.unlink(spill)
     return HnfStats(
@@ -481,7 +504,6 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
         echelon_columns=len(owner),
         peak_echelon_nnz=peak,
         final_echelon_nnz=eng.total - base,
-        spill_path=spill,
     )
 
 
@@ -507,7 +529,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     p_tr = q_tr = fill_file = None
     eng = _Engine(a)
     mn = min(a.m, a.n)
-    p = spec.p
+    p, k, mask = spec.p, spec.k, spec.mask
     diag: list[int] = []
     fill_log: list[int] = []
     hnf_stats = None
@@ -546,23 +568,25 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 eng.swap_cols(c, j)
                 if q_tr is not None:
                     q_tr.append(("S", c, j, None))
-            d = a.get(pr, c)
-            assert d, "pivot vanished"
+            col = eng.cols[c]
+            e = col[bisect_left(col, pr << k)]
+            assert e >> k == pr, "pivot vanished"
+            d = e & mask
             dinv = spec.inv(d)
             # step 4: clear the pivot row, its column now finished
             eng.c += 1
-            ops = eng.clear_row(pr, c, dinv)
+            js, ss = eng.clear_row(pr, c, dinv)
             if q_tr is not None:
-                for j2, s in ops:
-                    q_tr.append(("T", c, j2, s))
+                append = q_tr.append
+                for j2, s in zip(js, ss):
+                    append(("T", c, j2, s))
             # step 5: clear the pivot column (touches only column c now)
-            col = eng.cols[c]
             if len(col) > 1:
                 if p_tr is not None:
-                    for i2, v2 in sorted((eng.cur_of[e >> eng.k], e & eng.mask)
-                                         for e in col if e >> eng.k != pr):
+                    for i2, v2 in sorted((eng.cur_of[e >> k], e & mask)
+                                         for e in col if e >> k != pr):
                         p_tr.append(("T", c, i2, v2 * dinv % p))
-                eng.set_col(c, [pr << eng.k | d])
+                eng.set_col(c, [pr << k | d])
             diag.append(d)
         eng.overwrite_with_diagonal(diag)
         done = True

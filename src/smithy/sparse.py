@@ -33,11 +33,13 @@ class ShapeError(ValueError):
 
 
 class MatrixFormatError(ValueError):
-    """Malformed matrix text; carries the offending 1-based line number."""
+    """Malformed matrix text; carries the offending 1-based line number and
+    the message without it, for a caller that re-raises with its context."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__("line %d: %s" % (line_no, message))
         self.line_no = line_no
+        self.message = message
 
 
 def axpy(dst: list[int], src: list[int], s: int, spec: FieldSpec) -> list[int]:
@@ -125,16 +127,6 @@ class SparseMatrix:
         return a
 
     # -- element access ------------------------------------------------------
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise IndexError("index (%d, %d) outside %dx%d" % (i, j, self.m, self.n))
-        col = self.cols[j]
-        k = self.spec.k
-        idx = bisect_left(col, i << k)
-        if idx < len(col) and col[idx] >> k == i:
-            return col[idx] & self.spec.mask
-        return 0
 
     def set_col(self, j: int, new: list[int]) -> None:
         """Replace column j with a sorted packed list."""

@@ -55,21 +55,6 @@ class TranscriptError(ValueError):
     """Malformed transcript file or record."""
 
 
-def _encode(op, dim, p) -> str:
-    """The file line of op = (kind, a, b, v), once a and b are two lines in
-    [0, dim), and v is None for S and in (0, p) for T."""
-    kind, a, b, v = op
-    if kind == "T":
-        if 0 <= a < dim and 0 <= b < dim and a != b and 0 < v < p:
-            return "T %d %d %d\n" % (a, b, v)
-    elif kind == "S":
-        if 0 <= a < dim and 0 <= b < dim and a != b and v is None:
-            return "S %d %d\n" % (a, b)
-    else:
-        raise TranscriptError("unknown op kind %r" % (kind,))
-    raise TranscriptError("bad record %r for dimension %s and modulus %s" % (op, dim, p))
-
-
 # record kinds as the decoded kind array stores them
 _S, _T = b"ST"
 _CHUNK = 1 << 16
@@ -292,11 +277,27 @@ class Transcript:
         return cls(path, side, dim, file_spec, _ops=ops)
 
     def append(self, op) -> None:
-        """Write one (kind, a, b, v) record, checked by _encode."""
-        if self._writer is None:
+        """Write one (kind, a, b, v) record once it checks: a and b are two
+        lines in [0, dim), and v is None for S and in (0, p) for T."""
+        w = self._writer
+        if w is None:
             raise TranscriptError("transcript is finalized")
-        self._writer.write(_encode(op, self.dim, self.spec.p))
-        self._count += 1
+        kind, a, b, v = op
+        dim = self.dim
+        if kind == "T":
+            if 0 <= a < dim and 0 <= b < dim and a != b and 0 < v < self.spec.p:
+                w.write("T %d %d %d\n" % (a, b, v))
+                self._count += 1
+                return
+        elif kind == "S":
+            if 0 <= a < dim and 0 <= b < dim and a != b and v is None:
+                w.write("S %d %d\n" % (a, b))
+                self._count += 1
+                return
+        else:
+            raise TranscriptError("unknown op kind %r" % (kind,))
+        raise TranscriptError("bad record %r for dimension %s and modulus %s"
+                              % (op, dim, self.spec.p))
 
     def finalize(self) -> "Transcript":
         """Close the file with its trailer line: the record count and the

@@ -542,6 +542,17 @@ def test_check_table_malformed(tmp_path, capsys):
     assert code == 3
 
 
+def test_check_table_without_rows(tmp_path, capsys):
+    """A table of only its header checks nothing, so it is refused rather
+    than reported as 0/0 pass."""
+    empty = tmp_path / "t.csv"
+    empty.write_text("# no levels yet\nN,s2,s4_0,sl3,pnG,h5\n\n")
+    code, out, err = run(capsys, "check-table", str(empty))
+    assert code == 3
+    assert "pass" not in out
+    assert "no rows" in err
+
+
 def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -189,7 +189,7 @@ def test_circulant_transcripts_are_pinned(tmp_path):
 
 # The disk echelon pass entered at pivot 0 (the fixture at tau 0) and after
 # three pivots (tie_heavy(7)'s circulant at tau 68, its peak fill): every
-# HnfStats field but spill_path, and the SHA-256 of p.trn and q.trn, all
+# HnfStats field, and the SHA-256 of p.trn and q.trn, all
 # recorded before the echelon's vectors moved into the engine's columns.
 # The circulant's q.trn was re-recorded when the pass stopped reordering its
 # columns: the loop swaps each pivot column into place itself, so two
@@ -215,7 +215,7 @@ def test_echelon_passes_are_pinned(tmp_path, tag):
         a, tau = SparseMatrix.from_dense(tie_heavy(7)[1], FieldSpec(7)), 68
     rows = a.to_dense()
     res = snf(a, SnfOptions(emit_p=True, emit_q=True, tau=tau, workdir=str(tmp_path)))
-    assert vars(res.hnf_stats) == dict(stats, spill_path=res.hnf_stats.spill_path)
+    assert vars(res.hnf_stats) == stats
     for tr, want in zip((res.p, res.q), shas):
         with open(tr.path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == want
@@ -380,6 +380,67 @@ def test_finished_rows_stay_off_the_cost0_heap(monkeypatch):
     assert snf(torus_coboundary(gen.Torus(3, 4, 1), 1, FieldSpec(gen.PRIME))).searched > 0
     snf(read_matrix(FIXTURE))
     assert pushes and finished == []
+
+
+def test_cost0_run_keeps_no_keys(monkeypatch):
+    """A reduction whose every pivot has cost 0 never builds the pivot keys,
+    so its edits mark no column or row dirty for them."""
+    engines = []
+
+    class Recorder(_Engine):
+        def __init__(self, mat):
+            super().__init__(mat)
+            engines.append(self)
+
+    monkeypatch.setattr(reduce, "_Engine", Recorder)
+    res = snf(skinny(51, 300, 12379))
+    assert (res.rank, res.searched) == (300, 0)
+    eng, = engines
+    assert eng.key == [] and eng.dirty_cols == set() and eng.dirty_rows == set()
+
+
+def cost0_then_searched(seed, p):
+    """Eight rows each holding a column of its own and, at random, some of
+    twelve shared columns, over six rows full in those columns: the first
+    eight pivots have cost 0, and the full block's are searched."""
+    rng = random.Random(seed)
+    rows = [[0] * 20 for _ in range(14)]
+    for i in range(14):
+        if i < 8:
+            rows[i][i] = rng.randrange(1, p)
+        for j in range(8, 20):
+            if i >= 8 or rng.random() < 0.5:
+                rows[i][j] = rng.randrange(1, p)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_keys_built_after_cost0_pivots(tmp_path, monkeypatch, seed):
+    """The first search comes after cost-0 pivots whose edits marked
+    nothing: its keys, built by a full scan, match a fresh scan, every
+    pivot is the reference one, the transcripts are those of a paranoid
+    run (which builds the keys at the first pivot) and replay to the input."""
+    rows = cost0_then_searched(seed, 12379)
+    _, ref = run_snf(rows, 12379, tmp_path, "paranoid", paranoid=True)
+    unkeyed = []  # per pivot: no keys yet before its search
+
+    class Recorder(_Engine):
+        def find_pivot(self):
+            unkeyed.append(not self.key)
+            pivot = super().find_pivot()
+            assert pivot == self.reference_pivot()
+            if self.key:
+                self.recheck()
+            return pivot
+
+    monkeypatch.setattr(reduce, "_Engine", Recorder)
+    a, res = run_snf(rows, 12379, tmp_path, "plain")
+    assert 0 < res.searched < res.rank == ref.rank
+    assert unkeyed[:9] == [True] * 9 and not any(unkeyed[9:])
+    for mine, theirs in ((res.p, ref.p), (res.q, ref.q)):
+        with open(mine.path, "rb") as f, open(theirs.path, "rb") as g:
+            assert f.read() == g.read()
+    assert replay(res, a).to_dense() == rows
 
 
 def test_row_count_changes_keep_every_key_current(f7):
@@ -583,8 +644,8 @@ def test_spill_dir_env(tmp_path, monkeypatch, f7):
     monkeypatch.setenv("SMITHY_SPILL_DIR", str(spill))
     a = SparseMatrix.from_dense([[1, 1], [1, 0]], f7)
     res = snf(a, SnfOptions(tau=1, workdir=str(tmp_path / "wd")))
-    assert res.hnf_stats.spill_path.startswith(str(spill))
-    assert not os.path.exists(res.hnf_stats.spill_path)  # removed on success
+    assert res.hnf_stats is not None
+    assert os.listdir(spill) == []  # the spill went here and was removed on success
 
 
 def test_snf_without_workdir_leaves_no_temp_dir(tmp_path, monkeypatch, f7):
@@ -640,9 +701,10 @@ def test_failed_set_up_abandons_the_transcripts(tmp_path, monkeypatch):
             Transcript.open(tmp_path / "wd" / name)
 
 
-def test_cut_spill_is_refused(tmp_path, monkeypatch):
+def test_cut_spill_is_refused(tmp_path, monkeypatch, capsys):
     """A spill that lost its last line between write and read (its "0 0 0"
-    terminator) fails the reduction instead of being reduced as complete."""
+    terminator) fails the reduction instead of being reduced as complete,
+    and the error names the spill, in the library and on the CLI."""
     real_open = open
     served = []
 
@@ -657,12 +719,14 @@ def test_cut_spill_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(reduce, "open", cutting_open, raising=False)
     monkeypatch.delenv(reduce.SPILL_DIR_ENV, raising=False)
     rows = random_dense(random.Random(37), 6, 8, 7, 0.5)
-    with pytest.raises(MatrixFormatError, match="terminator"):
+    with pytest.raises(MatrixFormatError, match="terminator") as exc:
         run_snf(rows, 7, tmp_path, "lib", tau=1)
     wd = tmp_path / "cli"
     assert main(["snf", FIXTURE, "--workdir", str(wd), "--emit-p", "--emit-q",
                  "--tau", "1"]) == EXIT_PARSE
     assert len(served) == 2
+    assert served[0] in str(exc.value)
+    assert served[1] in capsys.readouterr().err
     for spill in served:
         assert os.path.exists(spill)  # kept for inspection
     for name in ("lib/q.trn", "cli/q.trn"):
@@ -709,7 +773,8 @@ def _entry_after_terminator(lines):
 ])
 def test_damaged_spill_is_refused(tmp_path, monkeypatch, damage, match, line_no):
     """A spill damaged between write and read is refused with read_matrix's
-    checks and kept, instead of being reduced."""
+    checks, at the line they name, and kept, instead of being reduced; the
+    error names the spill."""
     real_open = open
     served = []
 
@@ -728,6 +793,8 @@ def test_damaged_spill_is_refused(tmp_path, monkeypatch, damage, match, line_no)
         run_snf(rows, 7, tmp_path, "lib", tau=1)
     assert exc.value.line_no == line_no
     assert len(served) == 1
+    assert str(exc.value).startswith("line %d: " % line_no)
+    assert served[0] in str(exc.value)
     assert os.path.exists(served[0])  # kept for inspection
     with pytest.raises(TranscriptError):
         Transcript.open(tmp_path / "lib" / "q.trn")

@@ -48,14 +48,6 @@ def test_from_dense_roundtrip(f7):
         SparseMatrix.from_dense([[1, 2], [3]], f7)
 
 
-def test_get(f7):
-    a = SparseMatrix.from_dense([[0, 0, 0], [0, 0, 5], [0, 0, 0]], f7)
-    assert a.get(1, 2) == 5
-    assert a.get(0, 0) == 0
-    with pytest.raises(IndexError):
-        a.get(3, 0)
-
-
 def test_identity_and_eq(f7):
     i3 = sparse_identity(3, f7)
     assert i3.to_dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
