@@ -22,7 +22,10 @@ coboundaries are the last h5 coordinates of P'^-1 y[tail], a linear map
 R = [0 | I_h5] P'^-1 (row selection by tail) of shape h5 x n5.  Both
 compute_h5 and load_workspace build [dTop; R] as one SparseMatrix, from
 d5.sms and one replay of P'^-1; every reduction is then one sparse
-mat-vec [dTop; R] y, whose top n6 rows are the check dTop y = 0.
+mat-vec [dTop; R] y, whose top n6 rows are the check dTop y = 0.  It
+costs one C-level pass over y, Python work per entry of [dTop; R] in y's
+support, and residues only for the nonzero image sums and the h5
+coordinates.
 
 Everything the later reduction steps need (dTop, both transcripts, the
 basis, the ranks) is persisted in a work directory so they can run in
@@ -36,6 +39,7 @@ import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 from .gfp import FieldSpec
 from .reduce import SnfOptions, snf
@@ -330,20 +334,28 @@ def load_workspace(workdir: str) -> CohomologyWorkspace:
 def reduce_cocycle(ws: CohomologyWorkspace, y: list[int]) -> list[int]:
     """Coefficients s with y = s_1 z_1 + ... + s_h5 z_h5 + (a coboundary).
 
-    One sparse mat-vec [dTop; R] y against ws.reducer.  Its top n6 rows
-    are the certificate that y is a cocycle, the exact check dTop.y = 0,
-    which holds exactly when Q5.y vanishes on its first rho5 coordinates.
-    The rest of Q5.y is the row selection w = y[tail], and the bottom h5
-    rows are R y, the last h5 coordinates of P_eta^-1 w.
+    One sparse mat-vec [dTop; R] y against ws.reducer: a C-level pass over
+    y yields its nonzero coordinates, and each entry of [dTop; R] in y's
+    support adds to a plain int sum.  The top n6 sums are the certificate
+    that y is a cocycle, the exact check dTop.y = 0, which holds exactly
+    when Q5.y vanishes on its first rho5 coordinates; only the nonzero ones
+    are reduced mod p.  The rest of Q5.y is the row selection w = y[tail],
+    and the bottom h5 sums are R y, the last h5 coordinates of P_eta^-1 w.
     """
-    out = ws.reducer.mat_vec(y)
-    image = out[:ws.n6]
-    if any(image):
-        bad = [i for i, v in enumerate(image) if v]
+    r, n6 = ws.reducer, ws.n6
+    if len(y) != r.n:
+        raise ShapeError("vector length %d, expected %d" % (len(y), r.n))
+    k, mask, p = r.spec.k, r.spec.mask, r.spec.p
+    out = [0] * r.m
+    for col, yj in compress(zip(r.cols, y), y):
+        for e in col:
+            out[e >> k] += (e & mask) * yj
+    if any(map(p.__rmod__, filter(None, out[:n6]))):
+        bad = [i for i, v in enumerate(out[:n6]) if v % p]
         raise NotACocycleError(
             "not a cocycle: dTop.y is nonzero in %d rows (first at %d)"
             % (len(bad), bad[0]))
-    return out[ws.n6:]
+    return [v % p for v in out[n6:]]
 
 
 def hecke_matrix(ws: CohomologyWorkspace, translates: list[list[int]]) -> SparseMatrix:

@@ -23,7 +23,6 @@ reader (_read_header, _read_runs) of read_matrix, read_header and the spill.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
 
 from .gfp import FieldSpec
 
@@ -139,18 +138,6 @@ class SparseMatrix:
         for e in self.cols[j]:
             out[e >> k] = e & mask
         return out
-
-    def mat_vec(self, x: list[int]) -> list[int]:
-        """self . x, reduced mod p; visits only the nonzero coordinates of x."""
-        if len(x) != self.n:
-            raise ShapeError("vector length %d, expected %d" % (len(x), self.n))
-        k, mask, p, cols = self.spec.k, self.spec.mask, self.spec.p, self.cols
-        out = [0] * self.m
-        for j in compress(range(self.n), x):
-            xj = x[j]
-            for e in cols[j]:
-                out[e >> k] += (e & mask) * xj
-        return [v % p for v in out]
 
     def entries(self):
         """Yield (i, j, v) column-major, rows ascending within a column."""

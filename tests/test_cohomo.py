@@ -147,6 +147,54 @@ def test_oracle_slices(tmp_path):
             assert reduce_cocycle(ws, noisy) == s1
 
 
+@pytest.mark.parametrize("p", [7, 12379])
+def test_reduce_cocycle_against_dense(tmp_path, p):
+    """y = basis . s + dBottom . x, built by the dense oracle, reduces to s:
+    the zero vector, a cocycle with every coordinate nonzero, and that
+    cocycle shifted by p u and by -p u.  Bumping one coordinate of it
+    leaves the other rows of dTop.y nonzero multiples of p (its entries are
+    positive), and the refusal names exactly the rows nonzero mod p."""
+    rng = random.Random(p + 3)
+    full = multiples = 0
+    for trial in range(40):
+        sl, top, bottom = make_slice(rng, rng.randrange(1, 6), rng.randrange(3, 10),
+                                     rng.randrange(1, 6), p)
+        ws = compute_h5(sl, str(tmp_path / ("t%d" % trial)))
+        n5 = ws.n5
+        basis = [ws.basis_column(j) for j in range(ws.h5)]
+        assert reduce_cocycle(ws, [0] * n5) == [0] * ws.h5
+        with pytest.raises(ShapeError, match="^vector length %d, expected %d$" % (n5 + 1, n5)):
+            reduce_cocycle(ws, [0] * (n5 + 1))
+        for _ in range(100):
+            s = [rng.randrange(p) for _ in range(ws.h5)]
+            cob = dense_mat_vec(bottom, [rng.randrange(p) for _ in range(ws.n4)], p)
+            y = [(c + sum(sj * z[i] for sj, z in zip(s, basis))) % p
+                 for i, c in enumerate(cob)]
+            if all(y):
+                break
+        else:
+            continue  # some coordinate vanishes on every cocycle
+        full += 1
+        assert reduce_cocycle(ws, y) == s
+        u = [rng.randrange(1, p) for _ in range(n5)]
+        assert reduce_cocycle(ws, [a + p * b for a, b in zip(y, u)]) == s
+        assert reduce_cocycle(ws, [a - p * b for a, b in zip(y, u)]) == s
+        # bump the coordinate in the fewest rows of dTop, to leave the most
+        hits = [sum(1 for row in top if row[j]) for j in range(n5)]
+        if not any(hits):
+            continue
+        j = min((h, j) for j, h in enumerate(hits) if h)[1]
+        y[j] += rng.randrange(1, p)
+        bad = [i for i, v in enumerate(dense_mat_vec(top, y, p)) if v]
+        multiples += sum(1 for i, row in enumerate(top)
+                         if i not in bad and sum(a * b for a, b in zip(row, y)))
+        with pytest.raises(NotACocycleError) as refused:
+            reduce_cocycle(ws, y)
+        assert str(refused.value) == (
+            "not a cocycle: dTop.y is nonzero in %d rows (first at %d)" % (len(bad), bad[0]))
+    assert full >= 10 and multiples > 0
+
+
 def _random_cocycle(rng, kernel, p):
     n5 = len(kernel[0]) if kernel else 0
     out = [0] * n5
@@ -349,11 +397,12 @@ def test_p_eta_is_replayed_once_per_workspace(tmp_path, monkeypatch):
         m = ws.reducer
         assert loaded.reducer == m
         assert (m.m, m.n) == (ws.n6 + ws.h5, ws.n5)
+        dense = m.to_dense()
         for j in range(ws.h5):
-            assert m.mat_vec(ws.basis_column(j)) == \
+            assert dense_mat_vec(dense, ws.basis_column(j), p) == \
                 [0] * ws.n6 + [1 if t == j else 0 for t in range(ws.h5)]
         for j in range(ws.n4):
-            assert not any(m.mat_vec([row[j] for row in bottom]))
+            assert not any(dense_mat_vec(dense, [row[j] for row in bottom], p))
 
 
 def test_loaded_workspace_reduces_without_a_replay(tmp_path, monkeypatch):
@@ -384,7 +433,8 @@ def test_loaded_workspace_reduces_without_a_replay(tmp_path, monkeypatch):
 def test_torus_top_slice_known_answer(tmp_path):
     """The (4, 3) torus's C^2 -> C^3 -> C^4: H^3 has dimension C(4, 3) = 4
     and H^4 dimension 1, translations act as the identity on cohomology,
-    and coboundaries reduce to 0.  n5 = 4,860, beyond the dense oracle."""
+    the coordinate rotation as T with T^4 = I, T^2 != I and trace 0, and
+    coboundaries reduce to 0.  n5 = 4,860, beyond the dense oracle."""
     gen = load_gen()
     torus = gen.Torus(4, 3, 1)
     p = gen.PRIME
@@ -400,6 +450,15 @@ def test_torus_top_slice_known_answer(tmp_path):
         perm = torus.pullback(3, torus.translate(t))
         pulled = [gen.apply_perm(perm, z) for z in basis]
         assert hecke_matrix(ws, pulled).to_dense() == ident
+    perm = torus.pullback(3, torus.rotate())
+    rot = hecke_matrix(ws, [gen.apply_perm(perm, z) for z in basis]).to_dense()
+
+    def square(a):
+        return [[sum(a[i][t] * a[t][j] for t in range(4)) % p for j in range(4)]
+                for i in range(4)]
+
+    assert square(rot) != ident and square(square(rot)) == ident
+    assert sum(rot[i][i] for i in range(4)) % p == 0
     rng = random.Random(43)
     for _ in range(5):
         y = [0] * ws.n5  # d4 . x for an x on 30 random 2-simplices

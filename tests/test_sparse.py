@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
-from smithy import (FieldSpec, MatrixFormatError, ShapeError, SparseMatrix,
-                    axpy, read_matrix, write_matrix)
+from smithy import (MatrixFormatError, ShapeError, SparseMatrix, axpy,
+                    read_matrix, write_matrix)
 from smithy.sparse import read_header
 
-from conftest import dense_mat_vec, random_dense, reference_read, sparse_identity
+from conftest import random_dense, reference_read, sparse_identity
 
 
 def test_axpy_against_dense(f7):
@@ -53,29 +53,6 @@ def test_identity_and_eq(f7):
     assert i3.to_dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert i3 == SparseMatrix.from_dense(i3.to_dense(), f7)
     assert i3 != SparseMatrix(3, 3, f7)
-
-
-@pytest.mark.parametrize("p", [7, 12379])
-def test_mat_vec_against_dense(p):
-    """Every matrix has an empty row and an empty column; each is applied
-    to the zero vector, a vector with every coordinate nonzero and a
-    sparse one."""
-    rng = random.Random(p)
-    spec = FieldSpec(p)
-    for _ in range(40):
-        m, n = rng.randrange(1, 9), rng.randrange(1, 9)
-        rows = random_dense(rng, m, n, p, 0.5)
-        rows[rng.randrange(m)] = [0] * n
-        empty = rng.randrange(n)
-        for row in rows:
-            row[empty] = 0
-        a = SparseMatrix.from_dense(rows, spec)
-        for x in ([0] * n, [rng.randrange(1, p) for _ in range(n)],
-                  [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(n)]):
-            assert a.mat_vec(x) == dense_mat_vec(rows, x, p)
-    assert SparseMatrix(0, 3, spec).mat_vec([1, 2, 3]) == []
-    with pytest.raises(ShapeError):
-        a.mat_vec([1] * (n + 1))
 
 
 def test_transpose(f7):
