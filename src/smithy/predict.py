@@ -12,21 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Trial division; all levels in play are a few thousand at most."""
     if n < 1:
@@ -44,6 +29,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == [(n, 1)]
 
 
 # -- size estimates -----------------------------------------------------------

@@ -30,9 +30,11 @@ the original matrix.
 A finalized transcript is immutable and is decoded once: by open, or for
 one made by create, by its first replay.  The decoder checks the trailer,
 so a file cut short, damaged or never finalized is refused, and parses
-the records straight into four parallel typed arrays (kind, a, b, v), 11
-bytes per record, whose ranges it checks once per array.  Every replay
-walks those arrays in whichever direction the requested product needs.
+the records straight into three parallel typed arrays (a, b, v), 10 bytes
+per record, v = 0 marking a swap, whose ranges it checks once per array.
+Every replay walks those arrays forward or through reversed() views, an
+inverse negating each scalar as it reads it, so it allocates nothing per
+record.
 trace_lines reads a file through the same trailer check without decoding
 it, to follow where its swaps move each line and which lines it writes.
 """
@@ -42,7 +44,7 @@ from __future__ import annotations
 import re
 import zlib
 from array import array
-from operator import eq
+from operator import eq, neg
 
 from .gfp import FieldSpec
 from .sparse import ShapeError, SparseMatrix, axpy
@@ -55,18 +57,17 @@ class TranscriptError(ValueError):
     """Malformed transcript file or record."""
 
 
-# record kinds as the decoded kind array stores them
-_S, _T = b"ST"
 _CHUNK = 1 << 16
 
 
 def _parse(body: bytes, ops) -> None:
-    """Append the records of body, whole lines, to the arrays ops, checking
-    only each record's shape; a swap has v = 0.  A blank line is refused.
-    A negative index or scalar does not fit its unsigned array and is
-    refused here."""
-    kind, la, lb, val = ops
-    ka, aa, ba, va = kind.append, la.append, lb.append, val.append
+    """Append the records of body, whole lines, to the arrays ops = (a, b,
+    v), checking only each record's shape: a swap gets v = 0, and a T
+    record with scalar 0 is refused, so v alone tells the kinds apart.  A
+    blank line is refused.  A negative index or scalar does not fit its
+    unsigned array and is refused here; every refusal names its record."""
+    la, lb, val = ops
+    aa, ba, va = la.append, lb.append, val.append
     lines = body.split(b"\n")
     lines.pop()  # the empty piece after body's final newline
     try:
@@ -74,17 +75,18 @@ def _parse(body: bytes, ops) -> None:
             parts = raw.split()
             n = len(parts)
             if n == 4 and parts[0] == b"T":
-                a, b, v = int(parts[1]), int(parts[2]), int(parts[3])
+                v = int(parts[3])
+                if not v:
+                    raise TranscriptError("a transvection has scalar 0")
             elif n == 3 and parts[0] == b"S":
-                a, b, v = int(parts[1]), int(parts[2]), 0
+                v = 0
             else:
                 raise TranscriptError("unrecognized %r" % raw.strip())
-            aa(a)
-            ba(b)
+            aa(int(parts[1]))
+            ba(int(parts[2]))
             va(v)
-            ka(raw[0])
     except (ValueError, OverflowError) as exc:
-        raise TranscriptError("record %d: %s" % (len(kind) + 1, exc)) from None
+        raise TranscriptError("record %d: %s" % (len(val) + 1, exc)) from None
 
 
 def _stream(path, spec: FieldSpec | None, begin):
@@ -147,17 +149,15 @@ def _stream(path, spec: FieldSpec | None, begin):
 
 def _decode(path, spec: FieldSpec | None = None):
     """Read a transcript file into (side, dim, spec, ops), ops being the
-    records as parallel arrays (kind, a, b, v); see _parse.  The rules on
-    a record's indices and scalar are checked once per array at the end.
+    records as parallel arrays (a, b, v), v = 0 for a swap; see _parse.
+    The ranges of indices and scalars are checked once per array at the end.
     """
-    ops = kind, la, lb, val = array("B"), array("I"), array("I"), array("H")
+    ops = la, lb, val = array("I"), array("I"), array("H")
     side, dim, file_spec = _stream(path, spec, lambda *header: lambda body: _parse(body, ops))
     p = file_spec.p
-    if kind and (max(la) >= dim or max(lb) >= dim or max(val) >= p):
+    if la and (max(la) >= dim or max(lb) >= dim or max(val) >= p):
         raise TranscriptError("%s: a record exceeds dimension %d or modulus %d"
                               % (path, dim, p))
-    if val.count(0) != kind.tobytes().count(b"S"):
-        raise TranscriptError("%s: a transvection has scalar 0" % path)
     if any(map(eq, la, lb)):
         raise TranscriptError("%s: a swap or transvection names one line twice" % path)
     return side, dim, file_spec, ops
@@ -232,18 +232,18 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
     return src, written
 
 
-def _op(kind: int, a: int, b: int, v: int) -> tuple:
+def _op(a: int, b: int, v: int) -> tuple:
     """A decoded record as the (kind, a, b, v) tuple that append takes."""
-    return chr(kind), a, b, None if kind == _S else v
+    return ("T", a, b, v) if v else ("S", a, b, None)
 
 
 def _run_col_ops(target: SparseMatrix, ops) -> None:
-    """Apply _replay's (kind, src, dst, v) column operations, which _decode
-    checked, to target's columns: T adds v*cols[src] to cols[dst], and S
-    swaps two slots."""
+    """Apply _replay's (src, dst, v) column operations, which _decode
+    checked, to target's columns: a nonzero v, of either sign, adds
+    v*cols[src] to cols[dst], and v = 0 swaps two slots."""
     cols, spec = target.cols, target.spec
-    for k, src, dst, v in ops:
-        if k == _T:
+    for src, dst, v in ops:
+        if v:
             cols[dst] = axpy(cols[dst], cols[src], v, spec)
         else:
             cols[src], cols[dst] = cols[dst], cols[src]
@@ -260,7 +260,7 @@ class Transcript:
         self.dim = dim
         self.spec = spec
         self._writer = _writer
-        self._ops = _ops  # the decoded (kind, a, b, v) arrays
+        self._ops = _ops  # the decoded (a, b, v) arrays
         self._count = len(_ops[0]) if _ops else 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -328,10 +328,10 @@ class Transcript:
         return map(_op, *self.decoded())
 
     def records_reversed(self):
-        return map(_op, *[reversed(arr) for arr in self.decoded()])
+        return map(_op, *map(reversed, self.decoded()))
 
     def decoded(self):
-        """The records as the parallel arrays (kind, a, b, v) of _decode,
+        """The records as the parallel arrays (a, b, v) of _decode,
         decoded from the file on first use."""
         if self._writer is not None:
             raise TranscriptError("transcript is still being written")
@@ -340,21 +340,19 @@ class Transcript:
         return self._ops
 
     def _replay(self, left: bool, inverse: bool):
-        """The records as (kind, src, dst, v) column operations that multiply
-        a target by M (or M^-1) on the left or right.  A ROW record applied
-        on the right, or a COL record on the left, exchanges the roles of
-        T a b v (col[b] += v*col[a]) and walks the file forward; the
-        inverse walks it the other way with negated scalars."""
-        kind, a, b, v = self.decoded()
+        """The records as lazy (src, dst, v) column operations, v = 0 for a
+        swap, that multiply a target by M (or M^-1) on the left or right.
+        A ROW record applied on the right, or a COL record on the left,
+        exchanges the roles of T a b v (col[b] += v*col[a]) and walks the
+        file forward; the inverse walks it the other way, reading -v for
+        p - v, so nothing is built per record."""
+        a, b, v = self.decoded()
         flip = (self.side == COL) == left
         if flip:
             a, b = b, a
-        if inverse:
-            p = self.spec.p
-            v = [p - s for s in v]
-        if flip != inverse:
-            return zip(kind, a, b, v)
-        return zip(reversed(kind), reversed(a), reversed(b), reversed(v))
+        if flip == inverse:
+            a, b, v = reversed(a), reversed(b), reversed(v)
+        return zip(a, b, map(neg, v) if inverse else v)
 
     # -- application --------------------------------------------------------
 
@@ -363,8 +361,8 @@ class Transcript:
         if len(x) != self.dim:
             raise ShapeError("vector length %d, transcript dimension %d" % (len(x), self.dim))
         p = self.spec.p
-        for k, src, dst, v in self._replay(True, inverse):
-            if k == _T:
+        for src, dst, v in self._replay(True, inverse):
+            if v:
                 x[dst] = (x[dst] + v * x[src]) % p
             else:
                 x[src], x[dst] = x[dst], x[src]

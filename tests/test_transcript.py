@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -226,6 +227,38 @@ def test_inverse_really_inverts(tmp_path, f12379):
         assert tr.apply_vec(tr.apply_vec(x, inverse=True)) == x
 
 
+def test_inverse_replay_copies_no_record(tmp_path, f12379):
+    """An inverse replay walks the decoded arrays in place: its allocation
+    peak stays a few bytes per record, where a copy of the scalars would
+    take about 40."""
+    rng = random.Random(27)
+    n, dim = 20000, 40
+    for side in (ROW, COL):
+        ops = [("S", *rng.sample(range(dim), 2), None) if rng.random() < 0.25
+               else ("T", *rng.sample(range(dim), 2), rng.randrange(1, 12379))
+               for _ in range(n)]
+        assert sum(op[0] == "S" for op in ops) >= n // 5
+        tr = write_transcript(tmp_path / ("big-%s.trn" % side), side, dim, f12379, ops)
+        x = [rng.randrange(12379) for _ in range(dim)]
+        y = tr.apply_vec(list(x))
+        rows = random_dense(rng, 2, dim, 12379, 0.5)
+        b = tr.apply_mat_right(SparseMatrix.from_dense(rows, f12379))
+        tracemalloc.start()
+        try:
+            for name, replay in (("apply_vec", lambda: tr.apply_vec(y, inverse=True)),
+                                 ("apply_mat_right",
+                                  lambda: tr.apply_mat_right(b, inverse=True))):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                replay()
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak < 8 * n, (side, name, peak / n)
+        finally:
+            tracemalloc.stop()
+        assert y == x
+        assert b.to_dense() == rows
+
+
 def test_concurrent_record_streams(tmp_path, f7):
     ops = [("S", 0, 1, None), ("T", 1, 0, 3), ("T", 0, 1, 2)]
     tr = write_transcript(tmp_path / "c.trn", ROW, 2, f7, ops)
@@ -304,10 +337,10 @@ def test_decode_across_chunk_boundaries(tmp_path, f7, monkeypatch, chunk):
 def followed_lines(tr):
     """What trace_lines gives, from the decoded records: a swap exchanges
     two lines, and a T record writes the line it names first."""
-    kind, a, b, _ = tr.decoded()
+    a, b, v = tr.decoded()
     src, written = list(range(tr.dim)), bytearray(tr.dim)
-    for k, x, y in zip(kind, a, b):
-        if k == ord("S"):
+    for x, y, s in zip(a, b, v):
+        if not s:
             src[x], src[y] = src[y], src[x]
             written[x], written[y] = written[y], written[x]
         else:
@@ -355,7 +388,8 @@ def test_trace_lines_agrees_with_decode(tmp_path, f7, monkeypatch, chunk):
 def test_out_of_range_records_are_refused(tmp_path, f7):
     path = tmp_path / "t.trn"
     for record, why in ((b"S 0 3\n", "exceeds"), (b"T 3 0 1\n", "exceeds"),
-                        (b"T 0 1 7\n", "exceeds"), (b"T 0 1 0\n", "scalar 0"),
+                        (b"T 0 1 7\n", "exceeds"),
+                        (b"T 0 1 0\n", "record 2: a transvection has scalar 0"),
                         (b"S 1 1\n", "one line twice"), (b"T 2 2 5\n", "one line twice")):
         body = b"ROW 3 7\nS 0 1\n" + record
         path.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
