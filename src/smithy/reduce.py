@@ -462,12 +462,11 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
 
     try:
         with open(spill, "rb") as f:
-            lines = enumerate(f, 1)
-            header = line_no, *shape = _read_header(lines)
+            header = line_no, *shape = _read_header(f)
             if shape != [m_loc, n_loc, p]:
                 raise MatrixFormatError(line_no, "spill header %s, not %s"
                                         % (shape, [m_loc, n_loc, p]))
-            for j_loc, run in _read_runs(lines, header, k):
+            for j_loc, run in _read_runs(f, header, k):
                 gcol = c + j_loc - 1
                 y = sorted(phys_of[c + (e >> k)] << k | (e & mask) for e in run)
                 # y's value on a pivot row changes only when that row's vector

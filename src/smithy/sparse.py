@@ -18,11 +18,17 @@ The text format is a header line "m n p", one line "i j v" per entry
 after it but blank lines.  This module alone reads and writes it.  It reads
 bytes, so a field that is not an ASCII integer fails at its line, in the one
 reader (_read_header, _read_runs) of read_matrix, read_header and the spill.
+The reader takes the entry lines a 64 KiB block at a time: a block of the
+lines this module writes, "i j v" with single spaces and LF, is parsed by
+one json.loads, and any other block a line at a time; both feed one loop of
+checks, so every layout meets the same checks at the same lines.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
+from itertools import chain, count
 
 from .gfp import FieldSpec
 
@@ -190,6 +196,12 @@ class SparseMatrix:
 
 # -- text interchange format ----------------------------------------------
 
+# The reader's block size: 256 KiB and 1 MiB blocks were slower and held
+# more memory.
+_BLOCK = 1 << 16
+_DIGITS = b"0123456789"
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
 
 def _write_entries(f, m: int, n: int, p: int, entries) -> None:
     """Write the header, the 0-based (i, j, v) entries and the terminator."""
@@ -198,10 +210,11 @@ def _write_entries(f, m: int, n: int, p: int, entries) -> None:
     f.write("0 0 0\n")
 
 
-def _read_header(lines) -> tuple[int, int, int, int]:
-    """The header (line_no, m, n, p) from lines, enumerate(f, 1) of a binary f."""
+def _read_header(f) -> tuple[int, int, int, int]:
+    """The header (line_no, m, n, p) of the binary file f, left just after
+    the header line."""
     line_no = 0
-    for line_no, line in lines:
+    for line_no, line in enumerate(f, 1):
         header = line.split()
         if header:
             break
@@ -217,59 +230,125 @@ def _read_header(lines) -> tuple[int, int, int, int]:
     return line_no, m, n, p
 
 
-def _read_runs(lines, header, k: int, cols: list[list[int]] | None = None):
-    """Yield each maximal run of entry lines in one column, after header =
-    _read_header(lines) and up to the terminator, as (j, col): its 1-based
-    column and its sorted packed list, cols[j - 1] if cols is given (it may
-    hold an earlier run of j), else a new list, and then each column must
-    come in one run, ascending.  A line that continues the run with a higher
-    row costs one split, three int calls, one range compare and one append;
-    any other takes every check, and a fault raises MatrixFormatError."""
-    line_no, m, n, p = header
-    jcur, last = 0, m  # last: the run's last 1-based row; none yet, no fast path
-    for line_no, line in lines:
+def _blocks(f, first: int):
+    """Yield (first, block) for the rest of the binary file f: blocks of
+    whole lines of about _BLOCK bytes, the first line of each numbered
+    first.  A last line without a newline gets one."""
+    rest = b""
+    while True:
+        chunk = f.read(_BLOCK)
+        if not chunk:
+            if rest:
+                yield first, rest + b"\n"
+            return
+        buf = rest + chunk
+        cut = buf.rfind(b"\n") + 1
+        block, rest = buf[:cut], buf[cut:]
+        if block:
+            yield first, block
+            first += block.count(b"\n")
+
+
+def _entries(block: bytes, first: int):
+    """(line_no, i, j, v) for each entry line of a block from _blocks whose
+    first line is numbered first.
+
+    A block of canonical lines, "i j v" in decimal with single spaces and
+    LF as _write_entries writes them, gets all its numbers from one
+    json.loads, each line numbered first plus its offset.  Deleting the
+    digits leaves "  \\n" per line exactly when every line is digits,
+    space, digits, space, digits, and JSON refuses an empty field and a
+    leading zero.  Any other block is split into lines and read by int a
+    line at a time, lazily; a line that is neither blank nor three integers
+    raises MatrixFormatError."""
+    if block.translate(None, _DIGITS) == b"  \n" * block.count(b"\n"):
         try:
-            i, j, v = line.split()
-            i, j, v = int(i), int(j), int(v)
+            nums = json.loads(b"[%b]" % block[:-1].translate(_COMMAS))
+        except ValueError:  # an empty field, a leading zero, too many digits
+            pass
+        else:
+            it = iter(nums)
+            return zip(count(first), it, it, it)
+    return _tokenize(block, first)
+
+
+def _tokenize(block: bytes, first: int):
+    for line_no, line in enumerate(block.split(b"\n"), first):
+        parts = line.split()
+        try:
+            i, j, v = parts
+            entry = line_no, int(i), int(j), int(v)
         except ValueError:
-            if not line.split():
+            if not parts:
                 continue
-            raise MatrixFormatError(line_no, "entry must be 'i j v'" if len(line.split()) != 3
+            raise MatrixFormatError(line_no, "entry must be 'i j v'" if len(parts) != 3
                                     else "non-integer entry field") from None
-        if j == jcur and last < i <= m and 0 < v < p:
-            append((i - 1) << k | v)
-            last = i
-            continue
-        if not (1 <= i <= m and 1 <= j <= n):
-            if i == j == v == 0:
-                break
-            raise MatrixFormatError(line_no, "index (%d, %d) outside %dx%d" % (i, j, m, n))
-        if not 0 < v < p:
-            raise MatrixFormatError(line_no, "value %d outside [1, %d)" % (v, p))
-        if j != jcur:
-            if cols is None and j < jcur:
-                raise MatrixFormatError(line_no, "column %d after column %d" % (j, jcur))
-            if jcur:
-                yield jcur, col
-            jcur = j
-            col = [] if cols is None else cols[j - 1]
-            append = col.append
-        idx = bisect_left(col, (i - 1) << k)
-        if idx < len(col) and col[idx] >> k == i - 1:
-            raise MatrixFormatError(line_no, "duplicate entry (%d, %d)" % (i, j))
-        col.insert(idx, (i - 1) << k | v)
-        last = (col[-1] >> k) + 1
-    else:
-        raise MatrixFormatError(line_no + 1, "missing '0 0 0' terminator")
-    for line_no, line in lines:
-        if line.split():
-            raise MatrixFormatError(line_no, "content after the '0 0 0' terminator")
-    if jcur:
-        yield jcur, col
+        yield entry
+
+
+def _check_after_terminator(blocks) -> None:
+    """Raise MatrixFormatError at the first line of blocks, (first, block)
+    pairs, that is not blank."""
+    for first, block in blocks:
+        for line_no, line in enumerate(block.split(b"\n"), first):
+            if line.split():
+                raise MatrixFormatError(line_no, "content after the '0 0 0' terminator")
+
+
+def _read_runs(f, header, k: int, cols: list[list[int]] | None = None):
+    """Yield each maximal run of entry lines in one column, from the binary
+    file f after header = _read_header(f) up to the terminator, as (j, col):
+    its 1-based column and its sorted packed list, cols[j - 1] if cols is
+    given (it may hold an earlier run of j), else a new list, and then each
+    column must come in one run, ascending.
+
+    The file is read a block of whole lines at a time, so memory holds one
+    block besides the columns, and the entries of every block go through
+    one loop.  An entry that continues the run with a higher row costs one
+    range compare and one append; any other takes every check, and a fault
+    raises MatrixFormatError at its line."""
+    line_no, m, n, p = header
+    first, block = line_no + 1, b""
+    blocks = _blocks(f, first)
+    jcur, last = 0, m  # last: the run's last 1-based row; none yet, no fast path
+    for first, block in blocks:
+        for line_no, i, j, v in _entries(block, first):
+            if j == jcur and last < i <= m and 0 < v < p:
+                append((i - 1) << k | v)
+                last = i
+                continue
+            if not (1 <= i <= m and 1 <= j <= n):
+                if i == j == v == 0:
+                    after = block.split(b"\n", line_no + 1 - first)[-1]
+                    _check_after_terminator(chain([(line_no + 1, after)], blocks))
+                    if jcur:
+                        yield jcur, col
+                    return
+                raise MatrixFormatError(line_no, "index (%d, %d) outside %dx%d" % (i, j, m, n))
+            if not 0 < v < p:
+                raise MatrixFormatError(line_no, "value %d outside [1, %d)" % (v, p))
+            if j != jcur:
+                if cols is None and j < jcur:
+                    raise MatrixFormatError(line_no, "column %d after column %d" % (j, jcur))
+                if jcur:
+                    yield jcur, col
+                jcur = j
+                col = [] if cols is None else cols[j - 1]
+                append = col.append
+            if not col:
+                append((i - 1) << k | v)
+                last = i
+                continue
+            idx = bisect_left(col, (i - 1) << k)
+            if idx < len(col) and col[idx] >> k == i - 1:
+                raise MatrixFormatError(line_no, "duplicate entry (%d, %d)" % (i, j))
+            col.insert(idx, (i - 1) << k | v)
+            last = (col[-1] >> k) + 1
+    raise MatrixFormatError(first + block.count(b"\n"), "missing '0 0 0' terminator")
 
 
 def write_matrix(a: SparseMatrix, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", newline="\n") as f:
         _write_entries(f, a.m, a.n, a.spec.p, a.entries())
 
 
@@ -277,15 +356,14 @@ def read_header(path) -> tuple[int, int, int]:
     """The header (m, n, p) of the matrix file at path; nothing after it is
     parsed."""
     with open(path, "rb") as f:
-        return _read_header(enumerate(f, 1))[1:]
+        return _read_header(f)[1:]
 
 
 def read_matrix(path, spec: FieldSpec | None = None) -> SparseMatrix:
     """Parse the matrix file at path, whose modulus must be spec's if spec is
     given; raises MatrixFormatError with a line number."""
     with open(path, "rb") as f:
-        lines = enumerate(f, 1)
-        header = line_no, m, n, p = _read_header(lines)
+        header = line_no, m, n, p = _read_header(f)
         if spec is not None and spec.p != p:
             raise MatrixFormatError(line_no, "modulus %d does not match expected %d" % (p, spec.p))
         try:
@@ -293,6 +371,6 @@ def read_matrix(path, spec: FieldSpec | None = None) -> SparseMatrix:
         except ValueError as exc:
             raise MatrixFormatError(line_no, str(exc)) from None
         a = SparseMatrix(m, n, spec)
-        for _ in _read_runs(lines, header, spec.k, a.cols):
+        for _ in _read_runs(f, header, spec.k, a.cols):
             pass
         return a

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from smithy import (MatrixFormatError, ShapeError, SparseMatrix, axpy,
                     read_matrix, write_matrix)
+from smithy import sparse
 from smithy.sparse import read_header
 
 from conftest import random_dense, reference_read, sparse_identity
@@ -169,11 +171,13 @@ def test_read_header_errors(tmp_path, text, line):
     assert exc.value.line_no == line
 
 
-def random_matrix_file(rng):
+def random_matrix_file(rng, canonical=False):
     """A small matrix file as bytes, sound or damaged: blank lines, CRLF
     endings, tabs, short, long and junk lines, rows and columns in any order,
     repeated entries, indices or values out of range, a missing terminator
-    and content after it."""
+    and content after it.  A canonical file has single spaces, LF endings
+    and a tenth of the damage."""
+    rare = 0.1 if canonical else 1
     m, n, p = rng.randrange(5), rng.randrange(5), rng.choice([3, 5, 7])
     cells = [(i, j) for j in range(1, n + 1) for i in range(1, m + 1)]
     cells = rng.sample(cells, rng.randrange(len(cells) + 1))
@@ -181,30 +185,33 @@ def random_matrix_file(rng):
     if order < 2:  # column runs, rows ascending or shuffled within each
         cells.sort(key=lambda c: (c[1], c[0] if order else rng.random()))
     lines = [[m, n, p]] + [[i, j, rng.randrange(1, p)] for i, j in cells]
-    if rng.random() < 0.1:
+    if rng.random() < 0.1 * rare:
         lines[0] = rng.choice([[m, n], [m, n, p, 1], [-1, n, p], [m, -1, p], [m, n, 9],
                                [m, b"x", p], [m, n, b"\xff"]])
     for t in range(len(lines) - 1, 0, -1):
-        if rng.random() < 0.03:
+        if rng.random() < 0.03 * rare:
             i, j, v = lines[t]
             lines[t] = rng.choice([[b"x", j, v], [i, b"\xff", v], [i, j], [i, j, v, 1],
                                    [rng.choice([0, m + 1]), j, v], [i, rng.choice([0, n + 1]), v],
                                    [i, j, rng.choice([0, p, -1])], [b"junk"]])
-        elif rng.random() < 0.03:  # a repeated cell, later in its run or in another
+        elif rng.random() < 0.03 * rare:  # a repeated cell, later in its run or in another
             lines.insert(rng.randrange(t + 1, len(lines) + 1), lines[t][:2] + [1])
-    if rng.random() < 0.9:
+    if rng.random() < 1 - 0.1 * rare:
         lines.append([0, 0, 0])
-        if rng.random() < 0.05:
+        if rng.random() < 0.05 * rare:
             lines.append(rng.choice([[1, 1, 1], [0, 0, 0], [b"x"]]))
-    if rng.random() < 0.05:
+    if rng.random() < 0.05 * rare:
         lines = []
     for t in range(len(lines) + 1):
-        if rng.random() < 0.05:
+        if rng.random() < 0.05 * rare:
             lines.insert(t, [])
-    sep, end = rng.choice([b" ", b"\t", b"  "]), rng.choice([b"\n", b"\r\n"])
+    if canonical:
+        sep, end = b" ", b"\n"
+    else:
+        sep, end = rng.choice([b" ", b"\t", b"  "]), rng.choice([b"\n", b"\r\n"])
     text = end.join(sep.join(f if isinstance(f, bytes) else b"%d" % f for f in line)
                     for line in lines)
-    return text + end if rng.random() < 0.9 else text
+    return text + end if rng.random() < 1 - 0.1 * rare else text
 
 
 def test_reader_matches_reference(tmp_path):
@@ -228,6 +235,86 @@ def test_reader_matches_reference(tmp_path):
             assert ((a.m, a.n, a.spec.p), got) == want, data
             outcomes["read"] += 1
     assert min(outcomes.values()) > 500, outcomes
+
+
+def reads_as_reference(path, data):
+    """Assert that read_matrix reads data, written to path, as the reference
+    reader does; "read", or the line of the refusal."""
+    path.write_bytes(data)
+    want = reference_read(data)
+    try:
+        a = read_matrix(path)
+    except MatrixFormatError as exc:
+        assert exc.line_no == want, data
+        return exc.line_no
+    a.check()
+    got = {(i + 1, j + 1): v for i, j, v in a.entries()}
+    assert ((a.m, a.n, a.spec.p), got) == want, data
+    return "read"
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 64])
+def test_reader_matches_reference_across_blocks(tmp_path, monkeypatch, block):
+    """With blocks of a few bytes every file spans many blocks, and a block
+    edge falls at every offset: the 3,000 reference files and 1,000
+    canonical-heavy ones still read as the reference reads them."""
+    monkeypatch.setattr(sparse, "_BLOCK", block)
+    test_reader_matches_reference(tmp_path)
+    rng = random.Random(22)
+    outcomes = Counter(reads_as_reference(tmp_path / "m.sms", random_matrix_file(rng, True))
+                       == "read" for _ in range(1000))
+    assert min(outcomes.values()) > 25, outcomes
+
+
+# Lines of six bytes and blocks of twelve: after the header, lines 2-3, 4-5,
+# 6-7, ... make one block each.
+@pytest.mark.parametrize("body,want", [
+    ("1 1 1\n2 1 1\n1 4 1\n0 0 0\n", 4),           # a fault on a block's first line
+    ("1 1 1\n2 1 1\n1 x 1\n0 0 0\n", 4),           # ... a shape fault
+    ("1 1 1\n2 1 1\n1 1 2\n0 0 0\n", 4),           # ... a duplicate from the block before
+    ("1 1 1\n0 0 0\n", "read"),                    # the terminator ends a block
+    ("1 1 1\n0 0 0\n\n\n", "read"),                # ... then blank lines
+    ("1 1 1\n0 0 0\n1 2 1\n", 4),                 # ... then content in the next
+    ("1 1 1\n2 1 1\n0 0 0\n1 2 1\n", 5),           # content in the terminator's block
+    ("1 1 1\n0 0 0", "read"),                      # no newline at the end
+    ("1 1 1\n2 1 1", 4),                           # ... nor terminator
+    ("1 1 1\n2 1 1\n", 4),                         # no terminator after a whole block
+    ("1 1 1\n2 1 05\n3 1 1\n0 0 0\n", "read"),     # int reads what JSON refuses
+    ("1 1 1\n2 1 +1\n3 1 1\n0 0 0\n", "read"),
+    ("1 1 1\n1_0 2 1\n3 1 1\n0 0 0\n", "read"),
+    ("1 1 1\n2\t1 1\n3 1 1\n0 0 0\n", "read"),
+    ("1 1 1\n2 1 1\r\n3 1 1\n0 0 0\n", "read"),
+    ("1 1 1\n1 2 1 \n3 1 1\n0 0 0\n", "read"),
+    ("1 1 1\n2 1 00\n3 1 1\n0 0 0\n", 3),         # value 0, as int reads it
+    ("1 1 1\n2 1 -1\n3 1 1\n0 0 0\n", 3),
+    ("1 1 1\n 1 2\n3 1 1\n0 0 0\n", 3),           # an empty field
+    ("1 1 1\n1 2 3 4 5\n6\n0 0 0\n", 3),           # short and long lines
+])
+def test_reader_block_edges(tmp_path, monkeypatch, body, want):
+    monkeypatch.setattr(sparse, "_BLOCK", 12)
+    assert reads_as_reference(tmp_path / "m.sms", b"10 3 7\n" + body.encode()) == want
+
+
+def test_read_memory_is_one_block(tmp_path, f12379):
+    """A read holds one block of text and numbers besides the matrix it
+    returns, not the file."""
+    rng = random.Random(23)
+    a = SparseMatrix(1000, 25000, f12379)
+    for j in range(a.n):
+        a.set_col(j, [i << a.spec.k | rng.randrange(1, 12379)
+                      for i in sorted(rng.sample(range(a.m), 4))])
+    path = tmp_path / "big.sms"
+    write_matrix(a, path)
+    assert path.stat().st_size > 20 * sparse._BLOCK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_matrix(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == a and back.nnz == 100000
+    assert peak - held < 2 << 20, (held - base, peak - held)
 
 
 def test_read_with_expected_spec(tmp_path, f7):
