@@ -1,5 +1,6 @@
 """Command line: SNF runs, the cohomology pipeline, cocycle reduction,
-and the level-arithmetic predictions, over the stable text formats.
+and the level-arithmetic predictions, over the stable file formats: text
+matrices and reports, binary transcripts.
 
 Reports are plain "key: value" lines.  Exit codes: 0 success, 1 failed
 table check, 2 usage, 3 parse, 4 shape, 5 not-a-complex, 6 not-a-cocycle,

@@ -10,9 +10,9 @@ rho5, so the last n5 - rho5 coordinates of Q y are coordinates of y moved
 by Q's swaps alone: (Q y)[rho5 + t] = y[tail[t]].  eta is thus a row
 selection of dBottom, and "Q y vanishes on its first rho5 coordinates",
 the certificate that y is a cocycle, is the exact check dTop y = 0.
-Neither needs Q replayed.  tail comes from one pass over the bytes of Q's
-file, which checks its trailer and that no written line ends in the tail
-but decodes no record.
+Neither needs Q replayed.  tail comes from one pass over the chunks of
+Q's file, which checks them and its trailer, and that no written line ends
+in the tail, but keeps no record.
 
 A second reduction eta = P' D' Q' splits the tail coordinates into rho_eta
 coboundary directions and h5 = n5 - rho5 - rho_eta survivors, which is
@@ -102,7 +102,7 @@ class ComplexSlice:
 
 def _q5_tail(path, spec: FieldSpec, n5: int, rho5: int) -> array:
     """tail with (Q5 y)[rho5 + t] = y[tail[t]] for every y, from one pass
-    over the bytes of the COL transcript Q5 at path (trace_lines).
+    over the COL transcript Q5 at path (trace_lines).
 
     Replayed on the left, a T record writes the line it names first
     and an S record swaps two lines.  A line at or above rho5 that ends
@@ -276,6 +276,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     for j, col in enumerate(bbar.cols):
         padded.set_col(j, [((e >> spec.k) + rho5) << spec.k | (e & spec.mask) for e in col])
     basis = r5.q.apply_mat_left(padded, inverse=True)
+    del r5  # Q5's decoded records: the basis replay was their last use
     write_matrix(basis, os.path.join(workdir, "basis.sms"))
 
     ws = CohomologyWorkspace(
@@ -306,9 +307,9 @@ def load_workspace(workdir: str) -> CohomologyWorkspace:
     """Reopen a work directory written by compute_h5 (read-only use).
 
     meta is checked by _read_meta, and every other file against it;
-    d4.sms only as far as its header.  q5.trn is not decoded: _q5_tail
-    checks its header, trailer count and CRC-32 and takes the tail from
-    one pass over its bytes.
+    d4.sms only as far as its header.  q5.trn is not kept decoded: _q5_tail
+    checks it as open would and takes the tail from one pass over its
+    chunks.
     """
     meta = _read_meta(workdir)
     spec = FieldSpec(meta["p"])

@@ -1,23 +1,32 @@
 """Change-of-basis transcripts: elementary operations on disk.
 
-A transcript is an append-only text file holding one header line
+A transcript is an append-only binary file.  It opens with one header line
 
-    SIDE dim p        (SIDE is ROW or COL)
+    smithy-trn/2 SIDE dim p       (SIDE is ROW or COL)
 
-followed by one record per elementary operation, 0-based indices:
+followed by chunks of records, each
 
-    S a b             swap lines a and b
-    T a b v           add v times line a to line b   (0 < v < p)
+    n                 u32, the chunk's record count, 0 < n <= _CHUNK
+    a[0], ..., a[n-1] u32 each
+    b[0], ..., b[n-1] u32 each
+    v[0], ..., v[n-1] u16 each
 
-and, once finalized, one trailer line
+and, once finalized, the trailer
 
-    E count crc       the number of records and the CRC-32 of every
-                      byte before this line
+    0                 u32, where a next chunk's count would stand
+    count             u64, the number of records
+    crc               u32, the CRC-32 of every byte before the trailer
 
-"Line" means row for a ROW transcript and column for a COL transcript.
-Transcript.append takes each record as a plain (kind, a, b, v) tuple, v
-None for a swap, and is the one place that checks it; records() and
-records_reversed() give them back in that form.
+every number little-endian.  A record (a, b, v) with v = 0 swaps lines a
+and b, and one with 0 < v < p adds v times line a to line b; indices are
+0-based.  "Line" means row for a ROW transcript and column for a COL
+transcript.  The header's tag names this format: a text transcript of an
+earlier smithy, whose header has none, is refused with a message that says
+to recompute it.
+Transcript.append takes each record as a plain (kind, a, b, v) tuple,
+kind S for a swap (v None) and T for a transvection, and is the one place
+that checks it; records() and records_reversed() give them back in that
+form.
 Each record stands for the elementary matrix performing that operation on
 its side; for a record with matrix E, a ROW transcript represents the
 product E0 E1 E2 ... in file order, while a COL transcript represents
@@ -27,24 +36,28 @@ A <- E_row^-1 A and A <- A E_col^-1, so replaying a ROW transcript against
 the reduced matrix on the left and a COL transcript on the right restores
 the original matrix.
 
-A finalized transcript is immutable and is decoded once: by open, or for
-one made by create, by its first replay.  The decoder checks the trailer,
-so a file cut short, damaged or never finalized is refused, and parses
-the records straight into three parallel typed arrays (a, b, v), 10 bytes
-per record, v = 0 marking a swap, whose ranges it checks once per array.
-Every replay walks those arrays forward or through reversed() views, an
-inverse negating each scalar as it reads it, so it allocates nothing per
-record.
-trace_lines reads a file through the same trailer check without decoding
-it, to follow where its swaps move each line and which lines it writes.
+append fills three typed arrays and writes them out a chunk at a time,
+keeping the CRC as it goes.  A finalized transcript is immutable and is
+decoded once: by open, or for one made by create, by its first replay.
+The reader takes each chunk's columns straight into typed arrays, checks
+their ranges and that no record names one line twice, and checks the
+trailer, so a file cut short, damaged or never finalized is refused.  The
+decoded records are three parallel arrays (a, b, v), 10 bytes per record.
+Every replay walks them forward or through reversed() views, an inverse
+negating each scalar as it reads it, so it allocates nothing per record.
+trace_lines reads a file through the same checks without keeping its
+records, to follow where its swaps move each line and which lines it
+writes.
 """
 
 from __future__ import annotations
 
-import re
+import struct
+import sys
 import zlib
 from array import array
-from operator import eq, neg
+from itertools import compress, count
+from operator import eq, neg, not_
 
 from .gfp import FieldSpec
 from .sparse import ShapeError, SparseMatrix, axpy
@@ -52,63 +65,45 @@ from .sparse import ShapeError, SparseMatrix, axpy
 ROW = "ROW"
 COL = "COL"
 
+TAG = b"smithy-trn/2"
+# records per chunk: what append buffers, and the most a reader takes
+_CHUNK = 1 << 12
+# the file is little-endian; on a big-endian host the arrays are swapped
+_BYTESWAP = sys.byteorder != "little"
+_TRAILER = struct.Struct("<IQI")
+
 
 class TranscriptError(ValueError):
     """Malformed transcript file or record."""
 
 
-_CHUNK = 1 << 16
-
-
-def _parse(body: bytes, ops) -> None:
-    """Append the records of body, whole lines, to the arrays ops = (a, b,
-    v), checking only each record's shape: a swap gets v = 0, and a T
-    record with scalar 0 is refused, so v alone tells the kinds apart.  A
-    blank line is refused.  A negative index or scalar does not fit its
-    unsigned array and is refused here; every refusal names its record."""
-    la, lb, val = ops
-    aa, ba, va = la.append, lb.append, val.append
-    lines = body.split(b"\n")
-    lines.pop()  # the empty piece after body's final newline
-    try:
-        for raw in lines:
-            parts = raw.split()
-            n = len(parts)
-            if n == 4 and parts[0] == b"T":
-                v = int(parts[3])
-                if not v:
-                    raise TranscriptError("a transvection has scalar 0")
-            elif n == 3 and parts[0] == b"S":
-                v = 0
-            else:
-                raise TranscriptError("unrecognized %r" % raw.strip())
-            aa(int(parts[1]))
-            ba(int(parts[2]))
-            va(v)
-    except (ValueError, OverflowError) as exc:
-        raise TranscriptError("record %d: %s" % (len(val) + 1, exc)) from None
+def _columns():
+    """Three empty arrays for the a, b and v columns of records."""
+    return array("I"), array("I"), array("H")
 
 
 def _stream(path, spec: FieldSpec | None, begin):
-    """Pass the records of the transcript at path in chunks of whole lines
-    to the consumer that begin(side, dim, spec), called once the header is
-    read, returns, and return that header.
+    """Pass the records of the transcript at path, one chunk at a time as
+    arrays (a, b, v), to the consumer that begin(side, dim, spec), called
+    once the header is read, returns, and return that header.
 
-    Each record is one line, so the record count is the number of
-    newlines before the trailer.  That count and the CRC-32 of every byte
-    before the trailer must be what the trailer says, and nothing may
-    follow it.  No record holds an "E", so the first one starts the
-    trailer, and a record that runs into it is refused.  Memory is one
+    A chunk is refused when its count exceeds _CHUNK, before it is read,
+    or when a record names a line outside [0, dim) or one line twice, or
+    holds a scalar outside [0, p).  The trailer's count and CRC-32 must
+    match what came before it, and nothing may follow it.  Memory is one
     chunk, not the file.
     """
     with open(path, "rb") as f:
-        header = f.readline()
+        header = f.readline(256)
         parts = header.split()
-        if len(parts) != 3 or parts[0] not in (b"ROW", b"COL"):
+        if len(parts) == 3 and parts[0] in (b"ROW", b"COL"):
+            raise TranscriptError("%s is a text transcript from an earlier smithy: "
+                                  "recompute it" % path)
+        if len(parts) != 4 or parts[0] != TAG or parts[1] not in (b"ROW", b"COL"):
             raise TranscriptError("bad header %r" % header)
-        side = parts[0].decode()
+        side = parts[1].decode()
         try:
-            dim, p = int(parts[1]), int(parts[2])
+            dim, p = int(parts[2]), int(parts[3])
         except ValueError:
             dim = -1  # refused with the negative ones
         if dim < 0:
@@ -118,70 +113,70 @@ def _stream(path, spec: FieldSpec | None, begin):
             raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
         consume = begin(side, dim, file_spec)
         crc = zlib.crc32(header)
-        count = 0
-        rest = b""
+        records = 0
+        short = "%s has no trailer: it was cut short or never finalized" % path
         while True:
-            chunk = f.read(_CHUNK)
-            buf = rest + chunk
-            cut = buf.find(b"E")
-            if cut < 0:
-                if not chunk:
-                    raise TranscriptError("%s has no trailer: it was cut short or "
-                                          "never finalized" % path)
-                cut = buf.rfind(b"\n") + 1
-            body, rest = buf[:cut], buf[cut:]
-            done = rest.startswith(b"E")
-            if done and body[-1:] not in (b"", b"\n"):
-                raise TranscriptError("%s: a record runs into the trailer" % path)
-            crc = zlib.crc32(body, crc)
-            count += body.count(b"\n")
-            consume(body)
-            if done:
+            head = f.read(4)
+            if len(head) < 4:
+                raise TranscriptError(short)
+            n = int.from_bytes(head, "little")
+            if not n:
                 break
-        trailer, end, after = (rest + f.readline()).partition(b"\n")
-        if trailer + end != b"E %d %d\n" % (count, crc):
-            raise TranscriptError("%s: trailer %r does not match %d records "
-                                  "with CRC-32 %d" % (path, trailer + end, count, crc))
-        if after or f.read(1):
+            if n > _CHUNK:
+                raise TranscriptError("%s: a chunk of %d records, above the limit of %d"
+                                      % (path, n, _CHUNK))
+            body = f.read(10 * n)
+            if len(body) < 10 * n:
+                raise TranscriptError(short)
+            crc = zlib.crc32(body, zlib.crc32(head, crc))
+            cols = a, b, v = _columns()
+            view = memoryview(body)
+            a.frombytes(view[:4 * n])
+            b.frombytes(view[4 * n:8 * n])
+            v.frombytes(view[8 * n:])
+            if _BYTESWAP:
+                for col in cols:
+                    col.byteswap()
+            if max(a) >= dim or max(b) >= dim or max(v) >= p:
+                raise TranscriptError("%s: a record exceeds dimension %d or modulus %d"
+                                      % (path, dim, p))
+            if any(map(eq, a, b)):
+                raise TranscriptError("%s: a swap or transvection names one line "
+                                      "twice" % path)
+            records += n
+            consume(a, b, v)
+        trailer = head + f.read(_TRAILER.size - 4)
+        if trailer != _TRAILER.pack(0, records, crc):
+            raise TranscriptError("%s: trailer %r does not match %d records with "
+                                  "CRC-32 %d" % (path, trailer, records, crc))
+        if f.read(1):
             raise TranscriptError("%s: bytes after the trailer" % path)
     return side, dim, file_spec
 
 
 def _decode(path, spec: FieldSpec | None = None):
     """Read a transcript file into (side, dim, spec, ops), ops being the
-    records as parallel arrays (a, b, v), v = 0 for a swap; see _parse.
-    The ranges of indices and scalars are checked once per array at the end.
-    """
-    ops = la, lb, val = array("I"), array("I"), array("H")
-    side, dim, file_spec = _stream(path, spec, lambda *header: lambda body: _parse(body, ops))
-    p = file_spec.p
-    if la and (max(la) >= dim or max(lb) >= dim or max(val) >= p):
-        raise TranscriptError("%s: a record exceeds dimension %d or modulus %d"
-                              % (path, dim, p))
-    if any(map(eq, la, lb)):
-        raise TranscriptError("%s: a swap or transvection names one line twice" % path)
-    return side, dim, file_spec, ops
+    records as parallel arrays (a, b, v), v = 0 for a swap."""
+    ops = _columns()
 
+    def consume(*cols):
+        for whole, col in zip(ops, cols):
+            whole.extend(col)
 
-_SWAP = re.compile(rb"\nS (\d+) (\d+)(?=\n)")
-_WRITE = re.compile(rb"T (\d+) ")
+    return (*_stream(path, spec, lambda *header: consume), ops)
 
 
 def trace_lines(path, side: str, dim: int, spec: FieldSpec):
     """Follow the lines of the side, dim transcript at path through its
-    records in file order, in one pass over its bytes: (src, written), where
-    line i ends up holding the original line src[i], and written[i] is 1
-    when a T record wrote it on the way (the line such a record names
+    records in file order, in one pass over its chunks: (src, written),
+    where line i ends up holding the original line src[i], and written[i]
+    is 1 when a transvection wrote it on the way (the line it names
     first).
 
-    The header, the trailer's count and the CRC-32 are checked as by open,
-    but of a record only its kind and the lines it swaps or writes are
-    read: append checked the rest when the file was written, and the CRC
-    has covered it since.  Between two swaps the written lines form a set,
-    so a run of records that all write one line, as over 99% of the runs
-    in a torus slice's Q5 do, is checked by counting that line's records
-    in the run instead of matching each one.  The lines are allocated
-    only once the header matches side and dim.
+    The file is checked as by open, but its records are not kept.  Between
+    two swaps the written lines form a set, so a run of records is marked
+    by the set of its a's, one line for nearly every run of a reduction.
+    The lines are allocated only once the header matches side and dim.
     """
     src = written = None
 
@@ -192,41 +187,19 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
                                   % (path, file_side, file_dim, side, dim))
         src = list(range(dim))
         written = bytearray(dim)
-        return scan
+        return walk
 
-    def line(x: bytes) -> int:
-        i = int(x)
-        if i >= dim:
-            raise TranscriptError("%s: a record names line %d of %d" % (path, i, dim))
-        return i
-
-    def mark(buf: bytes, start: int, stop: int) -> None:
-        """Mark the lines that the records in buf[start:stop], each after
-        a newline, write."""
-        m = _WRITE.match(buf, start + 1)
-        if m is not None:
-            x = m[1]
-            if buf.count(b"\nT %s " % x, start, stop) == buf.count(b"\n", start, stop):
-                written[line(x)] = 1
-                return
-        for record in buf[start + 1:stop].split(b"\n"):
-            m = _WRITE.match(record)
-            if m is None:
-                raise TranscriptError("%s: unrecognized %r" % (path, record))
-            written[line(m[1])] = 1
-
-    def scan(body: bytes) -> None:
-        buf = b"\n" + body
+    def walk(a, b, v) -> None:
         start = 0
-        for m in _SWAP.finditer(buf):
-            if m.start() > start:
-                mark(buf, start, m.start())
-            a, b = line(m[1]), line(m[2])
-            src[a], src[b] = src[b], src[a]
-            written[a], written[b] = written[b], written[a]
-            start = m.end()
-        if len(buf) - 1 > start:
-            mark(buf, start, len(buf) - 1)
+        for s in compress(count(), map(not_, v)):
+            for i in set(a[start:s]):
+                written[i] = 1
+            x, y = a[s], b[s]
+            src[x], src[y] = src[y], src[x]
+            written[x], written[y] = written[y], written[x]
+            start = s + 1
+        for i in set(a[start:]):
+            written[i] = 1
 
     _stream(path, spec, begin)
     return src, written
@@ -261,15 +234,21 @@ class Transcript:
         self.spec = spec
         self._writer = _writer
         self._ops = _ops  # the decoded (a, b, v) arrays
-        self._count = len(_ops[0]) if _ops else 0
+        self._count = len(_ops[0]) if _ops else 0  # records decoded or written out
+        self._chunk = _columns()  # records appended but not yet written out
 
     # -- lifecycle ---------------------------------------------------------
 
     @classmethod
     def create(cls, path, side: str, dim: int, spec: FieldSpec) -> "Transcript":
-        f = open(path, "w", newline="\n")
-        f.write("%s %d %d\n" % (side, dim, spec.p))
-        return cls(path, side, dim, spec, _writer=f)
+        if not 0 <= dim <= 1 << 32:
+            raise ValueError("a transcript's dimension must lie in [0, 2**32]")
+        tr = cls(path, side, dim, spec)
+        header = b"%s %s %d %d\n" % (TAG, side.encode(), dim, spec.p)
+        tr._writer = open(path, "wb")
+        tr._writer.write(header)
+        tr._crc = zlib.crc32(header)
+        return tr
 
     @classmethod
     def open(cls, path, spec: FieldSpec | None = None) -> "Transcript":
@@ -277,38 +256,51 @@ class Transcript:
         return cls(path, side, dim, file_spec, _ops=ops)
 
     def append(self, op) -> None:
-        """Write one (kind, a, b, v) record once it checks: a and b are two
+        """Take one (kind, a, b, v) record once it checks: a and b are two
         lines in [0, dim), and v is None for S and in (0, p) for T."""
-        w = self._writer
-        if w is None:
+        if self._writer is None:
             raise TranscriptError("transcript is finalized")
         kind, a, b, v = op
         dim = self.dim
         if kind == "T":
-            if 0 <= a < dim and 0 <= b < dim and a != b and 0 < v < self.spec.p:
-                w.write("T %d %d %d\n" % (a, b, v))
-                self._count += 1
-                return
+            if not (0 <= a < dim and 0 <= b < dim and a != b and 0 < v < self.spec.p):
+                raise self._refused(op)
         elif kind == "S":
-            if 0 <= a < dim and 0 <= b < dim and a != b and v is None:
-                w.write("S %d %d\n" % (a, b))
-                self._count += 1
-                return
+            if not (0 <= a < dim and 0 <= b < dim and a != b and v is None):
+                raise self._refused(op)
+            v = 0
         else:
             raise TranscriptError("unknown op kind %r" % (kind,))
-        raise TranscriptError("bad record %r for dimension %s and modulus %s"
-                              % (op, dim, self.spec.p))
+        la, lb, lv = self._chunk
+        la.append(a)
+        lb.append(b)
+        lv.append(v)
+        if len(lv) == _CHUNK:
+            self._flush()
+
+    def _refused(self, op) -> TranscriptError:
+        return TranscriptError("bad record %r for dimension %s and modulus %s"
+                               % (op, self.dim, self.spec.p))
+
+    def _flush(self) -> None:
+        """Write the buffered records as one chunk and empty the buffer."""
+        cols = self._chunk
+        if _BYTESWAP:
+            for col in cols:
+                col.byteswap()
+        data = len(cols[2]).to_bytes(4, "little") + b"".join(map(bytes, cols))
+        self._crc = zlib.crc32(data, self._crc)
+        self._writer.write(data)
+        self._count += len(cols[2])
+        self._chunk = _columns()
 
     def finalize(self) -> "Transcript":
-        """Close the file with its trailer line: the record count and the
-        CRC-32 of every byte before it."""
+        """Write the buffered records and close the file with its trailer:
+        the record count and the CRC-32 of every byte before it."""
         if self._writer is not None:
-            self._writer.flush()
-            crc = 0
-            with open(self.path, "rb") as f:
-                for chunk in iter(lambda: f.read(1 << 16), b""):
-                    crc = zlib.crc32(chunk, crc)
-            self._writer.write("E %d %d\n" % (self._count, crc))
+            if self._chunk[2]:
+                self._flush()
+            self._writer.write(_TRAILER.pack(0, self._count, self._crc))
             self.abandon()
         return self
 
@@ -319,7 +311,7 @@ class Transcript:
             self._writer = None
 
     def __len__(self) -> int:
-        return self._count
+        return self._count + len(self._chunk[2])
 
     # -- records -------------------------------------------------------------
 

@@ -4,11 +4,13 @@ package's sparse structures, plus seeded random generators."""
 import importlib.util
 import os
 import random
+import zlib
 
 import numpy as np
 import pytest
 
-from smithy import FieldSpec, SparseMatrix
+from smithy import FieldSpec, SparseMatrix, Transcript
+from smithy.transcript import TAG
 
 
 def dense_rref(rows, p):
@@ -158,6 +160,51 @@ def random_slice(rng, n6, n5, n4, p):
         bottom_cols.append(col)
     bottom = [[bottom_cols[j][i] for j in range(n4)] for i in range(n5)]
     return top, bottom
+
+
+def transcript_text(path):
+    """The transcript at path in the text layout smithy wrote before its
+    binary one: the header line `SIDE dim p`, one `S a b` or `T a b v` line
+    per record and the trailer line `E count crc`, crc being the CRC-32 of
+    every byte before it.  Pinned transcript hashes are of this rendering,
+    so they pin the records and not their encoding."""
+    tr = Transcript.open(path)
+    body = b"%s %d %d\n" % (tr.side.encode(), tr.dim, tr.spec.p) + b"".join(
+        b"T %d %d %d\n" % (a, b, v) if v else b"S %d %d\n" % (a, b)
+        for a, b, v in zip(*tr.decoded()))
+    return body + b"E %d %d\n" % (len(tr), zlib.crc32(body))
+
+
+def trn_header(side, dim, p):
+    return b"%s %s %d %d\n" % (TAG, side.encode(), dim, p)
+
+
+def trn_chunk(records):
+    """(kind, a, b, v) records as one chunk of the binary transcript format,
+    built with int.to_bytes: the record count, then the a, b and v columns
+    as 4-, 4- and 2-byte little-endian integers; a swap has v 0."""
+    a = b"".join(r[1].to_bytes(4, "little") for r in records)
+    b = b"".join(r[2].to_bytes(4, "little") for r in records)
+    v = b"".join((r[3] or 0).to_bytes(2, "little") for r in records)
+    return len(records).to_bytes(4, "little") + a + b + v
+
+
+def trn_signed(data, count):
+    """data closed with the trailer of count records and data's CRC-32."""
+    return (data + bytes(4) + count.to_bytes(8, "little")
+            + zlib.crc32(data).to_bytes(4, "little"))
+
+
+def trn_resigned(data):
+    """A finalized transcript's bytes under a new trailer that matches them,
+    its record count kept."""
+    return trn_signed(data[:-16], int.from_bytes(data[-12:-4], "little"))
+
+
+def trn_file(side, dim, p, records, chunk=1 << 12):
+    """A finalized binary transcript of records, chunk records a chunk."""
+    chunks = [trn_chunk(records[i:i + chunk]) for i in range(0, len(records), chunk)]
+    return trn_signed(trn_header(side, dim, p) + b"".join(chunks), len(records))
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ import smithy
 from smithy import FieldSpec, SparseMatrix, write_matrix
 from smithy.cli import EXIT_PARSE, main
 
+from conftest import trn_chunk, trn_header, trn_resigned, trn_signed
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture30x40.sms")
 FIXTURE_RANK = 29  # dense-oracle rank of the frozen 30x40 sample
 
@@ -321,11 +323,6 @@ def test_reduce_refuses_bad_meta(tmp_path, capsys, old, new):
     assert "invalid input: meta" in err
 
 
-def finalized(body, count):
-    """body closed with the trailer of count records and body's CRC-32."""
-    return body + b"E %d %d\n" % (count, zlib.crc32(body))
-
-
 def grown(data, field):
     """data, a matrix or transcript file, with its header's field (0-based)
     one more."""
@@ -338,8 +335,7 @@ def grown(data, field):
 # each names a workspace file and gives it a shape meta does not describe
 BAD_SHAPE = {
     "d5-row": ("d5.sms", lambda data: grown(data, 0)),
-    "peta-dim": ("peta.trn", lambda data: finalized(
-        grown(data, 1).rpartition(b"E ")[0], data.count(b"\n") - 2)),
+    "peta-dim": ("peta.trn", lambda data: trn_resigned(grown(data, 2))),
     "basis-column": ("basis.sms", lambda data: grown(data, 1)),
 }
 
@@ -359,43 +355,52 @@ def test_reduce_refuses_a_file_shaped_unlike_meta(tmp_path, capsys, name, damage
     assert "%s does not match meta" % name in err
 
 
-# each takes q5.trn's header line and its records, joined, and the number of
-# records, and gives a q5.trn that load_workspace must refuse
+# each takes q5.trn's header line and its one chunk, and the number of
+# records, and gives a q5.trn that load_workspace must refuse; the cases of
+# the text layout's blank, unknown and D lines map to an empty chunk, text
+# bytes and a scalar >= p, and a negative index to the 2**32 - 1 it wraps to
 BAD_Q5 = {
-    "cut": lambda h, r, n: finalized(h + r, n)[:-3],
-    "crc": lambda h, r, n: h + r + b"E %d %d\n" % (n, zlib.crc32(h + r) ^ 1),
-    "count": lambda h, r, n: finalized(h + r, n + 1),
-    "after-trailer": lambda h, r, n: finalized(h + r, n) + b"S 0 1\n",
-    "blank-line": lambda h, r, n: finalized(h + r + b"\n", n + 1),
-    "unknown-line": lambda h, r, n: finalized(h + r + b"X 0 1\n", n + 1),
-    "into-trailer": lambda h, r, n: finalized(h + r[:-1] + b" ", n),
-    "swap-high": lambda h, r, n: finalized(h + r + b"S 0 3\n", n + 1),
-    "swap-negative": lambda h, r, n: finalized(h + r + b"S -1 0\n", n + 1),
-    "write-high": lambda h, r, n: finalized(h + r + b"T 3 0 1\n", n + 1),
-    "write-negative": lambda h, r, n: finalized(h + r + b"T -1 0 1\n", n + 1),
-    "dilation": lambda h, r, n: finalized(h + r + b"D 0 3\n", n + 1),
-    "row": lambda h, r, n: finalized(b"ROW 3 7\n" + r, n),
-    "dim": lambda h, r, n: finalized(b"COL 4 7\n" + r, n),
-    "modulus": lambda h, r, n: finalized(b"COL 3 11\n" + r, n),
+    "cut": lambda h, c, n: trn_signed(h + c, n)[:-3],
+    "crc": lambda h, c, n: trn_signed(h + c, n)[:-4]
+    + (zlib.crc32(h + c) ^ 1).to_bytes(4, "little"),
+    "count": lambda h, c, n: trn_signed(h + c, n + 1),
+    "after-trailer": lambda h, c, n: trn_signed(h + c, n) + trn_chunk([("S", 0, 1, None)]),
+    "blank-line": lambda h, c, n: trn_signed(h + bytes(4) + c, n),
+    "unknown-line": lambda h, c, n: trn_signed(h + c + b"X 0 1\n", n + 1),
+    "into-trailer": lambda h, c, n: trn_signed(h + (n + 1).to_bytes(4, "little") + c[4:], n),
+    "swap-high": lambda h, c, n: trn_signed(h + c + trn_chunk([("S", 0, 3, None)]), n + 1),
+    "swap-negative": lambda h, c, n: trn_signed(
+        h + c + trn_chunk([("S", 2**32 - 1, 0, None)]), n + 1),
+    "write-high": lambda h, c, n: trn_signed(h + c + trn_chunk([("T", 3, 0, 1)]), n + 1),
+    "write-negative": lambda h, c, n: trn_signed(
+        h + c + trn_chunk([("T", 2**32 - 1, 0, 1)]), n + 1),
+    "dilation": lambda h, c, n: trn_signed(h + c + trn_chunk([("T", 0, 1, 7)]), n + 1),
+    "row": lambda h, c, n: trn_signed(trn_header("ROW", 3, 7) + c, n),
+    "dim": lambda h, c, n: trn_signed(trn_header("COL", 4, 7) + c, n),
+    "modulus": lambda h, c, n: trn_signed(trn_header("COL", 3, 11) + c, n),
+    "text": lambda h, c, n: b"COL 3 7\nS 0 1\nE 1 %d\n" % zlib.crc32(b"COL 3 7\nS 0 1\n"),
 }
 
 
 @pytest.mark.parametrize("damage", BAD_Q5)
 def test_reduce_refuses_bad_q5(tmp_path, capsys, damage):
-    """q5.trn is refused by trace_lines, exit 3; a D line, which writes
-    only a pivot line here, is refused as an unrecognized record."""
+    """q5.trn is refused by trace_lines, exit 3."""
     wd, zfile = f7_workspace(tmp_path, capsys)
     q5 = os.path.join(wd, "q5.trn")
     with open(q5, "rb") as f:
-        lines = f.readlines()
-    assert lines[0] == b"COL 3 7\n" and len(lines) > 2
-    bad = BAD_Q5[damage](lines[0], b"".join(lines[1:-1]), len(lines) - 2)
+        data = f.read()
+    header = trn_header("COL", 3, 7)
+    n = len(smithy.Transcript.open(q5))
+    assert data.startswith(header) and 0 < n and int.from_bytes(data[-12:-4], "little") == n
+    bad = BAD_Q5[damage](header, data[len(header):-16], n)
     with open(q5, "wb") as f:
         f.write(bad)
     with pytest.raises(ValueError):
         smithy.load_workspace(wd)
-    code, out, _ = run(capsys, "reduce", wd, zfile)
+    code, out, err = run(capsys, "reduce", wd, zfile)
     assert (code, out) == (EXIT_PARSE, "")
+    if damage == "text":
+        assert "recompute it" in err
 
 
 def test_reduce_refuses_q5_short_of_a_huge_n5(tmp_path, capsys):
@@ -453,11 +458,11 @@ def test_reduce_truncated_transcript(tmp_path, capsys):
     zfile = str(tmp_path / "z1.sms")
     write_column(zfile, smithy.load_workspace(wd).basis_column(0))
     peta = os.path.join(wd, "peta.trn")
+    assert len(smithy.Transcript.open(peta)) > 1
     with open(peta, "rb") as f:
-        lines = f.readlines()
-    assert len(lines) > 3
+        data = f.read()
     with open(peta, "wb") as f:
-        f.writelines(lines[:-2])  # cut at a record boundary
+        f.write(data[:-16])  # cut at a chunk boundary: no trailer
     code, out, err = run(capsys, "reduce", wd, zfile)
     assert code == EXIT_PARSE
     assert out == ""
@@ -477,11 +482,11 @@ def test_reduce_cut_q5(tmp_path, capsys):
     write_column(zfile, [1, 6, 0])
     assert run(capsys, "reduce", wd, zfile)[0] == 0
     q5 = os.path.join(wd, "q5.trn")
+    assert [op[0] for op in smithy.Transcript.open(q5).records()] == ["T"]
     with open(q5, "rb") as f:
-        lines = f.readlines()
-    assert len(lines) == 3  # header, one transvection, trailer
+        data = f.read()
     with open(q5, "wb") as f:
-        f.writelines(lines[:-1])
+        f.write(data[:-16])
     with pytest.raises(smithy.TranscriptError):
         smithy.load_workspace(wd)
     code, out, err = run(capsys, "reduce", wd, zfile)

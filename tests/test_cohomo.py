@@ -1,7 +1,6 @@
 import os
 import random
 import sys
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,7 +11,7 @@ from smithy import (ComplexSlice, FieldSpec, NotAComplexError,
                     load_workspace, reduce_cocycle, snf, SnfOptions)
 
 from conftest import (dense_kernel, dense_mat_vec, dense_rank, load_gen,
-                      random_slice, sparse_copy, torus_coboundary)
+                      random_slice, sparse_copy, torus_coboundary, trn_file)
 
 
 def make_slice(rng, n6, n5, n4, p):
@@ -343,9 +342,8 @@ def test_paranoid_builds_eta_by_replay(tmp_path, monkeypatch):
 
 
 def _write_q5(path, records):
-    body = b"COL 2 7\n" + b"".join(records)
     with open(path, "wb") as f:
-        f.write(body + b"E %d %d\n" % (len(records), zlib.crc32(body)))
+        f.write(trn_file("COL", 2, 7, records))
 
 
 def test_written_line_moved_into_tail_is_refused(tmp_path):
@@ -355,10 +353,10 @@ def test_written_line_moved_into_tail_is_refused(tmp_path):
                                  SparseMatrix.from_dense([[0], [1]], spec)), wd)
     assert (ws.n5, ws.rho5) == (2, 1)
     q5 = os.path.join(wd, "q5.trn")
-    _write_q5(q5, [b"S 0 1\n", b"T 0 1 3\n"])  # writes line 0 < rho5
+    _write_q5(q5, [("S", 0, 1, None), ("T", 0, 1, 3)])  # writes line 0 < rho5
     load_workspace(wd)
     assert list(cohomo._q5_tail(q5, spec, 2, 1)) == [0]
-    _write_q5(q5, [b"T 0 1 3\n", b"S 0 1\n"])  # then moves it to line 1
+    _write_q5(q5, [("T", 0, 1, 3), ("S", 0, 1, None)])  # then moves it to line 1
     with pytest.raises(NotAComplexError, match="writes line 1"):
         load_workspace(wd)
 

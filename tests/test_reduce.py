@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import smithy
 from smithy import (COL, FieldSpec, MatrixFormatError, SnfOptions,
                     SparseMatrix, Transcript, TranscriptError, read_matrix,
                     reduce, snf)
@@ -16,7 +17,7 @@ from smithy.cli import EXIT_PARSE, main
 from smithy.reduce import _disk_echelon, _Engine
 
 from conftest import (dense_rank, load_gen, random_dense, sparse_copy,
-                      sparse_identity, torus_coboundary)
+                      sparse_identity, torus_coboundary, transcript_text)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture30x40.sms")
 
@@ -60,7 +61,9 @@ def test_markowitz_examples(f7):
 
 # SHA-256 of p.trn and q.trn for the 30x40 fixture, recorded before the
 # cached-key pivot search replaced the scanning one: any change to the pivot
-# order, the tie-break or the record format shows here.
+# order or the tie-break shows here.  Every pinned transcript hash in this
+# file is of the file's records rendered in the old text layout
+# (transcript_text), and was recorded when that layout was the file itself.
 FIXTURE_TRANSCRIPTS = {
     "plain": ({},
               "df347c04d864f6e9e03aed8c657bf0ef092d39963cd3b7ac959458bad0e1083f",
@@ -78,7 +81,19 @@ def test_fixture_transcripts_are_pinned(tmp_path, tag):
     res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path), **kw))
     assert res.rank == 29
     for path, want in ((res.p.path, p_sha), (res.q.path, q_sha)):
-        with open(path, "rb") as f:
+        assert hashlib.sha256(transcript_text(path)).hexdigest() == want
+
+
+def test_fixture_transcript_bytes_are_pinned(tmp_path):
+    """The binary files themselves, for the plain fixture run: any change
+    to the encoding shows here, where the rendered hashes above hold."""
+    a = read_matrix(FIXTURE)
+    res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path)))
+    assert (len(res.p), len(res.q)) == (28, 79)
+    for tr, want in (
+            (res.p, "36ced9d53b406ab5368e11976cd30e2b45217af11c5f955bf8813b96cec9eaf4"),
+            (res.q, "d683351282027bdaad34c78827a4f56e092560552a2b708cdab1e3740fdf223d")):
+        with open(tr.path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == want
 
 
@@ -182,8 +197,7 @@ def test_circulant_transcripts_are_pinned(tmp_path):
     for tr, want in (
             (res.p, "3ad26098bc7e4d1ccf21caca104ac0268e037750385ebb526c39b6fa55d20add"),
             (res.q, "d6d9f721d80bceb8c8f77a85d80a306adf68b03d191ce93b9753e0c958d8b1ac")):
-        with open(tr.path, "rb") as f:
-            assert hashlib.sha256(f.read()).hexdigest() == want
+        assert hashlib.sha256(transcript_text(tr.path)).hexdigest() == want
     assert replay(res, a).to_dense() == rows
 
 
@@ -217,8 +231,7 @@ def test_echelon_passes_are_pinned(tmp_path, tag):
     res = snf(a, SnfOptions(emit_p=True, emit_q=True, tau=tau, workdir=str(tmp_path)))
     assert vars(res.hnf_stats) == stats
     for tr, want in zip((res.p, res.q), shas):
-        with open(tr.path, "rb") as f:
-            assert hashlib.sha256(f.read()).hexdigest() == want
+        assert hashlib.sha256(transcript_text(tr.path)).hexdigest() == want
     assert replay(res, a).to_dense() == rows
 
 
@@ -252,8 +265,7 @@ def test_skinny_transcripts_are_pinned(tmp_path, normalized):
     assert res.rank == 300
     assert res.searched == 0  # every pivot has Markowitz cost 0
     for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[normalized]):
-        with open(tr.path, "rb") as f:
-            assert hashlib.sha256(f.read()).hexdigest() == want
+        assert hashlib.sha256(transcript_text(tr.path)).hexdigest() == want
     assert replay(res, a).to_dense() == rows
 
 
@@ -265,8 +277,7 @@ def test_skinny_cost_zero_pivots_paranoid(tmp_path):
     res = snf(a, SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path), paranoid=True))
     assert (res.rank, res.searched) == (300, 0)
     for tr, want in zip((res.p, res.q), SKINNY_TRANSCRIPTS[False]):
-        with open(tr.path, "rb") as f:
-            assert hashlib.sha256(f.read()).hexdigest() == want
+        assert hashlib.sha256(transcript_text(tr.path)).hexdigest() == want
 
 
 def test_clear_row_refuses_a_drifted_pattern(f7):
@@ -660,6 +671,9 @@ def test_snf_without_workdir_leaves_no_temp_dir(tmp_path, monkeypatch, f7):
 
 
 def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
+    """Records written out, one a chunk, before a failure leave files that
+    never decode."""
+    monkeypatch.setattr(smithy.transcript, "_CHUNK", 1)
     real_axpy = reduce.axpy
     calls = []
 
@@ -676,7 +690,9 @@ def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
         run_snf(rows, 7, tmp_path, "wd", fill_log_path=str(tmp_path / "fill"))
     assert len(calls) == 12
     for name in ("p.trn", "q.trn"):
-        assert (wd / name).read_text().count("\n") > 1  # records were written
+        with open(wd / name, "rb") as f:
+            f.readline()  # the header
+            assert f.read(4) == (1).to_bytes(4, "little")  # records were written
         with pytest.raises(TranscriptError):
             Transcript.open(wd / name)
 

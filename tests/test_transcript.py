@@ -12,9 +12,10 @@ import pytest
 import smithy
 from smithy import (COL, ROW, FieldSpec, SparseMatrix, Transcript,
                     TranscriptError)
-from smithy.transcript import trace_lines
+from smithy.transcript import TAG, trace_lines
 
-from conftest import random_dense, sparse_identity
+from conftest import (random_dense, sparse_identity, trn_chunk, trn_file,
+                      trn_header, trn_signed)
 
 
 def dense_op(op, side, dim, p):
@@ -104,6 +105,10 @@ def test_append_validation(tmp_path, f7):
     with pytest.raises(TranscriptError):
         tr.append(("T", 0, 1, 9))
     tr.finalize()
+    # an index must fit its u32 column
+    with pytest.raises(ValueError, match="dimension"):
+        Transcript.create(tmp_path / "big.trn", ROW, 2**32 + 1, f7)
+    assert not (tmp_path / "big.trn").exists()
 
 
 def test_append_refuses_bad_plain_records(tmp_path, f7):
@@ -129,32 +134,44 @@ def test_append_refuses_bad_plain_records(tmp_path, f7):
     assert list(Transcript.open(path, f7).records()) == good
 
 
+def refused(path, f7, why):
+    """Both readers refuse the ROW 3 transcript at path, with a message
+    matching why."""
+    with pytest.raises(TranscriptError, match=why):
+        Transcript.open(path, f7)
+    with pytest.raises(TranscriptError, match=why):
+        trace_lines(path, ROW, 3, f7)
+
+
 def test_open_errors(tmp_path, f7):
     bad = tmp_path / "bad.trn"
-    bad.write_text("ROW x 7\n")
-    with pytest.raises(TranscriptError):
-        Transcript.open(bad)
-    bad.write_text("XYZ 3 7\n")
-    with pytest.raises(TranscriptError):
-        Transcript.open(bad)
+    for header in (TAG + b" ROW x 7\n", TAG + b" XYZ 3 7\n",  # bad fields
+                   b"smithy-trn/1 ROW 3 7\n", TAG + b" ROW 3\n"):  # bad tag, short
+        bad.write_bytes(trn_signed(header, 0))
+        refused(bad, f7, "bad header")
     # a negative dimension, under a trailer that matches
-    bad.write_bytes(b"ROW -3 7\nE 0 %d\n" % zlib.crc32(b"ROW -3 7\n"))
-    with pytest.raises(TranscriptError, match="bad header"):
-        Transcript.open(bad)
-    bad.write_text("ROW 3 7\nK 1 2\n")
-    with pytest.raises(TranscriptError):
-        list(Transcript.open(bad).records())
-    # a dilation is no record kind, even under a trailer that matches
-    body = b"ROW 3 7\nS 0 1\nD 1 3\n"
-    bad.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
-    with pytest.raises(TranscriptError, match="record 2: unrecognized b'D 1 3'"):
-        Transcript.open(bad, f7)
-    with pytest.raises(TranscriptError, match="unrecognized b'D 1 3'"):
-        trace_lines(bad, ROW, 3, f7)
+    bad.write_bytes(trn_signed(trn_header(ROW, -3, 7), 0))
+    refused(bad, f7, "bad header")
+    # a text record under a binary header reads as a count far too large
+    bad.write_bytes(trn_signed(trn_header(ROW, 3, 7) + b"K 1 2\n", 1))
+    refused(bad, f7, "above the limit of 4096")
+    # the old dilation case: no record kind holds one, so a scalar >= p
+    bad.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 1, None), ("T", 1, 0, 7)]))
+    refused(bad, f7, "exceeds dimension 3 or modulus 7")
     good = tmp_path / "good.trn"
-    good.write_text("ROW 3 7\nS 0 1\n")
-    with pytest.raises(TranscriptError):
+    good.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 1, None)]))
+    with pytest.raises(TranscriptError, match="modulus 7 does not match expected 11"):
         Transcript.open(good, FieldSpec(11))
+    assert list(Transcript.open(good).records()) == [("S", 0, 1, None)]
+
+
+def test_text_transcripts_are_refused(tmp_path, f7):
+    """A finalized transcript in the text layout of an earlier smithy is
+    refused by its header, with a message that says to recompute it."""
+    path = tmp_path / "old.trn"
+    body = b"ROW 3 7\nS 0 1\nT 1 2 3\n"
+    path.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
+    refused(path, f7, "text transcript from an earlier smithy: recompute it")
 
 
 def test_empty_transcript_is_identity(tmp_path, f7):
@@ -278,35 +295,49 @@ DAMAGE_OPS = [("T", 0, 1, 3), ("S", 1, 2, None), ("T", 2, 1, 5), ("T", 2, 0, 6)]
 def test_trailer_counts_and_checksums(tmp_path, f7):
     path = tmp_path / "t.trn"
     write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
-    body, trailer = path.read_bytes().rsplit(b"\n", 2)[0:2]
-    assert trailer == b"E 4 %d" % zlib.crc32(body + b"\n")
-    assert body.splitlines()[1:] == [b"T 0 1 3", b"S 1 2", b"T 2 1 5", b"T 2 0 6"]
+    data = path.read_bytes()
+    body, trailer = data[:-16], data[-16:]
+    assert trailer == (bytes(4) + (4).to_bytes(8, "little")
+                       + zlib.crc32(body).to_bytes(4, "little"))
+    assert body == trn_header(ROW, 3, 7) + trn_chunk(DAMAGE_OPS)
 
 
-def test_damaged_transcripts_are_refused(tmp_path, f7):
+def test_damaged_transcripts_are_refused(tmp_path, f7, monkeypatch):
+    """Written two records a chunk: a file cut short, a flipped byte in
+    any field, a trailer that does not match, bytes after it and framing
+    that does not add up are refused by both readers."""
+    monkeypatch.setattr(smithy.transcript, "_CHUNK", 2)
     path = tmp_path / "t.trn"
     write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
     good = path.read_bytes()
-    lines = good.splitlines(keepends=True)
-    assert lines[1] == b"T 0 1 3\n"
+    header, first, second = trn_header(ROW, 3, 7), trn_chunk(DAMAGE_OPS[:2]), \
+        trn_chunk(DAMAGE_OPS[2:])
+    assert good == trn_signed(header + first + second, 4)
+    h = len(header)
 
-    def signed(body, count=4):  # body under a trailer with body's CRC-32
-        return body + b"E %d %d\n" % (count, zlib.crc32(body))
+    def flipped(offset, mask):  # the byte at offset in the first chunk
+        data = bytearray(good)
+        data[h + offset] ^= mask
+        return bytes(data)
 
-    into = b"".join(lines[:-1])[:-1] + b" "
-    blank = b"".join(lines[:2]) + b"\n" + b"".join(lines[2:-1])
     damaged = {
-        "record boundary cut": b"".join(lines[:3]),
-        "mid-record cut": b"".join(lines[:4]) + lines[4][:4],
-        "flipped digit": lines[0] + b"T 0 1 4\n" + b"".join(lines[2:]),
-        "missing trailer": b"".join(lines[:-1]),
-        "bytes after trailer": good + b"S 0 1\n",
-        "blank line after trailer": good + b"\n",
-        "wrong count": b"".join(lines[:-1]) + lines[-1].replace(b"E 4", b"E 3"),
-        "record running into the trailer": signed(into),
-        "record running into the trailer, left out of the count": signed(into, 3),
-        "blank line left out of the count": signed(blank),
-        "blank line in the count": signed(blank, 5),
+        # the first chunk's count 2 -> 3, a = 0 -> 2, b = 1 -> 2 and
+        # v = 3 -> 2: each stays in range, so only the CRC sees it
+        "flipped count": flipped(0, 1),
+        "flipped a": flipped(4, 2),
+        "flipped b": flipped(12, 3),
+        "flipped v": flipped(20, 1),
+        "cut at a chunk boundary": header + first,
+        "cut inside a chunk": header + first + second[:7],
+        "cut inside the trailer": good[:-3],
+        "missing trailer": good[:-16],
+        "bytes after trailer": good + trn_chunk(DAMAGE_OPS[:1]),
+        "zero byte after trailer": good + b"\0",
+        "wrong count": trn_signed(header + first + second, 3),
+        "count running into the trailer": trn_signed(
+            header + first + (3).to_bytes(4, "little") + second[4:], 4),
+        "empty chunk left out of the count": trn_signed(header + first + bytes(4) + second, 4),
+        "empty chunk in the count": trn_signed(header + first + bytes(4) + second, 5),
     }
     for name, data in damaged.items():
         path.write_bytes(data)
@@ -322,16 +353,80 @@ def test_damaged_transcripts_are_refused(tmp_path, f7):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16])
 def test_decode_across_chunk_boundaries(tmp_path, f7, monkeypatch, chunk):
-    """Records and the trailer split between read chunks decode the same."""
-    path = tmp_path / "t.trn"
-    write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
+    """Records written chunk to a chunk decode the same, and the file is
+    refused cut short, with bytes after its trailer, or by a reader whose
+    chunks are smaller than the writer's."""
     monkeypatch.setattr(smithy.transcript, "_CHUNK", chunk)
-    assert list(Transcript.open(path, f7).records()) == DAMAGE_OPS
+    rng = random.Random(chunk)
+    ops = DAMAGE_OPS + random_ops(rng, 3, 7) + random_ops(rng, 3, 7)
+    path = tmp_path / "t.trn"
+    write_transcript(path, ROW, 3, f7, ops)
     good = path.read_bytes()
-    for bad in (good[:-1], good[:-3], good + b"\n", good + b"E 0 0\n"):
+    assert good == trn_file(ROW, 3, 7, ops, chunk)
+    assert list(Transcript.open(path, f7).records()) == ops
+    for bad in (good[:-1], good[:-17], good + b"\n", good + good[-16:]):
         path.write_bytes(bad)
         with pytest.raises(TranscriptError):
             Transcript.open(path, f7)
+    path.write_bytes(good)
+    monkeypatch.setattr(smithy.transcript, "_CHUNK", chunk - 1 or 1)
+    if chunk > 1:
+        with pytest.raises(TranscriptError, match="a chunk of %d records" % chunk):
+            Transcript.open(path, f7)
+
+
+def test_oversized_chunk_count_is_refused_before_a_read(tmp_path, f7):
+    """A count flipped far above a chunk's size is refused before the
+    reader asks for that many bytes: the allocation peak stays small."""
+    path = tmp_path / "t.trn"
+    write_transcript(path, ROW, 3, f7, DAMAGE_OPS)
+    data = bytearray(path.read_bytes())
+    h = len(trn_header(ROW, 3, 7))
+    for byte in (2, 3):  # count 4 -> 4 + 2**23 or 4 + 2**31: 80 MB or 20 GB
+        bad = bytearray(data)
+        bad[h + byte] ^= 0x80
+        path.write_bytes(bytes(bad))
+        for read in (lambda: Transcript.open(path, f7),
+                     lambda: trace_lines(path, ROW, 3, f7)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TranscriptError, match="above the limit of 4096"):
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["as-is", "flag-flipped"])
+def test_file_layout(tmp_path, f12379, monkeypatch, flipped):
+    """Four records, both kinds and an index at or above 2**16, as bytes
+    built by hand equal what create, append and finalize write, and decode
+    back to the records.  The flag-flipped run flips the module's
+    byte-order flag, so that on a little-endian host the byteswap path of
+    a big-endian one runs: the record columns are then written and read
+    big-endian, while the counts and the trailer, packed little-endian
+    explicitly, do not change."""
+    if flipped:
+        monkeypatch.setattr(smithy.transcript, "_BYTESWAP",
+                            not smithy.transcript._BYTESWAP)
+    order = "big" if flipped else "little"
+    ops = [("T", 70000, 3, 12378), ("S", 0, 70001, None), ("T", 1, 65536, 1),
+           ("S", 65535, 2, None)]
+    header = TAG + b" COL 70002 12379\n"
+    chunk = ((4).to_bytes(4, "little")
+             + b"".join(x.to_bytes(4, order) for x in (70000, 0, 1, 65535))
+             + b"".join(x.to_bytes(4, order) for x in (3, 70001, 65536, 2))
+             + b"".join(x.to_bytes(2, order) for x in (12378, 0, 1, 0)))
+    want = header + chunk + (0).to_bytes(4, "little") + (4).to_bytes(8, "little") \
+        + zlib.crc32(header + chunk).to_bytes(4, "little")
+    path = tmp_path / "t.trn"
+    tr = write_transcript(path, COL, 70002, f12379, ops)
+    assert path.read_bytes() == want
+    assert list(tr.records()) == ops
+    src, written = trace_lines(path, COL, 70002, f12379)
+    assert (src[0], src[70001], src[2], src[65535]) == (70001, 0, 65535, 2)
+    assert [i for i, w in enumerate(written) if w] == [1, 70000]
 
 
 def followed_lines(tr):
@@ -386,30 +481,37 @@ def test_trace_lines_agrees_with_decode(tmp_path, f7, monkeypatch, chunk):
 
 
 def test_out_of_range_records_are_refused(tmp_path, f7):
+    """Records under a trailer that matches, each refused by both readers.
+    A scalar of 0 makes a swap in this format, so the old scalar-0 case
+    is the largest scalar a record holds."""
     path = tmp_path / "t.trn"
-    for record, why in ((b"S 0 3\n", "exceeds"), (b"T 3 0 1\n", "exceeds"),
-                        (b"T 0 1 7\n", "exceeds"),
-                        (b"T 0 1 0\n", "record 2: a transvection has scalar 0"),
-                        (b"S 1 1\n", "one line twice"), (b"T 2 2 5\n", "one line twice")):
-        body = b"ROW 3 7\nS 0 1\n" + record
-        path.write_bytes(body + b"E 2 %d\n" % zlib.crc32(body))
-        with pytest.raises(TranscriptError, match=why):
-            Transcript.open(path, f7)
-    path.write_bytes(b"ROW 3 7\nS 0 2\nE 1 %d\n" % zlib.crc32(b"ROW 3 7\nS 0 2\n"))
+    for record, why in ((("S", 0, 3, None), "exceeds"), (("T", 3, 0, 1), "exceeds"),
+                        (("T", 0, 1, 7), "exceeds"), (("T", 0, 1, 0xFFFF), "exceeds"),
+                        (("S", 0, 2**32 - 1, None), "exceeds"),
+                        (("S", 1, 1, None), "one line twice"),
+                        (("T", 2, 2, 5), "one line twice")):
+        path.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 1, None), record]))
+        refused(path, f7, why)
+    path.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 2, None)]))
     assert list(Transcript.open(path, f7).records()) == [("S", 0, 2, None)]
 
 
-def test_unfinalized_transcript_is_refused(tmp_path, f7):
+def test_unfinalized_transcript_is_refused(tmp_path, f7, monkeypatch):
+    """Refused whether its record was still buffered or, one record a
+    chunk, written out."""
     path = tmp_path / "t.trn"
-    tr = Transcript.create(path, COL, 3, f7)
-    tr.append(("S", 0, 1, None))
-    with pytest.raises(TranscriptError):
-        tr.apply_vec([1, 2, 3])
-    tr.abandon()
-    with pytest.raises(TranscriptError):
-        tr.apply_vec([1, 2, 3])
-    with pytest.raises(TranscriptError):
-        Transcript.open(path, f7)
+    for chunk in (1 << 12, 1):
+        monkeypatch.setattr(smithy.transcript, "_CHUNK", chunk)
+        tr = Transcript.create(path, COL, 3, f7)
+        tr.append(("S", 0, 1, None))
+        with pytest.raises(TranscriptError):
+            tr.apply_vec([1, 2, 3])
+        tr.abandon()
+        with pytest.raises(TranscriptError):
+            tr.apply_vec([1, 2, 3])
+        with pytest.raises(TranscriptError):
+            Transcript.open(path, f7)
+    assert os.path.getsize(path) > len(trn_header(COL, 3, 7))
 
 
 def test_each_transcript_is_decoded_once(tmp_path, f7):
