@@ -34,8 +34,8 @@ that diagonal; the row and column operations stream to transcripts when
 requested, and replaying them against the diagonal restores the input.
 
 The engine (_Engine) is the one owner of the pivoting bookkeeping: it
-builds the row pattern (per row, the sorted list of columns holding an
-entry of that row) from the matrix's columns on entry, keeps the pivot
+builds the row pattern (per row, the columns holding an entry of that
+row, in no order) from the matrix's columns on entry, keeps the pivot
 keys, and every column edit during the reduction goes through it, the
 disk echelon's included: the echelon set lives in the engine's columns,
 and the row pattern finds the vectors a new echelon pivot clears.  The
@@ -53,7 +53,7 @@ from __future__ import annotations
 import os
 import tempfile
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -110,8 +110,12 @@ class _Engine:
     (so clear_row edits its column lists in place),
     and alone keeps the row pattern and the pivot keys that pivoting reads.
 
-    A row's pattern is the strictly increasing list of its columns, and its
-    count the pattern's length; a column's count is the length of its list.
+    A row's pattern is the list of its columns in no order, so an edit
+    appends or removes one column and a swap renames one; its count is the
+    pattern's length, and a column's count the length of its list.  Only
+    three readers need an order, and each sorts: clear_row (the pivot row,
+    once), find_pivot's cost-0 lane (its tie-break) and _disk_echelon (the
+    columns a new pivot clears).
     Each column j >= c with entries has a cached key, its minimum
     (cost, physical row, j) packed as (cost*m + pr)*n + j, in a heap with
     lazy deletion; key // n % m is the argmin's physical row, so row swaps
@@ -176,12 +180,11 @@ class _Engine:
         while a < na and b < nb:
             ra, rb = old[a] >> k, new[b] >> k
             if ra < rb:
-                row = pat[ra]
-                del row[bisect_left(row, j)]
+                pat[ra].remove(j)
                 moved.append(ra)
                 a += 1
             elif ra > rb:
-                insort(pat[rb], j)
+                pat[rb].append(j)
                 moved.append(rb)
                 b += 1
             else:
@@ -189,13 +192,12 @@ class _Engine:
                 b += 1
         while a < na:
             ra = old[a] >> k
-            row = pat[ra]
-            del row[bisect_left(row, j)]
+            pat[ra].remove(j)
             moved.append(ra)
             a += 1
         while b < nb:
             rb = new[b] >> k
-            insort(pat[rb], j)
+            pat[rb].append(j)
             moved.append(rb)
             b += 1
         for r in moved:
@@ -217,21 +219,15 @@ class _Engine:
         self.cur_of[pa], self.cur_of[pb] = b, a
 
     def swap_cols(self, a: int, b: int) -> None:
+        """Rename a to b in column a's rows, then b to a in column b's: a
+        row holding both ends up holding a and b again."""
         k, cols, pat = self.k, self.cols, self.rows_pat
-        # a row holding exactly one of the two columns trades it for the other
-        only_b = {e >> k for e in cols[b]}
         for e in cols[a]:
-            r = e >> k
-            if r in only_b:
-                only_b.remove(r)
-            else:
-                row = pat[r]
-                del row[bisect_left(row, a)]
-                insort(row, b)
-        for r in only_b:
-            row = pat[r]
-            del row[bisect_left(row, b)]
-            insort(row, a)
+            row = pat[e >> k]
+            row[row.index(a)] = b
+        for e in cols[b]:
+            row = pat[e >> k]
+            row[row.index(b)] = a
         cols[a], cols[b] = cols[b], cols[a]
         if self.key:
             self.dirty_cols.update((a, b))
@@ -242,9 +238,10 @@ class _Engine:
         order and their scalars s.  Against a singleton pivot column j2 just
         loses its row-pr entry, deleted in place (snf's caller gives up the
         matrix), and counts update once.  Row pr holds no column below c, so
-        c leads it; self.c is c + 1."""
+        c leads it once sorted; self.c is c + 1."""
         k, p, mask, cols = self.k, self.p, self.mask, self.cols
         row = self.rows_pat[pr]
+        row.sort()  # so the columns, and the T records, go in increasing order
         assert row[0] == c, "pivot row holds a finished column"
         js = row[1:]
         ss = []
@@ -340,8 +337,8 @@ class _Engine:
         (physical row, column).
 
         zero's first live top pr gives the exact pivot, tie-break
-        included: row pr's only column, else its first column holding one
-        entry.  A top is stale when its row is empty or finished (a pivot
+        included: row pr's only column, else its smallest column holding
+        one entry.  A top is stale when its row is empty or finished (a pivot
         row keeps only its pivot column, below c; an active row holds no
         finished column) or holds no cost-0 entry; stale tops are popped.
         With no live top it flushes the keys and pops the main heap's
@@ -354,7 +351,7 @@ class _Engine:
             if row and row[0] >= c:
                 if len(row) == 1:
                     return (pr, row[0])
-                for j in row:
+                for j in sorted(row):
                     if len(cols[j]) == 1:
                         return (pr, j)
             heappop(zero)
@@ -390,8 +387,9 @@ class _Engine:
         for j, col in enumerate(self.cols):
             for e in col:
                 pat[e >> self.k].append(j)
-        # built in increasing j, so each pattern must be strictly increasing
-        assert pat == self.rows_pat
+        # built in increasing j: a pattern that misses, adds or repeats a
+        # column sorts to something else
+        assert pat == [sorted(row) for row in self.rows_pat]
         assert sum(map(len, pat)) == self.total
         assert all(self.cur_of[pr] == i for i, pr in enumerate(self.phys_of))
         self._flush()
@@ -482,8 +480,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
                 lead = min(y, key=lambda e: cur_of[e >> k])
                 pivr = lead >> k
                 y_inv = spec.inv(lead & mask)
-                row = eng.rows_pat[pivr]
-                for j in row[bisect_left(row, c):]:
+                for j in sorted(j for j in eng.rows_pat[pivr] if j >= c):
                     vec = cols[j]
                     coeff = (vec[bisect_left(vec, pivr << k)] & mask) * y_inv % p
                     eng.set_col(j, axpy(vec, y, p - coeff, spec))

@@ -643,6 +643,18 @@ def test_library_runs_without_numpy(tmp_path):
     assert out.stdout.split() == ["2", "True", "1", "[1]"]
 
 
+def test_library_imports_no_numpy():
+    """Importing the command line, and through the package every library
+    module, loads no numpy even where numpy is installed."""
+    pkg_root = os.path.dirname(os.path.dirname(smithy.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import smithy.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))", pkg_root],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]"]
+
+
 def test_star_import_binds_all():
     """from smithy import * binds exactly smithy.__all__, each name once,
     and each resolves."""

@@ -287,12 +287,71 @@ def test_clear_row_refuses_a_drifted_pattern(f7):
         eng.clear_row(0, 0, 1)
 
 
-@pytest.mark.parametrize("pattern", [[1, 0], [0, 0, 1]], ids=["out-of-order", "duplicate"])
-def test_recheck_refuses_a_pattern_not_strictly_increasing(f7, pattern):
+@pytest.mark.parametrize("pr,pattern", [(0, [0, 0, 1]), (0, [1]), (1, [1, 0])],
+                         ids=["duplicate", "missing", "extra"])
+def test_recheck_refuses_a_pattern_unlike_the_columns(f7, pr, pattern):
+    """Patterns are unordered, so recheck accepts row 0 as [1, 0] but
+    refuses a column repeated, left out or not in the row."""
     eng = _Engine(SparseMatrix.from_dense([[1, 1], [0, 1]], f7))
-    eng.rows_pat[0] = pattern
+    eng.rows_pat[0] = [1, 0]
+    eng.recheck()
+    eng.rows_pat[pr] = pattern
     with pytest.raises(AssertionError):
         eng.recheck()
+
+
+# case -> (input, snf options, (every pivot of cost 0, disk echelon ran))
+SHUFFLED = {
+    "skinny": (lambda: skinny(51, 300, 12379), {}, (True, False)),
+    "circulant": (lambda: SparseMatrix.from_dense(tie_heavy(7)[1], FieldSpec(7)), {},
+                  (False, False)),
+    "fixture-tau0": (lambda: read_matrix(FIXTURE), {"tau": 0}, (True, True)),
+}
+
+
+@pytest.mark.parametrize("case", list(SHUFFLED))
+def test_shuffled_row_patterns_change_nothing(tmp_path, monkeypatch, case):
+    """Row patterns are unordered: shuffled right after the engine builds
+    them and after each column edit, the reduction takes the same pivots
+    and writes the same diagonal and transcript bytes as a paranoid run on
+    the patterns as kept.  The skinny input takes every pivot in the
+    cost-0 lane, the circulant's key search picks some, and at tau 0 the
+    disk echelon reads them."""
+    make, kw, lanes = SHUFFLED[case]
+    find, init, set_col = _Engine.find_pivot, _Engine.__init__, _Engine.set_col
+    rng = random.Random(97)
+
+    def recording(eng):
+        pivots[-1].append(find(eng))
+        return pivots[-1][-1]
+
+    def shuffled(eng, mat):
+        init(eng, mat)
+        for row in eng.rows_pat:
+            rng.shuffle(row)
+
+    def set_col_shuffled(eng, j, new):
+        set_col(eng, j, new)
+        for e in new:
+            rng.shuffle(eng.rows_pat[e >> eng.k])
+
+    def run(tag, **opts):
+        pivots.append([])
+        return snf(make(), SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path / tag),
+                                      **kw, **opts))
+
+    pivots = []
+    monkeypatch.setattr(_Engine, "find_pivot", recording)
+    want = run("want", paranoid=True)
+    monkeypatch.setattr(_Engine, "__init__", shuffled)
+    monkeypatch.setattr(_Engine, "set_col", set_col_shuffled)
+    got = run("got")
+    want_piv, got_piv = pivots
+    assert (got.searched == 0, got.hnf_stats is not None) == lanes
+    assert got_piv == want_piv
+    assert (got.diag, got.searched, got.fill_log) == (want.diag, want.searched, want.fill_log)
+    for g, w in ((got.p, want.p), (got.q, want.q)):
+        assert Path(g.path).read_bytes() == Path(w.path).read_bytes()
 
 
 def engine_bytes_per_nonzero(a):
@@ -307,7 +366,7 @@ def engine_bytes_per_nonzero(a):
 
 
 def test_engine_memory_per_nonzero():
-    """The engine's own state at entry (row patterns as sorted lists, the
+    """The engine's own state at entry (row patterns as lists, the
     permutation as arrays, no pivot keys yet) stays under 60 bytes per
     stored nonzero; a set per row took over 120."""
     gen = load_gen()
