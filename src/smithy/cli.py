@@ -48,13 +48,15 @@ def cmd_snf(args) -> int:
         emit_p=args.emit_p,
         emit_q=args.emit_q,
         tau=args.tau,
-        fill_log_path=args.fill_log,
         workdir=args.workdir,
     )
     # made once the options pass, so a refused run leaves no empty dir
     workdir = opts.workdir = args.workdir or tempfile.mkdtemp(prefix="smithy-")
     nnz_in = a.nnz
     res = snf(a, opts)
+    if args.fill_log:
+        with open(args.fill_log, "w", newline="\n") as f:
+            f.writelines("%d\n" % active for active in res.fill_log)
     write_matrix(a, os.path.join(workdir, "d.sms"))
     _emit("m", a.m)
     _emit("n", a.n)

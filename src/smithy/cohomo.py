@@ -104,8 +104,8 @@ def _q5_tail(path, spec: FieldSpec, n5: int, rho5: int) -> array:
     """tail with (Q5 y)[rho5 + t] = y[tail[t]] for every y, from one pass
     over the COL transcript Q5 at path (trace_lines).
 
-    Replayed on the left, a T record writes the line it names first
-    and an S record swaps two lines.  A line at or above rho5 that ends
+    Replayed on the left, a record (a, b, v) writes line a when v != 0
+    and swaps lines a and b when v = 0.  A line at or above rho5 that ends
     written is not a moved coordinate of y, and the transcript is refused.
     """
     src, written = trace_lines(path, COL, n5, spec)

@@ -67,7 +67,6 @@ class SnfOptions:
     emit_p: bool = False
     emit_q: bool = False
     tau: int | None = None  # active-nonzero threshold for the disk fallback
-    fill_log_path: str | None = None
     workdir: str | None = None  # transcripts and spill live here; see snf
     p_path: str | None = None
     q_path: str | None = None
@@ -241,7 +240,7 @@ class _Engine:
         c leads it once sorted; self.c is c + 1."""
         k, p, mask, cols = self.k, self.p, self.mask, self.cols
         row = self.rows_pat[pr]
-        row.sort()  # so the columns, and the T records, go in increasing order
+        row.sort()  # so the columns, and Q's records, go in increasing order
         assert row[0] == c, "pivot row holds a finished column"
         js = row[1:]
         ss = []
@@ -474,7 +473,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
                     coeff = (e & mask) * inv % p
                     y = axpy(y, cols[j], p - coeff, spec)
                     if q is not None:
-                        q.append(("T", j, gcol, coeff))
+                        q.append(j, gcol, coeff)
                 if not y:
                     continue
                 lead = min(y, key=lambda e: cur_of[e >> k])
@@ -485,7 +484,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
                     coeff = (vec[bisect_left(vec, pivr << k)] & mask) * y_inv % p
                     eng.set_col(j, axpy(vec, y, p - coeff, spec))
                     if q is not None:
-                        q.append(("T", gcol, j, coeff))
+                        q.append(gcol, j, coeff)
                 eng.set_col(gcol, y)
                 owner[pivr] = (gcol, y_inv)
                 peak = max(peak, eng.total - base)
@@ -522,7 +521,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     elif (opts.emit_p and not opts.p_path) or (opts.emit_q and not opts.q_path):
         workdir = tempfile.mkdtemp(prefix="smithy-")
     spec = a.spec
-    p_tr = q_tr = fill_file = None
+    p_tr = q_tr = None
     eng = _Engine(a)
     mn = min(a.m, a.n)
     p, k, mask = spec.p, spec.k, spec.mask
@@ -536,16 +535,12 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             p_tr = Transcript.create(opts.p_path or os.path.join(workdir, "p.trn"), ROW, a.m, spec)
         if opts.emit_q:
             q_tr = Transcript.create(opts.q_path or os.path.join(workdir, "q.trn"), COL, a.n, spec)
-        if opts.fill_log_path:
-            fill_file = open(opts.fill_log_path, "w", newline="\n")
         while True:
             active = eng.total - eng.c
             if (hnf_stats is None and opts.tau is not None and active >= opts.tau):
                 hnf_stats = _disk_echelon(eng, q_tr, opts.spill_dir or os.environ.get(
                     SPILL_DIR_ENV) or workdir or tempfile.gettempdir())
             fill_log.append(active)
-            if fill_file:
-                fill_file.write("%d\n" % active)
             if active == 0:
                 break
             assert eng.c < mn, "nonzeros left with no pivot slots"
@@ -558,12 +553,12 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             i = eng.cur_of[pr]
             if i != c:
                 if p_tr is not None:
-                    p_tr.append(("S", c, i, None))
+                    p_tr.append(c, i, 0)
                 eng.swap_rows(c, i)
             if j != c:
                 eng.swap_cols(c, j)
                 if q_tr is not None:
-                    q_tr.append(("S", c, j, None))
+                    q_tr.append(c, j, 0)
             col = eng.cols[c]
             e = col[bisect_left(col, pr << k)]
             assert e >> k == pr, "pivot vanished"
@@ -575,13 +570,13 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             if q_tr is not None:
                 append = q_tr.append
                 for j2, s in zip(js, ss):
-                    append(("T", c, j2, s))
+                    append(c, j2, s)
             # step 5: clear the pivot column (touches only column c now)
             if len(col) > 1:
                 if p_tr is not None:
                     for i2, v2 in sorted((eng.cur_of[e >> k], e & mask)
                                          for e in col if e >> k != pr):
-                        p_tr.append(("T", c, i2, v2 * dinv % p))
+                        p_tr.append(c, i2, v2 * dinv % p)
                 eng.set_col(c, [pr << k | d])
             diag.append(d)
         eng.overwrite_with_diagonal(diag)
@@ -595,8 +590,6 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 tr.finalize()
             else:
                 tr.abandon()
-        if fill_file:
-            fill_file.close()
     return SnfResult(
         rank=len(diag),
         searched=eng.searched,

@@ -23,10 +23,8 @@ and b, and one with 0 < v < p adds v times line a to line b; indices are
 transcript.  The header's tag names this format: a text transcript of an
 earlier smithy, whose header has none, is refused with a message that says
 to recompute it.
-Transcript.append takes each record as a plain (kind, a, b, v) tuple,
-kind S for a swap (v None) and T for a transvection, and is the one place
-that checks it; records() and records_reversed() give them back in that
-form.
+Transcript.append takes each record in the file's own form (a, b, v) and
+is the one place that checks it.
 Each record stands for the elementary matrix performing that operation on
 its side; for a record with matrix E, a ROW transcript represents the
 product E0 E1 E2 ... in file order, while a COL transcript represents
@@ -82,16 +80,15 @@ def _columns():
     return array("I"), array("I"), array("H")
 
 
-def _stream(path, spec: FieldSpec | None, begin):
-    """Pass the records of the transcript at path, one chunk at a time as
-    arrays (a, b, v), to the consumer that begin(side, dim, spec), called
-    once the header is read, returns, and return that header.
+def _chunks(path, spec: FieldSpec | None):
+    """Yield the header (side, dim, spec) of the transcript at path, then
+    its records one chunk at a time as arrays (a, b, v).
 
     A chunk is refused when its count exceeds _CHUNK, before it is read,
     or when a record names a line outside [0, dim) or one line twice, or
-    holds a scalar outside [0, p).  The trailer's count and CRC-32 must
-    match what came before it, and nothing may follow it.  Memory is one
-    chunk, not the file.
+    holds a scalar outside [0, p).  Once the last chunk has been taken, the
+    trailer's count and CRC-32 must match what came before it, and nothing
+    may follow it.  Memory is one chunk, not the file.
     """
     with open(path, "rb") as f:
         header = f.readline(256)
@@ -111,7 +108,7 @@ def _stream(path, spec: FieldSpec | None, begin):
         file_spec = FieldSpec(p)
         if spec is not None and spec.p != p:
             raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
-        consume = begin(side, dim, file_spec)
+        yield side, dim, file_spec
         crc = zlib.crc32(header)
         records = 0
         short = "%s has no trailer: it was cut short or never finalized" % path
@@ -144,26 +141,26 @@ def _stream(path, spec: FieldSpec | None, begin):
                 raise TranscriptError("%s: a swap or transvection names one line "
                                       "twice" % path)
             records += n
-            consume(a, b, v)
+            yield cols
         trailer = head + f.read(_TRAILER.size - 4)
         if trailer != _TRAILER.pack(0, records, crc):
             raise TranscriptError("%s: trailer %r does not match %d records with "
                                   "CRC-32 %d" % (path, trailer, records, crc))
         if f.read(1):
             raise TranscriptError("%s: bytes after the trailer" % path)
-    return side, dim, file_spec
 
 
 def _decode(path, spec: FieldSpec | None = None):
-    """Read a transcript file into (side, dim, spec, ops), ops being the
-    records as parallel arrays (a, b, v), v = 0 for a swap."""
+    """Read a transcript file into (side, dim, spec, ops), ops being its
+    records as parallel arrays (a, b, v), v = 0 for a swap: the header and
+    then every chunk of _chunks."""
+    chunks = _chunks(path, spec)
+    header = next(chunks)
     ops = _columns()
-
-    def consume(*cols):
+    for cols in chunks:
         for whole, col in zip(ops, cols):
             whole.extend(col)
-
-    return (*_stream(path, spec, lambda *header: consume), ops)
+    return (*header, ops)
 
 
 def trace_lines(path, side: str, dim: int, spec: FieldSpec):
@@ -178,18 +175,15 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
     by the set of its a's, one line for nearly every run of a reduction.
     The lines are allocated only once the header matches side and dim.
     """
-    src = written = None
-
-    def begin(file_side: str, file_dim: int, _):
-        nonlocal src, written
-        if (file_side, file_dim) != (side, dim):
-            raise TranscriptError("%s: header says %s %d, expected %s %d"
-                                  % (path, file_side, file_dim, side, dim))
-        src = list(range(dim))
-        written = bytearray(dim)
-        return walk
-
-    def walk(a, b, v) -> None:
+    chunks = _chunks(path, spec)
+    file_side, file_dim, _ = next(chunks)
+    if (file_side, file_dim) != (side, dim):
+        chunks.close()
+        raise TranscriptError("%s: header says %s %d, expected %s %d"
+                              % (path, file_side, file_dim, side, dim))
+    src = list(range(dim))
+    written = bytearray(dim)
+    for a, b, v in chunks:
         start = 0
         for s in compress(count(), map(not_, v)):
             for i in set(a[start:s]):
@@ -200,14 +194,7 @@ def trace_lines(path, side: str, dim: int, spec: FieldSpec):
             start = s + 1
         for i in set(a[start:]):
             written[i] = 1
-
-    _stream(path, spec, begin)
     return src, written
-
-
-def _op(a: int, b: int, v: int) -> tuple:
-    """A decoded record as the (kind, a, b, v) tuple that append takes."""
-    return ("T", a, b, v) if v else ("S", a, b, None)
 
 
 def _run_col_ops(target: SparseMatrix, ops) -> None:
@@ -255,32 +242,21 @@ class Transcript:
         side, dim, file_spec, ops = _decode(path, spec)
         return cls(path, side, dim, file_spec, _ops=ops)
 
-    def append(self, op) -> None:
-        """Take one (kind, a, b, v) record once it checks: a and b are two
-        lines in [0, dim), and v is None for S and in (0, p) for T."""
+    def append(self, a: int, b: int, v: int) -> None:
+        """Take one record (a, b, v) once it checks: a and b are two lines
+        in [0, dim), and v, 0 for a swap, lies in [0, p)."""
         if self._writer is None:
             raise TranscriptError("transcript is finalized")
-        kind, a, b, v = op
         dim = self.dim
-        if kind == "T":
-            if not (0 <= a < dim and 0 <= b < dim and a != b and 0 < v < self.spec.p):
-                raise self._refused(op)
-        elif kind == "S":
-            if not (0 <= a < dim and 0 <= b < dim and a != b and v is None):
-                raise self._refused(op)
-            v = 0
-        else:
-            raise TranscriptError("unknown op kind %r" % (kind,))
+        if not (0 <= a < dim and 0 <= b < dim and a != b and 0 <= v < self.spec.p):
+            raise TranscriptError("bad record %r for dimension %s and modulus %s"
+                                  % ((a, b, v), dim, self.spec.p))
         la, lb, lv = self._chunk
         la.append(a)
         lb.append(b)
         lv.append(v)
         if len(lv) == _CHUNK:
             self._flush()
-
-    def _refused(self, op) -> TranscriptError:
-        return TranscriptError("bad record %r for dimension %s and modulus %s"
-                               % (op, self.dim, self.spec.p))
 
     def _flush(self) -> None:
         """Write the buffered records as one chunk and empty the buffer."""
@@ -316,11 +292,12 @@ class Transcript:
     # -- records -------------------------------------------------------------
 
     def records(self):
-        """The (kind, a, b, v) records in file order."""
-        return map(_op, *self.decoded())
+        """The records (a, b, v) in file order; this and records_reversed
+        are the views perfbench/tracing.py times as decode."""
+        return zip(*self.decoded())
 
     def records_reversed(self):
-        return map(_op, *map(reversed, self.decoded()))
+        return zip(*map(reversed, self.decoded()))
 
     def decoded(self):
         """The records as the parallel arrays (a, b, v) of _decode,
@@ -335,9 +312,9 @@ class Transcript:
         """The records as lazy (src, dst, v) column operations, v = 0 for a
         swap, that multiply a target by M (or M^-1) on the left or right.
         A ROW record applied on the right, or a COL record on the left,
-        exchanges the roles of T a b v (col[b] += v*col[a]) and walks the
-        file forward; the inverse walks it the other way, reading -v for
-        p - v, so nothing is built per record."""
+        exchanges the roles of a and b in (a, b, v) (col[b] += v*col[a])
+        and walks the file forward; the inverse walks it the other way,
+        reading -v for p - v, so nothing is built per record."""
         a, b, v = self.decoded()
         flip = (self.side == COL) == left
         if flip:

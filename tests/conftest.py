@@ -180,12 +180,12 @@ def trn_header(side, dim, p):
 
 
 def trn_chunk(records):
-    """(kind, a, b, v) records as one chunk of the binary transcript format,
-    built with int.to_bytes: the record count, then the a, b and v columns
-    as 4-, 4- and 2-byte little-endian integers; a swap has v 0."""
-    a = b"".join(r[1].to_bytes(4, "little") for r in records)
-    b = b"".join(r[2].to_bytes(4, "little") for r in records)
-    v = b"".join((r[3] or 0).to_bytes(2, "little") for r in records)
+    """(a, b, v) records, v = 0 for a swap, as one chunk of the binary
+    transcript format, built with int.to_bytes: the record count, then the
+    a, b and v columns as 4-, 4- and 2-byte little-endian integers."""
+    a = b"".join(r[0].to_bytes(4, "little") for r in records)
+    b = b"".join(r[1].to_bytes(4, "little") for r in records)
+    v = b"".join(r[2].to_bytes(2, "little") for r in records)
     return len(records).to_bytes(4, "little") + a + b + v
 
 

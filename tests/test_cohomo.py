@@ -353,10 +353,10 @@ def test_written_line_moved_into_tail_is_refused(tmp_path):
                                  SparseMatrix.from_dense([[0], [1]], spec)), wd)
     assert (ws.n5, ws.rho5) == (2, 1)
     q5 = os.path.join(wd, "q5.trn")
-    _write_q5(q5, [("S", 0, 1, None), ("T", 0, 1, 3)])  # writes line 0 < rho5
+    _write_q5(q5, [(0, 1, 0), (0, 1, 3)])  # writes line 0 < rho5
     load_workspace(wd)
     assert list(cohomo._q5_tail(q5, spec, 2, 1)) == [0]
-    _write_q5(q5, [("T", 0, 1, 3), ("S", 0, 1, None)])  # then moves it to line 1
+    _write_q5(q5, [(0, 1, 3), (0, 1, 0)])  # then moves it to line 1
     with pytest.raises(NotAComplexError, match="writes line 1"):
         load_workspace(wd)
 

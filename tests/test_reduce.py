@@ -149,11 +149,6 @@ def test_fill_log_semantics(tmp_path):
     assert res.fill_log[0] == 7
     assert res.fill_log[-1] == 0
     assert len(res.fill_log) <= 4
-    path = tmp_path / "fill.txt"
-    a2 = SparseMatrix.from_dense(rows, FieldSpec(7))
-    res2 = snf(a2, SnfOptions(fill_log_path=str(path),
-                              workdir=str(tmp_path / "f2")))
-    assert [int(x) for x in path.read_text().split()] == res2.fill_log
     # at tau = 0 the count that crossed tau is logged, before the disk echelon
     _, res3 = run_snf(rows, 7, tmp_path, "f3", tau=0)
     assert res3.hnf_stats is not None
@@ -746,7 +741,7 @@ def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
     rows = random_dense(random.Random(31), 6, 8, 7, 0.7)
     wd = tmp_path / "wd"
     with pytest.raises(OSError):
-        run_snf(rows, 7, tmp_path, "wd", fill_log_path=str(tmp_path / "fill"))
+        run_snf(rows, 7, tmp_path, "wd")
     assert len(calls) == 12
     for name in ("p.trn", "q.trn"):
         with open(wd / name, "rb") as f:
@@ -757,8 +752,8 @@ def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
 
 
 def test_failed_set_up_abandons_the_transcripts(tmp_path, monkeypatch):
-    """A fill log that cannot be opened fails snf after both transcripts
-    were created; each is closed without a trailer, not left open."""
+    """A Q transcript that cannot be created fails snf after P was
+    created; P is closed without a trailer, not left open."""
     abandoned = []
     real_abandon = Transcript.abandon
 
@@ -769,8 +764,8 @@ def test_failed_set_up_abandons_the_transcripts(tmp_path, monkeypatch):
     monkeypatch.setattr(Transcript, "abandon", abandon)
     with pytest.raises(FileNotFoundError):
         run_snf([[0, 2], [3, 0]], 7, tmp_path, "wd",
-                fill_log_path=str(tmp_path / "missing" / "fill"))
-    assert sorted(abandoned) == ["p.trn", "q.trn"]
+                q_path=str(tmp_path / "missing" / "q.trn"))
+    assert abandoned == ["p.trn"]
     for name in abandoned:
         with pytest.raises(TranscriptError):
             Transcript.open(tmp_path / "wd" / name)

@@ -19,16 +19,16 @@ from conftest import (random_dense, sparse_identity, trn_chunk, trn_file,
 
 
 def dense_op(op, side, dim, p):
-    """The elementary matrix a (kind, a, b, v) record stands for, as a
-    dense array.
+    """The elementary matrix a record (a, b, v) stands for, as a dense
+    array.
 
-    Row-side transvection T a b v is the left factor adding v x (row a)
-    to row b; column-side is the right factor adding v x (col a) to col b.
-    A swap looks the same from either side.
+    Row-side transvection (a, b, v), v != 0, is the left factor adding
+    v x (row a) to row b; column-side is the right factor adding v x (col a)
+    to col b.  A swap, v = 0, looks the same from either side.
     """
-    kind, a, b, v = op
+    a, b, v = op
     e = np.eye(dim, dtype=np.int64)
-    if kind == "S":
+    if not v:
         e[[a, b]] = e[[b, a]]
     elif side == ROW:
         e[b, a] = v % p
@@ -39,10 +39,8 @@ def dense_op(op, side, dim, p):
 
 def inverse_op(op, spec):
     """The record whose elementary matrix inverts op's."""
-    kind, a, b, v = op
-    if kind == "S":
-        return op
-    return ("T", a, b, spec.p - v)
+    a, b, v = op
+    return (a, b, spec.p - v) if v else op
 
 
 def dense_product(ops, side, dim, p, inverse=False):
@@ -63,24 +61,28 @@ def random_ops(rng, dim, p):
     ops = []
     for _ in range(rng.randrange(0, 25) if dim >= 2 else 0):
         a, b = rng.sample(range(dim), 2)
-        ops.append(("S", a, b, None) if rng.randrange(2) else ("T", a, b, rng.randrange(1, p)))
+        ops.append((a, b, 0) if rng.randrange(2) else (a, b, rng.randrange(1, p)))
     return ops
 
 
 def write_transcript(path, side, dim, spec, ops):
     tr = Transcript.create(path, side, dim, spec)
     for op in ops:
-        tr.append(op)
+        tr.append(*op)
     tr.finalize()
     return Transcript.open(path, spec)
 
 
 def test_roundtrip_and_order(tmp_path, f7):
-    ops = [("S", 0, 2, None), ("T", 1, 0, 4), ("T", 2, 1, 6)]
+    """append takes the file's record (a, b, v), v = 0 for a swap, and
+    records() gives the decoded arrays back as those tuples."""
+    ops = [(0, 2, 0), (1, 0, 4), (2, 1, 6)]
     tr = write_transcript(tmp_path / "t.trn", ROW, 3, f7, ops)
     assert len(tr) == 3
-    assert list(tr.records()) == ops
+    assert list(tr.records()) == list(zip(*tr.decoded())) == ops
     assert list(tr.records_reversed()) == ops[::-1]
+    swap = write_transcript(tmp_path / "s.trn", ROW, 3, f7, ops[:1])
+    assert swap.apply_vec([1, 2, 3]) == [3, 2, 1]
 
 
 def test_records_append_back_byte_identical(tmp_path, f7):
@@ -88,12 +90,12 @@ def test_records_append_back_byte_identical(tmp_path, f7):
     the file byte for byte, on either side."""
     rng = random.Random(26)
     for side in (ROW, COL):
-        ops = [("S", 0, 3, None), ("T", 2, 1, 5), ("T", 4, 0, 3)] + random_ops(rng, 5, 7)
+        ops = [(0, 3, 0), (2, 1, 5), (4, 0, 3)] + random_ops(rng, 5, 7)
         src, dst = tmp_path / ("src-%s.trn" % side), tmp_path / ("dst-%s.trn" % side)
         records = list(write_transcript(src, side, 5, f7, ops).records())
         copy = Transcript.create(dst, side, 5, f7)
         for rec in records:
-            copy.append(rec)
+            copy.append(*rec)
         copy.finalize()
         assert dst.read_bytes() == src.read_bytes()
 
@@ -101,9 +103,9 @@ def test_records_append_back_byte_identical(tmp_path, f7):
 def test_append_validation(tmp_path, f7):
     tr = Transcript.create(tmp_path / "t.trn", ROW, 3, f7)
     with pytest.raises(TranscriptError):
-        tr.append(("S", 0, 3, None))
+        tr.append(0, 3, 0)
     with pytest.raises(TranscriptError):
-        tr.append(("T", 0, 1, 9))
+        tr.append(0, 1, 9)
     tr.finalize()
     # an index must fit its u32 column
     with pytest.raises(ValueError, match="dimension"):
@@ -112,24 +114,22 @@ def test_append_validation(tmp_path, f7):
 
 
 def test_append_refuses_bad_plain_records(tmp_path, f7):
-    """append takes plain (kind, a, b, v) tuples and checks each itself."""
+    """append takes plain (a, b, v) records and checks each itself."""
     path = tmp_path / "t.trn"
     tr = Transcript.create(path, ROW, 3, f7)
-    good = [("S", 0, 2, None), ("T", 1, 0, 4), ("T", 2, 1, 6)]
-    bad = [("S", -1, 2, None), ("T", 0, -1, 3),  # negative
-           ("S", 0, 3, None), ("T", 3, 0, 1),  # index >= dim
-           ("S", 1, 1, None), ("T", 2, 2, 5),  # one line twice
-           ("T", 0, 1, 0),  # scalar 0
-           ("T", 0, 1, 7),  # scalar >= p
-           ("S", 0, 1, 3),  # a scalar on a swap
-           ("K", 0, 1, 1), ("D", 0, None, 3)]  # unknown kind; a dilation is none
-    tr.append(good[0])
+    good = [(0, 2, 0), (1, 0, 4), (2, 1, 6)]
+    bad = [(-1, 2, 0), (0, -1, 3),  # negative
+           (0, 3, 0), (3, 0, 1),  # index >= dim
+           (1, 1, 0), (2, 2, 5),  # one line twice
+           (0, 1, 7),  # scalar >= p
+           (0, 1, -1)]  # scalar < 0
+    tr.append(*good[0])
     for rec in bad:
         with pytest.raises(ValueError):  # TranscriptError is a ValueError
-            tr.append(rec)
+            tr.append(*rec)
         assert len(tr) == 1, rec
     for rec in good[1:]:
-        tr.append(rec)
+        tr.append(*rec)
     tr.finalize()
     assert list(Transcript.open(path, f7).records()) == good
 
@@ -156,13 +156,13 @@ def test_open_errors(tmp_path, f7):
     bad.write_bytes(trn_signed(trn_header(ROW, 3, 7) + b"K 1 2\n", 1))
     refused(bad, f7, "above the limit of 4096")
     # the old dilation case: no record kind holds one, so a scalar >= p
-    bad.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 1, None), ("T", 1, 0, 7)]))
+    bad.write_bytes(trn_file(ROW, 3, 7, [(0, 1, 0), (1, 0, 7)]))
     refused(bad, f7, "exceeds dimension 3 or modulus 7")
     good = tmp_path / "good.trn"
-    good.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 1, None)]))
+    good.write_bytes(trn_file(ROW, 3, 7, [(0, 1, 0)]))
     with pytest.raises(TranscriptError, match="modulus 7 does not match expected 11"):
         Transcript.open(good, FieldSpec(11))
-    assert list(Transcript.open(good).records()) == [("S", 0, 1, None)]
+    assert list(Transcript.open(good).records()) == [(0, 1, 0)]
 
 
 def test_text_transcripts_are_refused(tmp_path, f7):
@@ -251,10 +251,10 @@ def test_inverse_replay_copies_no_record(tmp_path, f12379):
     rng = random.Random(27)
     n, dim = 20000, 40
     for side in (ROW, COL):
-        ops = [("S", *rng.sample(range(dim), 2), None) if rng.random() < 0.25
-               else ("T", *rng.sample(range(dim), 2), rng.randrange(1, 12379))
+        ops = [(*rng.sample(range(dim), 2), 0) if rng.random() < 0.25
+               else (*rng.sample(range(dim), 2), rng.randrange(1, 12379))
                for _ in range(n)]
-        assert sum(op[0] == "S" for op in ops) >= n // 5
+        assert sum(not op[2] for op in ops) >= n // 5
         tr = write_transcript(tmp_path / ("big-%s.trn" % side), side, dim, f12379, ops)
         x = [rng.randrange(12379) for _ in range(dim)]
         y = tr.apply_vec(list(x))
@@ -277,7 +277,7 @@ def test_inverse_replay_copies_no_record(tmp_path, f12379):
 
 
 def test_concurrent_record_streams(tmp_path, f7):
-    ops = [("S", 0, 1, None), ("T", 1, 0, 3), ("T", 0, 1, 2)]
+    ops = [(0, 1, 0), (1, 0, 3), (0, 1, 2)]
     tr = write_transcript(tmp_path / "c.trn", ROW, 2, f7, ops)
     it1 = tr.records()
     it2 = tr.records_reversed()
@@ -289,7 +289,7 @@ def test_concurrent_record_streams(tmp_path, f7):
     assert list(it2) == [ops[0]]
 
 
-DAMAGE_OPS = [("T", 0, 1, 3), ("S", 1, 2, None), ("T", 2, 1, 5), ("T", 2, 0, 6)]
+DAMAGE_OPS = [(0, 1, 3), (1, 2, 0), (2, 1, 5), (2, 0, 6)]
 
 
 def test_trailer_counts_and_checksums(tmp_path, f7):
@@ -411,8 +411,7 @@ def test_file_layout(tmp_path, f12379, monkeypatch, flipped):
         monkeypatch.setattr(smithy.transcript, "_BYTESWAP",
                             not smithy.transcript._BYTESWAP)
     order = "big" if flipped else "little"
-    ops = [("T", 70000, 3, 12378), ("S", 0, 70001, None), ("T", 1, 65536, 1),
-           ("S", 65535, 2, None)]
+    ops = [(70000, 3, 12378), (0, 70001, 0), (1, 65536, 1), (65535, 2, 0)]
     header = TAG + b" COL 70002 12379\n"
     chunk = ((4).to_bytes(4, "little")
              + b"".join(x.to_bytes(4, order) for x in (70000, 0, 1, 65535))
@@ -431,7 +430,7 @@ def test_file_layout(tmp_path, f12379, monkeypatch, flipped):
 
 def followed_lines(tr):
     """What trace_lines gives, from the decoded records: a swap exchanges
-    two lines, and a T record writes the line it names first."""
+    two lines, and a transvection writes the line it names first."""
     a, b, v = tr.decoded()
     src, written = list(range(tr.dim)), bytearray(tr.dim)
     for x, y, s in zip(a, b, v):
@@ -452,17 +451,17 @@ def run_ops(rng, dim, p):
         for _ in range(rng.randrange(0, 5)):
             x = rng.choice(lines)
             y = rng.choice([y for y in range(dim) if y != x])
-            ops.append(("T", x, y, rng.randrange(1, p)))
+            ops.append((x, y, rng.randrange(1, p)))
         if rng.randrange(3):
-            ops.append(("S", *rng.sample(range(dim), 2), None))
+            ops.append((*rng.sample(range(dim), 2), 0))
     return ops
 
 
 # runs writing 1 and 10, 1 and 11, 0 and 11: one line's pattern must not
 # count another's records
-SEVERAL_LINES_OPS = [("T", 1, 0, 2), ("T", 10, 0, 3), ("S", 1, 10, None),
-                     ("T", 1, 2, 4), ("T", 11, 4, 5), ("T", 1, 3, 6),
-                     ("S", 0, 1, None), ("T", 11, 3, 1), ("T", 0, 2, 3)]
+SEVERAL_LINES_OPS = [(1, 0, 2), (10, 0, 3), (1, 10, 0),
+                     (1, 2, 4), (11, 4, 5), (1, 3, 6),
+                     (0, 1, 0), (11, 3, 1), (0, 2, 3)]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 16])
@@ -485,15 +484,15 @@ def test_out_of_range_records_are_refused(tmp_path, f7):
     A scalar of 0 makes a swap in this format, so the old scalar-0 case
     is the largest scalar a record holds."""
     path = tmp_path / "t.trn"
-    for record, why in ((("S", 0, 3, None), "exceeds"), (("T", 3, 0, 1), "exceeds"),
-                        (("T", 0, 1, 7), "exceeds"), (("T", 0, 1, 0xFFFF), "exceeds"),
-                        (("S", 0, 2**32 - 1, None), "exceeds"),
-                        (("S", 1, 1, None), "one line twice"),
-                        (("T", 2, 2, 5), "one line twice")):
-        path.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 1, None), record]))
+    for record, why in (((0, 3, 0), "exceeds"), ((3, 0, 1), "exceeds"),
+                        ((0, 1, 7), "exceeds"), ((0, 1, 0xFFFF), "exceeds"),
+                        ((0, 2**32 - 1, 0), "exceeds"),
+                        ((1, 1, 0), "one line twice"),
+                        ((2, 2, 5), "one line twice")):
+        path.write_bytes(trn_file(ROW, 3, 7, [(0, 1, 0), record]))
         refused(path, f7, why)
-    path.write_bytes(trn_file(ROW, 3, 7, [("S", 0, 2, None)]))
-    assert list(Transcript.open(path, f7).records()) == [("S", 0, 2, None)]
+    path.write_bytes(trn_file(ROW, 3, 7, [(0, 2, 0)]))
+    assert list(Transcript.open(path, f7).records()) == [(0, 2, 0)]
 
 
 def test_unfinalized_transcript_is_refused(tmp_path, f7, monkeypatch):
@@ -503,7 +502,7 @@ def test_unfinalized_transcript_is_refused(tmp_path, f7, monkeypatch):
     for chunk in (1 << 12, 1):
         monkeypatch.setattr(smithy.transcript, "_CHUNK", chunk)
         tr = Transcript.create(path, COL, 3, f7)
-        tr.append(("S", 0, 1, None))
+        tr.append(0, 1, 0)
         with pytest.raises(TranscriptError):
             tr.apply_vec([1, 2, 3])
         tr.abandon()
@@ -518,11 +517,11 @@ def test_each_transcript_is_decoded_once(tmp_path, f7):
     rng = random.Random(25)
     for trial, side in enumerate((ROW, COL, ROW, COL)):
         dim = 5
-        ops = [("T", 0, 1, 2)] + random_ops(rng, dim, 7)
+        ops = [(0, 1, 2)] + random_ops(rng, dim, 7)
         path = tmp_path / ("d%d.trn" % trial)
         created = Transcript.create(path, side, dim, f7)
         for op in ops:
-            created.append(op)
+            created.append(*op)
         created.finalize()
         opened = Transcript.open(path, f7)
         x = [rng.randrange(7) for _ in range(dim)]
