@@ -12,12 +12,11 @@ from .cohomo import (ComplexSlice, CohomologyWorkspace, NotACocycleError,
                      NotAComplexError, build_eta, compute_h5, hecke_matrix,
                      load_workspace, reduce_cocycle)
 from .predict import (GAMMA, GAMMA_CONJ, BettiRow, ConjugatePair,
-                      HeckePolynomial, LevelArithmetic, check_table,
-                      dim_jacobi_cusp3, dim_level1_cusp, dim_paramodular3,
+                      HeckePolynomial, check_table, dim_jacobi_cusp3,
+                      dim_level1_cusp, dim_paramodular3,
                       dim_paramodular3_nongritsenko, estimates, factorize,
-                      hecke_poly_family, hecke_poly_gl4, hecke_poly_spin,
-                      is_prime, kronecker, load_betti_csv, p3_size,
-                      predict_h5)
+                      hecke_poly_family, hecke_poly_spin, is_prime, kronecker,
+                      load_betti_csv, p3_size, predict_h5)
 
 __version__ = "0.1.0"
 
@@ -31,10 +30,9 @@ __all__ = [
     "NotAComplexError", "build_eta", "compute_h5", "hecke_matrix",
     "load_workspace", "reduce_cocycle",
     "GAMMA", "GAMMA_CONJ", "BettiRow", "ConjugatePair", "HeckePolynomial",
-    "LevelArithmetic", "check_table", "dim_jacobi_cusp3", "dim_level1_cusp",
-    "dim_paramodular3", "dim_paramodular3_nongritsenko", "estimates",
-    "factorize",
-    "hecke_poly_family", "hecke_poly_gl4", "hecke_poly_spin", "is_prime",
-    "kronecker", "load_betti_csv", "p3_size", "predict_h5",
+    "check_table", "dim_jacobi_cusp3", "dim_level1_cusp", "dim_paramodular3",
+    "dim_paramodular3_nongritsenko", "estimates", "factorize",
+    "hecke_poly_family", "hecke_poly_spin", "is_prime", "kronecker",
+    "load_betti_csv", "p3_size", "predict_h5",
     "__version__",
 ]

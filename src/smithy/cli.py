@@ -18,8 +18,8 @@ from importlib import resources
 from .cohomo import (ComplexSlice, NotACocycleError, NotAComplexError,
                      compute_h5, load_workspace, reduce_cocycle)
 from .gfp import FieldSpec
-from .predict import (LevelArithmetic, check_table, dim_jacobi_cusp3,
-                      dim_paramodular3, is_prime, load_betti_csv)
+from .predict import (check_table, dim_jacobi_cusp3, dim_paramodular3,
+                      estimates, is_prime, load_betti_csv, p3_size)
 from .reduce import SnfOptions, snf
 from .sparse import MatrixFormatError, ShapeError, read_matrix, write_matrix
 from .transcript import TranscriptError
@@ -112,12 +112,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    lv = LevelArithmetic.for_level(args.N)
-    _emit("N", lv.N)
-    _emit("p3Size", lv.p3_size)
-    _emit("n6Est", lv.n6_est)
-    _emit("n5Est", lv.n5_est)
-    _emit("n4Est", lv.n4_est)
+    n6, n5, n4 = estimates(args.N)
+    _emit("N", args.N)
+    _emit("p3Size", p3_size(args.N))
+    _emit("n6Est", n6)
+    _emit("n5Est", n5)
+    _emit("n4Est", n4)
     if is_prime(args.N):
         para = dim_paramodular3(args.N)
         grit = dim_jacobi_cusp3(args.N)

@@ -75,18 +75,6 @@ class ComplexSlice:
                 % (self.d_top.m, self.d_top.n, self.d_bottom.m, self.d_bottom.n)
             )
 
-    @property
-    def n6(self) -> int:
-        return self.d_top.m
-
-    @property
-    def n5(self) -> int:
-        return self.d_top.n
-
-    @property
-    def n4(self) -> int:
-        return self.d_bottom.n
-
     def validate(self) -> None:
         """Check dTop . dBottom = 0 exactly, one merge of a dTop column per
         dBottom entry."""
@@ -243,7 +231,7 @@ def compute_h5(slice_: ComplexSlice, workdir: str, tau: int | None = None,
     if validate:
         slice_.validate()
     spec = slice_.d_top.spec
-    n4, n5, n6 = slice_.n4, slice_.n5, slice_.n6
+    n4, n5, n6 = slice_.d_bottom.n, slice_.d_top.n, slice_.d_top.m
     with contextlib.suppress(FileNotFoundError):
         os.remove(_meta_path(workdir))
     write_matrix(slice_.d_top, os.path.join(workdir, "d5.sms"))

@@ -59,21 +59,6 @@ def estimates(N: int) -> tuple[int, int, int]:
     )
 
 
-@dataclass(frozen=True)
-class LevelArithmetic:
-    N: int
-    factorization: list[tuple[int, int]]
-    p3_size: int
-    n6_est: int
-    n5_est: int
-    n4_est: int
-
-    @classmethod
-    def for_level(cls, N: int) -> "LevelArithmetic":
-        n6, n5, n4 = estimates(N)
-        return cls(N, factorize(N), p3_size(N), n6, n5, n4)
-
-
 # -- dimension formulas -------------------------------------------------------
 
 def kronecker(a: int, N: int) -> int:
@@ -242,18 +227,10 @@ GAMMA_CONJ = ConjugatePair(gc=1)
 @dataclass(frozen=True)
 class HeckePolynomial:
     coeffs: tuple  # degree <= 4, index = power of T
-    l: int
     family: str
 
     def coeff(self, k: int):
         return self.coeffs[k] if k < len(self.coeffs) else 0
-
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
 
 
 def _simplify(c):
@@ -276,25 +253,14 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _finish(coeffs: list, l: int, family: str) -> HeckePolynomial:
+def _finish(coeffs: list, family: str) -> HeckePolynomial:
     coeffs = [_simplify(c) for c in coeffs]
     while len(coeffs) < 5:
         coeffs.append(0)
-    poly = HeckePolynomial(tuple(coeffs[:5]), l, family)
+    poly = HeckePolynomial(tuple(coeffs[:5]), family)
     if poly.coeffs[0] != 1:
         raise AssertionError("constant coefficient must be 1")
     return poly
-
-
-def hecke_poly_gl4(l: int, a) -> HeckePolynomial:
-    """Sum over k = 0..4 of (-1)^k l^(k(k-1)/2) a_k T^k, with a_0 = 1."""
-    a = list(a)
-    if len(a) != 5:
-        raise ValueError("need eigenvalues a_0..a_4")
-    if a[0] != 1:
-        raise ValueError("a_0 must be 1")
-    coeffs = [(-1) ** k * l ** (k * (k - 1) // 2) * a[k] for k in range(5)]
-    return _finish(coeffs, l, "GenericGL4")
 
 
 def hecke_poly_spin(l: int, delta_l, delta_l2) -> HeckePolynomial:
@@ -307,7 +273,7 @@ def hecke_poly_spin(l: int, delta_l, delta_l2) -> HeckePolynomial:
         -delta_l * l ** 3,
         l ** 6,
     ]
-    return _finish(coeffs, l, "Spin")
+    return _finish(coeffs, "Spin")
 
 
 def hecke_poly_family(family: str, l: int, alpha=None, beta=None,
@@ -352,7 +318,7 @@ def hecke_poly_family(family: str, l: int, alpha=None, beta=None,
     else:  # IIIb
         coeffs = _poly_mul([1, -1],
                            [1, -l * gamma, l ** 3 * gamma_conj, -l ** 6])
-    return _finish(coeffs, l, family)
+    return _finish(coeffs, family)
 
 
 # -- Betti table --------------------------------------------------------------

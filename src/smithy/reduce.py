@@ -98,7 +98,6 @@ class SnfResult:
     q: Transcript | None
     fill_log: list[int]
     hnf_stats: HnfStats | None
-    workdir: str | None
 
 
 SPILL_DIR_ENV = "SMITHY_SPILL_DIR"
@@ -598,5 +597,4 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
         q=q_tr,
         fill_log=fill_log,
         hnf_stats=hnf_stats,
-        workdir=workdir,
     )

@@ -199,6 +199,10 @@ class SparseMatrix:
 # The reader's block size: 256 KiB and 1 MiB blocks were slower and held
 # more memory.
 _BLOCK = 1 << 16
+# The longest line the reader takes, its line break counted: a longer one,
+# header or entry, blank or not, is refused at its line.  _BLOCK must not
+# exceed it, since _blocks checks only a line that runs into the next block.
+_LINE = 1 << 16
 _DIGITS = b"0123456789"
 _COMMAS = bytes.maketrans(b" \n", b",,")
 
@@ -214,7 +218,9 @@ def _read_header(f) -> tuple[int, int, int, int]:
     """The header (line_no, m, n, p) of the binary file f, left just after
     the header line."""
     line_no = 0
-    for line_no, line in enumerate(f, 1):
+    for line_no, line in enumerate(iter(lambda: f.readline(_LINE), b""), 1):
+        if len(line) == _LINE and not line.endswith(b"\n"):
+            raise MatrixFormatError(line_no, "line longer than %d bytes" % _LINE)
         header = line.split()
         if header:
             break
@@ -233,10 +239,15 @@ def _read_header(f) -> tuple[int, int, int, int]:
 def _blocks(f, first: int):
     """Yield (first, block) for the rest of the binary file f: blocks of
     whole lines of about _BLOCK bytes, the first line of each numbered
-    first.  A last line without a newline gets one."""
+    first.  A last line without a newline gets one.  A line longer than
+    _LINE raises MatrixFormatError once the lines before it are yielded."""
     rest = b""
     while True:
         chunk = f.read(_BLOCK)
+        # only the line that rest begins can be longer than a block
+        end = chunk.find(b"\n")
+        if len(rest) + (end if end >= 0 else len(chunk)) >= _LINE:
+            raise MatrixFormatError(first, "line longer than %d bytes" % _LINE)
         if not chunk:
             if rest:
                 yield first, rest + b"\n"

@@ -212,14 +212,14 @@ def _run_col_ops(target: SparseMatrix, ops) -> None:
 class Transcript:
     """One side of a change of basis, as a file of elementary ops."""
 
-    def __init__(self, path, side: str, dim: int, spec: FieldSpec, _writer=None, _ops=None):
+    def __init__(self, path, side: str, dim: int, spec: FieldSpec, _ops=None):
         if side not in (ROW, COL):
             raise ValueError("side must be ROW or COL")
         self.path = str(path)
         self.side = side
         self.dim = dim
         self.spec = spec
-        self._writer = _writer
+        self._writer = None
         self._ops = _ops  # the decoded (a, b, v) arrays
         self._count = len(_ops[0]) if _ops else 0  # records decoded or written out
         self._chunk = _columns()  # records appended but not yet written out

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from smithy import (GAMMA, GAMMA_CONJ, BettiRow, ConjugatePair,
-                    LevelArithmetic, check_table, dim_jacobi_cusp3,
-                    dim_level1_cusp, dim_paramodular3,
+from smithy import (GAMMA, GAMMA_CONJ, BettiRow, ConjugatePair, check_table,
+                    dim_jacobi_cusp3, dim_level1_cusp, dim_paramodular3,
                     dim_paramodular3_nongritsenko, estimates, factorize,
-                    hecke_poly_family, hecke_poly_gl4, hecke_poly_spin,
-                    is_prime, kronecker, load_betti_csv, p3_size, predict_h5)
+                    hecke_poly_family, hecke_poly_spin, is_prime, kronecker,
+                    load_betti_csv, p3_size, predict_h5)
 from smithy.cli import bundled_table_path
 
 
@@ -43,16 +42,6 @@ def test_estimates():
     # measured sizes for level 211 land within 0.04% of the estimates
     for est, actual in zip(estimates(211), (98351, 944046, 3277686)):
         assert abs(est - actual) / actual < 0.0004
-
-
-def test_level_arithmetic():
-    la = LevelArithmetic.for_level(211)
-    assert la.N == 211
-    assert la.factorization == [(211, 1)]
-    assert la.p3_size == 9438664
-    assert (la.n6_est, la.n5_est, la.n4_est) == (98319, 943866, 3277314)
-    with pytest.raises(ValueError):
-        LevelArithmetic.for_level(1)
 
 
 def test_kronecker():
@@ -124,18 +113,6 @@ def test_conjugate_pair_algebra():
     with pytest.raises(ValueError):
         (1 + g) * (1 + gc)
     assert (1 + g) * 2 == 2 + 2 * g
-
-
-def test_hecke_poly_gl4():
-    poly = hecke_poly_gl4(2, [1, 3, 1, 3, 1])
-    assert poly.coeffs == (1, -3, 2, -24, 64)
-    assert poly.degree == 4
-    assert poly.coeff(0) == 1 and poly.coeff(4) == 64
-    assert poly.family == "GenericGL4"
-    with pytest.raises(ValueError):
-        hecke_poly_gl4(2, [2, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        hecke_poly_gl4(2, [1, 0, 0])
 
 
 def test_hecke_poly_spin_symmetry():

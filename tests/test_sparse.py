@@ -317,6 +317,55 @@ def test_read_memory_is_one_block(tmp_path, f12379):
     assert peak - held < 2 << 20, (held - base, peak - held)
 
 
+MIB = 1 << 20
+
+
+@pytest.mark.parametrize("read,text,line", [
+    (read_matrix, b"2 2 7\n1 1 1\n" + b"1" * MIB + b"\n0 0 0\n", 3),  # an entry
+    (read_matrix, b"\n" + b"2" * MIB + b"\n0 0 0\n", 2),  # the header
+    (read_header, b"\n" + b"2" * MIB + b"\n0 0 0\n", 2),
+    (read_matrix, b"2 2 7\n0 0 0\n" + b"1" * MIB, 3),  # after the terminator
+    (read_matrix, b"2 2 7\n" + b" " * MIB + b"\n0 0 0\n", 2),  # blank lines too
+    (read_header, b" " * MIB, 1),
+])
+def test_long_line_is_refused_at_its_line(tmp_path, read, text, line):
+    """A line longer than 64 KiB is refused at its line number without being
+    held whole: a file with no line break costs no more than one does."""
+    path = write_text(tmp_path, text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixFormatError, match="line longer than 65536 bytes") as exc:
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line_no == line
+    assert peak < MIB, peak
+
+
+@pytest.mark.parametrize("block", [1, 7, 16])
+def test_line_bound_counts_the_line_break(tmp_path, monkeypatch, block):
+    """_LINE bytes with the line break are read, one more is refused; a last
+    line without a break is counted as if it had one."""
+    monkeypatch.setattr(sparse, "_BLOCK", block)
+    monkeypatch.setattr(sparse, "_LINE", 16)
+
+    def pad(line, size):
+        return line + b" " * (size - len(line))
+
+    def lines(size):
+        return [pad(b"2 2 7", size) + b"\n", pad(b"1 1 1", size) + b"\n",
+                pad(b"0 0 0", size)]
+
+    assert read_text(tmp_path, b"".join(lines(15))).to_dense() == [[1, 0], [0, 0]]
+    for at in range(3):
+        text = lines(15)
+        text[at] = lines(16)[at]
+        with pytest.raises(MatrixFormatError, match="line longer than 16 bytes") as exc:
+            read_text(tmp_path, b"".join(text))
+        assert exc.value.line_no == at + 1
+
+
 def test_read_with_expected_spec(tmp_path, f7):
     with pytest.raises(MatrixFormatError):
         read_text(tmp_path, "2 2 11\n0 0 0\n", f7)
