@@ -31,7 +31,7 @@ EXIT_NOT_A_COMPLEX = 5
 EXIT_NOT_A_COCYCLE = 6
 EXIT_INTERNAL = 7
 
-DEFAULT_PRIME = 12379
+CONVENTIONAL_PRIME = 12379
 
 
 def _emit(key, value) -> None:
@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--prime", type=int, default=None,
                        help="expected field characteristic; must match the "
-                            "matrix headers (conventional default %d)"
-                            % DEFAULT_PRIME)
+                            "matrix headers (conventional modulus %d)"
+                            % CONVENTIONAL_PRIME)
         p.add_argument("--tau", type=int, default=None,
                        help="active-nonzero threshold that triggers the "
                             "out-of-core echelon fallback")

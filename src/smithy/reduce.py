@@ -22,9 +22,10 @@ The reduction loop, for pivot index c starting at 0:
      (see _Engine).  The first search builds the keys from a full scan,
      so the cost-0 pivots before it keep no key up to date;
   4. swap the pivot row up to row c and advance c, so that no edit puts
-     the pivot row on the cost-0 heap; clear it with column transvections;
-     against a pivot column holding only the pivot, each just deletes one
-     entry, with no merge;
+     the pivot row on the cost-0 heap; clear it with column transvections,
+     in one loop: each column deletes its pivot-row entry in place, and
+     only against a pivot column holding more than the pivot then merges
+     in the rest of that column;
   5. clear the pivot column with row transvections -- after step 4 the
      pivot row is a singleton, so each of these touches only column c.
 
@@ -54,6 +55,7 @@ import os
 import tempfile
 from array import array
 from bisect import bisect_left
+from contextlib import ExitStack
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -120,9 +122,9 @@ class _Engine:
     leave every key as it is.  The keys stay a list, as the packed key can
     pass 2^63 at 20M nonzeros; the first flush builds them by scanning
     every active column.  From then on set_col marks its column and the
-    rows it adds or drops dirty, swap_cols both columns, and clear_row's
-    singleton path each column it deletes from; before it, with no key to
-    keep, they mark nothing.  _flush rescans the dirty columns and refreshes
+    rows it adds or drops dirty, swap_cols both columns, and clear_row
+    each column it deletes a pivot-row entry from; before it, with no key
+    to keep, they mark nothing.  _flush rescans the dirty columns and refreshes
     the other columns of each dirty row from that row's own cost in O(1),
     rescanning one only if its argmin row got worse.
 
@@ -230,45 +232,38 @@ class _Engine:
         if self.key:
             self.dirty_cols.update((a, b))
 
-    def clear_row(self, pr: int, c: int, dinv: int) -> tuple[list[int], list[int]]:
+    def clear_row(self, pr: int, c: int, dinv: int, q: Transcript | None) -> None:
         """Clear row pr outside the pivot column c (column j2 -= s * column c,
-        s = a[pr, j2] * dinv); return (js, ss), the columns j2 in increasing
-        order and their scalars s.  Against a singleton pivot column j2 just
-        loses its row-pr entry, deleted in place (snf's caller gives up the
-        matrix), and counts update once.  Row pr holds no column below c, so
-        c leads it once sorted; self.c is c + 1."""
-        k, p, mask, cols = self.k, self.p, self.mask, self.cols
+        s = a[pr, j2] * dinv), appending (c, j2, s) to q in increasing j2.
+        Each j2 loses its row-pr entry in place (snf's caller gives up the
+        matrix), and only against a pivot column holding more than the pivot
+        then takes -s times the rest of column c.  Row pr holds no column
+        below c, so c leads it once sorted, and c is all it keeps; self.c is
+        c + 1."""
+        k, p, mask, cols, zero = self.k, self.p, self.mask, self.cols, self.zero
         row = self.rows_pat[pr]
         row.sort()  # so the columns, and Q's records, go in increasing order
         assert row[0] == c, "pivot row holds a finished column"
         js = row[1:]
-        ss = []
         lo = pr << k
-        piv = cols[c]
-        if len(piv) > 1:
-            for j2 in js:
-                col = cols[j2]
-                idx = bisect_left(col, lo)
-                assert col[idx] >> k == pr, "row pattern drifted"
-                s = (col[idx] & mask) * dinv % p
-                ss.append(s)
-                self.set_col(j2, axpy(col, piv, p - s, self.spec))
-            return js, ss
-        zero = self.zero
+        rest = [e for e in cols[c] if e >> k != pr]
         for j2 in js:
             col = cols[j2]
             idx = bisect_left(col, lo)
             assert col[idx] >> k == pr, "row pattern drifted"
-            ss.append((col[idx] & mask) * dinv % p)
+            s = (col[idx] & mask) * dinv % p
+            if q is not None:
+                q.append(c, j2, s)
             del col[idx]
-            if len(col) == 1:
+            if rest:
+                self.set_col(j2, axpy(col, rest, p - s, self.spec))
+            elif len(col) == 1:
                 heappush(zero, col[0] >> k)
         # pr is left only in the finished column c: no live key reads it
         self.total -= len(js)
         if self.key:
             self.dirty_cols.update(js)
         del row[1:]
-        return js, ss
 
     # -- pivot search --------------------------------------------------------
 
@@ -527,13 +522,15 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
     diag: list[int] = []
     fill_log: list[int] = []
     hnf_stats = None
-    done = False
-    try:
-        # opened inside the try, so a failed open abandons the earlier ones
+    with ExitStack() as opened:
+        # every transcript is closed on the way out; one not finalized, as
+        # after a failed reduction or a failed finalize, gets no trailer
         if opts.emit_p:
             p_tr = Transcript.create(opts.p_path or os.path.join(workdir, "p.trn"), ROW, a.m, spec)
+            opened.callback(p_tr.abandon)
         if opts.emit_q:
             q_tr = Transcript.create(opts.q_path or os.path.join(workdir, "q.trn"), COL, a.n, spec)
+            opened.callback(q_tr.abandon)
         while True:
             active = eng.total - eng.c
             if (hnf_stats is None and opts.tau is not None and active >= opts.tau):
@@ -565,11 +562,7 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             dinv = spec.inv(d)
             # step 4: clear the pivot row, its column now finished
             eng.c += 1
-            js, ss = eng.clear_row(pr, c, dinv)
-            if q_tr is not None:
-                append = q_tr.append
-                for j2, s in zip(js, ss):
-                    append(c, j2, s)
+            eng.clear_row(pr, c, dinv, q_tr)
             # step 5: clear the pivot column (touches only column c now)
             if len(col) > 1:
                 if p_tr is not None:
@@ -579,16 +572,9 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                 eng.set_col(c, [pr << k | d])
             diag.append(d)
         eng.overwrite_with_diagonal(diag)
-        done = True
-    finally:
-        # a transcript of an unfinished reduction gets no trailer
         for tr in (p_tr, q_tr):
-            if tr is None:
-                continue
-            if done:
+            if tr is not None:
                 tr.finalize()
-            else:
-                tr.abandon()
     return SnfResult(
         rank=len(diag),
         searched=eng.searched,

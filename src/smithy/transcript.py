@@ -272,12 +272,15 @@ class Transcript:
 
     def finalize(self) -> "Transcript":
         """Write the buffered records and close the file with its trailer:
-        the record count and the CRC-32 of every byte before it."""
+        the record count and the CRC-32 of every byte before it.  The file
+        is closed even when a write fails."""
         if self._writer is not None:
-            if self._chunk[2]:
-                self._flush()
-            self._writer.write(_TRAILER.pack(0, self._count, self._crc))
-            self.abandon()
+            try:
+                if self._chunk[2]:
+                    self._flush()
+                self._writer.write(_TRAILER.pack(0, self._count, self._crc))
+            finally:
+                self.abandon()
         return self
 
     def abandon(self) -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import smithy
-from smithy import (COL, FieldSpec, MatrixFormatError, SnfOptions,
+from smithy import (COL, ROW, FieldSpec, MatrixFormatError, SnfOptions,
                     SparseMatrix, Transcript, TranscriptError, read_matrix,
                     reduce, snf)
 from smithy.cli import EXIT_PARSE, main
@@ -279,7 +279,7 @@ def test_clear_row_refuses_a_drifted_pattern(f7):
     eng = _Engine(SparseMatrix.from_dense([[1, 0], [0, 2]], f7))
     eng.rows_pat[0].append(1)  # column 1 holds no entry in row 0
     with pytest.raises(AssertionError, match="row pattern drifted"):
-        eng.clear_row(0, 0, 1)
+        eng.clear_row(0, 0, 1, None)
 
 
 @pytest.mark.parametrize("pr,pattern", [(0, [0, 0, 1]), (0, [1]), (1, [1, 0])],
@@ -526,15 +526,22 @@ def test_row_count_changes_keep_every_key_current(f7):
 
 def test_torus_coboundary_paranoid(tmp_path):
     """delta_1 of the (3, 4) torus (768 x 448) under paranoid checks: its
-    merges and pivot-column clears leave about 3,000 dirty rows to refresh.
+    merges and pivot-column clears leave about 2,600 dirty rows to refresh.
     rank = n1 - rank(delta_0) - h1 = 448 - 63 - 3, and the transcripts
-    replay to the input."""
+    replay to the input.  Every pivot row is cleared against a pivot column
+    of several entries, 1,120 column transvections in all, so the pinned
+    SHA-256 of p.trn and q.trn (rendered as in FIXTURE_TRANSCRIPTS) guard
+    that path at volume."""
     gen = load_gen()
     spec = FieldSpec(gen.PRIME)
     a = torus_coboundary(gen.Torus(3, 4, 1), 1, spec)
     rows = a.to_dense()
     res = snf(a, SnfOptions(emit_p=True, emit_q=True, paranoid=True, workdir=str(tmp_path)))
     assert (a.m, a.n, res.rank) == (768, 448, 382)
+    for tr, want in (
+            (res.p, "76e99b8940399ef96396092a05c7d640c5b1dee16f732b59f897c3b81c88da13"),
+            (res.q, "1c32dc4a68c354a2c7c44a27c6c3b6d463f438951da748eff9356b0ce98c4091")):
+        assert hashlib.sha256(transcript_text(tr.path)).hexdigest() == want
     assert replay(res, a).to_dense() == rows
 
 
@@ -770,6 +777,32 @@ def test_failed_set_up_abandons_the_transcripts(tmp_path, monkeypatch):
     for name in abandoned:
         with pytest.raises(TranscriptError):
             Transcript.open(tmp_path / "wd" / name)
+
+
+def test_failed_finalize_closes_every_transcript(tmp_path, monkeypatch):
+    """P's finalize fails writing its last chunk: the error reaches the
+    caller, P and Q are both closed, and P never decodes."""
+    real_create, real_flush = Transcript.create.__func__, Transcript._flush
+    files = []
+
+    def create(cls, *args):
+        tr = real_create(cls, *args)
+        files.append(tr._writer)
+        return tr
+
+    def flush(tr):
+        if tr.side == ROW:
+            raise OSError("disk full")
+        real_flush(tr)
+
+    monkeypatch.setattr(Transcript, "create", classmethod(create))
+    monkeypatch.setattr(Transcript, "_flush", flush)
+    with pytest.raises(OSError, match="disk full"):
+        snf(read_matrix(FIXTURE),
+            SnfOptions(emit_p=True, emit_q=True, workdir=str(tmp_path)))
+    assert len(files) == 2 and all(f.closed for f in files)
+    with pytest.raises(TranscriptError):
+        Transcript.open(tmp_path / "p.trn")
 
 
 def test_cut_spill_is_refused(tmp_path, monkeypatch, capsys):
