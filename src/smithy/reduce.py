@@ -24,10 +24,10 @@ The reduction loop, for pivot index c starting at 0:
   4. swap the pivot row up to row c and advance c, so that no edit puts
      the pivot row on the cost-0 heap; clear it with column transvections,
      in one loop: each column deletes its pivot-row entry in place, and
-     only against a pivot column holding more than the pivot then merges
-     in the rest of that column;
+     only against a pivot column holding more than the pivot then adds in
+     the rest of that column, also in place (_Engine.add_col);
   5. clear the pivot column with row transvections -- after step 4 the
-     pivot row is a singleton, so each of these touches only column c.
+     pivot row is a singleton, so these edit only column c, in place.
 
 Over a field every pivot is a unit, so the result is diag(d_0..d_{rho-1})
 with no divisibility bookkeeping.  The input matrix is overwritten with
@@ -107,7 +107,7 @@ SPILL_DIR_ENV = "SMITHY_SPILL_DIR"
 
 class _Engine:
     """Working state for one reduction; owns the matrix until finalized
-    (so clear_row edits its column lists in place),
+    (so add_col and clear_row edit its column lists in place),
     and alone keeps the row pattern and the pivot keys that pivoting reads.
 
     A row's pattern is the list of its columns in no order, so an edit
@@ -121,8 +121,8 @@ class _Engine:
     lazy deletion; key // n % m is the argmin's physical row, so row swaps
     leave every key as it is.  The keys stay a list, as the packed key can
     pass 2^63 at 20M nonzeros; the first flush builds them by scanning
-    every active column.  From then on set_col marks its column and the
-    rows it adds or drops dirty, swap_cols both columns, and clear_row
+    every active column.  From then on add_col marks its column and the
+    rows that gain or lose it dirty, swap_cols both columns, and clear_row
     each column it deletes a pivot-row entry from; before it, with no key
     to keep, they mark nothing.  _flush rescans the dirty columns and refreshes
     the other columns of each dirty row from that row's own cost in O(1),
@@ -138,13 +138,12 @@ class _Engine:
     """
 
     __slots__ = (
-        "mat", "spec", "p", "k", "mask", "m", "n", "cols", "rows_pat", "phys_of", "cur_of",
+        "mat", "p", "k", "mask", "m", "n", "cols", "rows_pat", "phys_of", "cur_of",
         "total", "c", "key", "heap", "zero", "dirty_cols", "dirty_rows", "searched",
     )
 
     def __init__(self, mat: SparseMatrix):
         self.mat = mat
-        self.spec = mat.spec
         self.p = mat.spec.p
         self.k = mat.spec.k
         self.mask = mat.spec.mask
@@ -171,45 +170,42 @@ class _Engine:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def set_col(self, j: int, new: list[int]) -> None:
-        old = self.cols[j]
-        k, pat, zero, c = self.k, self.rows_pat, self.zero, self.c
+    def add_col(self, j: int, src: list[int], s: int) -> None:
+        """Add s * src to column j in place, 0 < s < p; src must be sorted
+        and must not be column j's own list.  One walk of src bisects for
+        each entry from the last one's place, then updates, cancels (its row
+        loses j) or inserts it (its row gains j), so rows move in increasing
+        order.  zero, the dirty sets and total are kept as the class says."""
+        k, p, mask, pat, zero, c = self.k, self.p, self.mask, self.rows_pat, self.zero, self.c
+        col = self.cols[j]
+        before = len(col)
         moved = []  # rows that gain or lose column j
-        a = b = 0
-        na, nb = len(old), len(new)
-        while a < na and b < nb:
-            ra, rb = old[a] >> k, new[b] >> k
-            if ra < rb:
-                pat[ra].remove(j)
-                moved.append(ra)
-                a += 1
-            elif ra > rb:
-                pat[rb].append(j)
-                moved.append(rb)
-                b += 1
+        i = 0
+        for e in src:
+            r = e >> k
+            lo = r << k
+            i = bisect_left(col, lo, i)
+            if i < len(col) and col[i] >> k == r:
+                v = ((col[i] & mask) + (e & mask) * s) % p
+                if v:
+                    col[i] = lo | v
+                    i += 1
+                    continue
+                del col[i]
+                pat[r].remove(j)
             else:
-                a += 1
-                b += 1
-        while a < na:
-            ra = old[a] >> k
-            pat[ra].remove(j)
-            moved.append(ra)
-            a += 1
-        while b < nb:
-            rb = new[b] >> k
-            pat[rb].append(j)
-            moved.append(rb)
-            b += 1
-        for r in moved:
+                col.insert(i, lo | (e & mask) * s % p)
+                i += 1
+                pat[r].append(j)
+            moved.append(r)
             if len(pat[r]) == 1 and pat[r][0] >= c:
                 heappush(zero, r)
-        if nb == 1 and j >= c:
-            heappush(zero, new[0] >> k)
+        if len(col) == 1 and j >= c:
+            heappush(zero, col[0] >> k)
         if self.key:
             self.dirty_rows.update(moved)
             self.dirty_cols.add(j)
-        self.total += nb - na
-        self.cols[j] = new
+        self.total += len(col) - before
 
     def swap_rows(self, a: int, b: int) -> None:
         """Swap the rows at current indices a and b.  Keys name physical
@@ -237,9 +233,9 @@ class _Engine:
         s = a[pr, j2] * dinv), appending (c, j2, s) to q in increasing j2.
         Each j2 loses its row-pr entry in place (snf's caller gives up the
         matrix), and only against a pivot column holding more than the pivot
-        then takes -s times the rest of column c.  Row pr holds no column
-        below c, so c leads it once sorted, and c is all it keeps; self.c is
-        c + 1."""
+        then takes -s times the rest of column c, also in place (add_col).
+        Row pr holds no column below c, so c leads it once sorted, and c is
+        all it keeps; self.c is c + 1."""
         k, p, mask, cols, zero = self.k, self.p, self.mask, self.cols, self.zero
         row = self.rows_pat[pr]
         row.sort()  # so the columns, and Q's records, go in increasing order
@@ -256,7 +252,7 @@ class _Engine:
                 q.append(c, j2, s)
             del col[idx]
             if rest:
-                self.set_col(j2, axpy(col, rest, p - s, self.spec))
+                self.add_col(j2, rest, p - s)
             elif len(col) == 1:
                 heappush(zero, col[0] >> k)
         # pr is left only in the finished column c: no live key reads it
@@ -411,25 +407,27 @@ class _Engine:
 
 
 def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStats:
-    """Spill the active region and reduce it to a fully reduced set,
-    streaming one column at a time: each vector owns one pivot row and is
-    zero on every other vector's pivot row, which is column-echelon form up
-    to the order of the columns.  Each absorbed vector stays in the engine
-    column it was read into, in physical rows, and a column that reduces to
+    """Spill the active region and reduce it to a fully reduced set, streaming
+    one column at a time: each vector owns one pivot row and is zero on every
+    other vector's pivot row, which is column-echelon form up to the order of
+    the columns.  Every engine column edit is an add_col: it empties each
+    spilled column, back-substitutes each absorbed vector into the vectors that
+    hold its pivot row (the row pattern finds them), and then stores the
+    vector, in physical rows, in the column it was read into.  Only the
+    incoming vector, reduced by axpy, is a new list.  A column that reduces to
     zero stays empty: snf's loop then takes every pivot at cost 0 and swaps
-    each column into place itself.  The row pattern finds the vectors a new
-    pivot row clears.  Besides that the pass keeps one dict, pivot row ->
-    (column, 1 / pivot): reducing a vector of a fully reduced set by another
-    leaves its values on the other pivot rows as they were.  Memory holds only
-    the echelon set, small when the region has low co-rank.  The spill is
-    in sparse.py's text format, its column runs ascending, and is read back
-    one run at a time by read_matrix's reader loop: a spill that ends before
-    its terminator, or holds a malformed line, an index or value outside the
-    region, a repeated row, a column run out of order or content after the
-    terminator raises MatrixFormatError, its message naming the spill and
-    its line_no the line.  Removed on success, kept on failure.
+    each column into place itself.  Besides that the pass keeps one dict, pivot
+    row -> (column, 1 / pivot): reducing a vector of a fully reduced set by
+    another leaves its values on the other pivot rows as they were.  Memory
+    holds only the echelon set, small when the region has low co-rank.  The
+    spill is in sparse.py's text format, its column runs ascending, and is read
+    back one run at a time by read_matrix's reader loop: a spill that ends
+    before its terminator, or holds a malformed line, an index or value outside
+    the region, a repeated row, a column run out of order or content after the
+    terminator raises MatrixFormatError, its message naming the spill and its
+    line_no the line.  Removed on success, kept on failure.
     """
-    spec = eng.spec
+    spec = eng.mat.spec
     p, k, mask = eng.p, eng.k, eng.mask
     c, cols, phys_of, cur_of = eng.c, eng.cols, eng.phys_of, eng.cur_of
     m_loc = eng.m - c
@@ -446,7 +444,7 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
     with os.fdopen(fd, "w", newline="\n") as f:
         _write_entries(f, m_loc, n_loc, p, region())
     for j in streamed:
-        eng.set_col(j, [])
+        eng.add_col(j, cols[j][:], p - 1)
     base = eng.total
     owner: dict[int, tuple[int, int]] = {}  # physical pivot row -> (column, 1 / pivot)
     peak = 0
@@ -476,10 +474,10 @@ def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStat
                 for j in sorted(j for j in eng.rows_pat[pivr] if j >= c):
                     vec = cols[j]
                     coeff = (vec[bisect_left(vec, pivr << k)] & mask) * y_inv % p
-                    eng.set_col(j, axpy(vec, y, p - coeff, spec))
+                    eng.add_col(j, y, p - coeff)
                     if q is not None:
                         q.append(gcol, j, coeff)
-                eng.set_col(gcol, y)
+                eng.add_col(gcol, y, 1)
                 owner[pivr] = (gcol, y_inv)
                 peak = max(peak, eng.total - base)
     except MatrixFormatError as exc:
@@ -565,11 +563,11 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
             eng.clear_row(pr, c, dinv, q_tr)
             # step 5: clear the pivot column (touches only column c now)
             if len(col) > 1:
+                others = [e for e in col if e >> k != pr]
                 if p_tr is not None:
-                    for i2, v2 in sorted((eng.cur_of[e >> k], e & mask)
-                                         for e in col if e >> k != pr):
+                    for i2, v2 in sorted((eng.cur_of[e >> k], e & mask) for e in others):
                         p_tr.append(c, i2, v2 * dinv % p)
-                eng.set_col(c, [pr << k | d])
+                eng.add_col(c, others, p - 1)
             diag.append(d)
         eng.overwrite_with_diagonal(diag)
         for tr in (p_tr, q_tr):

@@ -11,8 +11,8 @@ import pytest
 
 import smithy
 from smithy import (COL, ROW, FieldSpec, MatrixFormatError, SnfOptions,
-                    SparseMatrix, Transcript, TranscriptError, read_matrix,
-                    reduce, snf)
+                    SparseMatrix, Transcript, TranscriptError, axpy,
+                    read_matrix, reduce, snf)
 from smithy.cli import EXIT_PARSE, main
 from smithy.reduce import _disk_echelon, _Engine
 
@@ -313,7 +313,7 @@ def test_shuffled_row_patterns_change_nothing(tmp_path, monkeypatch, case):
     cost-0 lane, the circulant's key search picks some, and at tau 0 the
     disk echelon reads them."""
     make, kw, lanes = SHUFFLED[case]
-    find, init, set_col = _Engine.find_pivot, _Engine.__init__, _Engine.set_col
+    find, init, add_col = _Engine.find_pivot, _Engine.__init__, _Engine.add_col
     rng = random.Random(97)
 
     def recording(eng):
@@ -325,9 +325,9 @@ def test_shuffled_row_patterns_change_nothing(tmp_path, monkeypatch, case):
         for row in eng.rows_pat:
             rng.shuffle(row)
 
-    def set_col_shuffled(eng, j, new):
-        set_col(eng, j, new)
-        for e in new:
+    def add_col_shuffled(eng, j, src, s):
+        add_col(eng, j, src, s)
+        for e in src + eng.cols[j]:
             rng.shuffle(eng.rows_pat[e >> eng.k])
 
     def run(tag, **opts):
@@ -339,7 +339,7 @@ def test_shuffled_row_patterns_change_nothing(tmp_path, monkeypatch, case):
     monkeypatch.setattr(_Engine, "find_pivot", recording)
     want = run("want", paranoid=True)
     monkeypatch.setattr(_Engine, "__init__", shuffled)
-    monkeypatch.setattr(_Engine, "set_col", set_col_shuffled)
+    monkeypatch.setattr(_Engine, "add_col", add_col_shuffled)
     got = run("got")
     want_piv, got_piv = pivots
     assert (got.searched == 0, got.hnf_stats is not None) == lanes
@@ -511,17 +511,37 @@ def test_keys_built_after_cost0_pivots(tmp_path, monkeypatch, seed):
 def test_row_count_changes_keep_every_key_current(f7):
     """Column edits between searches raise and lower row counts; the keys
     of the columns those rows touch are refreshed from each row's own cost
-    (a rescan only where the argmin row got worse) and match a fresh scan."""
+    (a rescan only where the argmin row got worse) and match a fresh scan.
+    An add_col edit mixes its outcomes: some of the column's own rows
+    cancel, some only change value and new rows are inserted; the column,
+    edited in place, is what axpy makes of a copy of it."""
     rng = random.Random(67)
+    mixed = 0  # edits with all three outcomes
     for trial in range(60):
         m, n = rng.randrange(2, 10), rng.randrange(2, 10)
         eng = _Engine(SparseMatrix.from_dense(random_dense(rng, m, n, 7, 0.4), f7))
+        k = eng.k
         for _ in range(6):
             assert eng.find_pivot() == eng.reference_pivot()
             for _ in range(rng.randrange(1, 4)):
-                rows = sorted(rng.sample(range(m), rng.randrange(m + 1)))
-                eng.set_col(rng.randrange(n), [i << eng.k | rng.randrange(1, 7) for i in rows])
+                j, s = rng.randrange(n), rng.randrange(1, 7)
+                col = eng.cols[j]
+                own = {e >> k: e & 7 for e in col}
+                src, kinds = [], set()
+                for i in range(m):
+                    kind = rng.choice(("cancel", "change", None) if i in own else ("insert", None))
+                    if kind == "cancel":
+                        src.append(i << k | -own[i] * pow(s, -1, 7) % 7)
+                    elif kind:  # any value that leaves the entry nonzero
+                        src.append(i << k | rng.choice(
+                            [v for v in range(1, 7) if (own.get(i, 0) + s * v) % 7]))
+                    kinds.add(kind)
+                mixed += kinds >= {"cancel", "change", "insert"}
+                want = axpy(col[:], src, s, f7)
+                eng.add_col(j, src, s)
+                assert eng.cols[j] is col and col == want
             eng.recheck()
+    assert mixed > 100
 
 
 def test_torus_coboundary_paranoid(tmp_path):
@@ -736,16 +756,16 @@ def test_failed_snf_leaves_transcripts_without_trailer(tmp_path, monkeypatch):
     """Records written out, one a chunk, before a failure leave files that
     never decode."""
     monkeypatch.setattr(smithy.transcript, "_CHUNK", 1)
-    real_axpy = reduce.axpy
+    real_add_col = _Engine.add_col
     calls = []
 
-    def failing_axpy(*args):
+    def failing_add_col(*args):
         calls.append(args)
         if len(calls) == 12:
             raise OSError("write failed")
-        return real_axpy(*args)
+        return real_add_col(*args)
 
-    monkeypatch.setattr(reduce, "axpy", failing_axpy)
+    monkeypatch.setattr(_Engine, "add_col", failing_add_col)
     rows = random_dense(random.Random(31), 6, 8, 7, 0.7)
     wd = tmp_path / "wd"
     with pytest.raises(OSError):
