@@ -3,7 +3,7 @@ with streamed change-of-basis transcripts, cochain cohomology with explicit
 cocycle bases, and the level arithmetic that predicts and cross-checks the
 computations."""
 
-from .gfp import FieldSpec
+from .gfp import FieldSpec, is_prime
 from .sparse import (MatrixFormatError, ShapeError, SparseMatrix, axpy,
                      read_matrix, write_matrix)
 from .transcript import COL, ROW, Transcript, TranscriptError
@@ -15,7 +15,7 @@ from .predict import (GAMMA, GAMMA_CONJ, BettiRow, ConjugatePair,
                       HeckePolynomial, check_table, dim_jacobi_cusp3,
                       dim_level1_cusp, dim_paramodular3,
                       dim_paramodular3_nongritsenko, estimates, factorize,
-                      hecke_poly_family, hecke_poly_spin, is_prime, kronecker,
+                      hecke_poly_family, hecke_poly_spin, kronecker,
                       load_betti_csv, p3_size, predict_h5)
 
 __version__ = "0.1.0"

@@ -17,9 +17,9 @@ from importlib import resources
 
 from .cohomo import (ComplexSlice, NotACocycleError, NotAComplexError,
                      compute_h5, load_workspace, reduce_cocycle)
-from .gfp import FieldSpec
+from .gfp import FieldSpec, is_prime
 from .predict import (check_table, dim_jacobi_cusp3, dim_paramodular3,
-                      estimates, is_prime, load_betti_csv, p3_size)
+                      estimates, load_betti_csv, p3_size)
 from .reduce import SnfOptions, snf
 from .sparse import MatrixFormatError, ShapeError, read_matrix, write_matrix
 from .transcript import TranscriptError

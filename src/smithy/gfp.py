@@ -1,4 +1,5 @@
-"""Arithmetic over a prime field GF(p) and the packed sparse-element encoding.
+"""Arithmetic over a prime field GF(p), the packed sparse-element encoding,
+and the package's one primality test.
 
 A sparse vector entry is a (row index, nonzero value) pair packed into a
 single integer: ``i << k | v`` where ``k`` is the smallest width with
@@ -13,8 +14,12 @@ row index below 2**(64-k) always fits a 64-bit word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
-from .predict import is_prime
+
+def is_prime(n: int) -> bool:
+    """Trial division by 2 and by the odd numbers up to the square root of n."""
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % f for f in range(3, isqrt(n) + 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -28,10 +33,10 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int):
             raise TypeError("modulus must be an int")
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError("modulus must be an odd prime, got %r" % (self.p,))
-        if self.p >= 1 << 15:
+        if self.p >= 1 << 15:  # first, so the primality test stays cheap
             raise ValueError("modulus must be below 2**15, got %d" % self.p)
+        if self.p < 3 or not is_prime(self.p):
+            raise ValueError("modulus must be an odd prime, got %r" % (self.p,))
         object.__setattr__(self, "k", self.p.bit_length())
         object.__setattr__(self, "mask", (1 << self.k) - 1)
 

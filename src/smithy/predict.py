@@ -11,6 +11,8 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gfp import is_prime
+
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Trial division; all levels in play are a few thousand at most."""
@@ -29,10 +31,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def is_prime(n: int) -> bool:
-    return n > 1 and factorize(n) == [(n, 1)]
 
 
 # -- size estimates -----------------------------------------------------------

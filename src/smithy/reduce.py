@@ -396,15 +396,6 @@ class _Engine:
             assert self.key[j] == (cost * self.m + i) * self.n + j
             assert self.key[j] in live
 
-    # -- completion -----------------------------------------------------------
-
-    def overwrite_with_diagonal(self, diag: list[int]) -> None:
-        mat = self.mat
-        k = self.k
-        rank = len(diag)
-        for t in range(self.n):
-            mat.cols[t] = [t << k | diag[t]] if t < rank else []
-
 
 def _disk_echelon(eng: _Engine, q: Transcript | None, spill_dir: str) -> HnfStats:
     """Spill the active region and reduce it to a fully reduced set, streaming
@@ -569,7 +560,8 @@ def snf(a: SparseMatrix, opts: SnfOptions | None = None) -> SnfResult:
                         p_tr.append(c, i2, v2 * dinv % p)
                 eng.add_col(c, others, p - 1)
             diag.append(d)
-        eng.overwrite_with_diagonal(diag)
+        for t in range(a.n):  # the caller's matrix now holds the diagonal
+            a.cols[t] = [t << k | diag[t]] if t < len(diag) else []
         for tr in (p_tr, q_tr):
             if tr is not None:
                 tr.finalize()

@@ -84,11 +84,13 @@ def _chunks(path, spec: FieldSpec | None):
     """Yield the header (side, dim, spec) of the transcript at path, then
     its records one chunk at a time as arrays (a, b, v).
 
-    A chunk is refused when its count exceeds _CHUNK, before it is read,
-    or when a record names a line outside [0, dim) or one line twice, or
-    holds a scalar outside [0, p).  Once the last chunk has been taken, the
-    trailer's count and CRC-32 must match what came before it, and nothing
-    may follow it.  Memory is one chunk, not the file.
+    The header's modulus is compared with spec's first; without spec, one
+    that FieldSpec refuses is refused here.  A chunk is refused when its
+    count exceeds _CHUNK, before it is read, or when a record names a line
+    outside [0, dim) or one line twice, or holds a scalar outside [0, p).
+    Once the last chunk has been taken, the trailer's count and CRC-32 must
+    match what came before it, and nothing may follow it.  Memory is one
+    chunk, not the file.
     """
     with open(path, "rb") as f:
         header = f.readline(256)
@@ -105,10 +107,13 @@ def _chunks(path, spec: FieldSpec | None):
             dim = -1  # refused with the negative ones
         if dim < 0:
             raise TranscriptError("bad header %r" % header)
-        file_spec = FieldSpec(p)
         if spec is not None and spec.p != p:
             raise TranscriptError("modulus %d does not match expected %d" % (p, spec.p))
-        yield side, dim, file_spec
+        try:
+            spec = spec or FieldSpec(p)
+        except ValueError as exc:
+            raise TranscriptError("%s: %s" % (path, exc)) from None
+        yield side, dim, spec
         crc = zlib.crc32(header)
         records = 0
         short = "%s has no trailer: it was cut short or never finalized" % path

@@ -1,3 +1,4 @@
+import ast
 import os
 import shutil
 import subprocess
@@ -133,6 +134,12 @@ def test_snf_malformed_matrix(tmp_path, capsys):
                        "--workdir", str(tmp_path / "wd"))
     assert code == 3
     assert "parse error: line 2" in err
+    # a modulus of 61 bits is refused by its width, at once
+    bad.write_text("3 3 2305843009213693951\n0 0 0\n")
+    code, _, err = run(capsys, "snf", str(bad),
+                       "--workdir", str(tmp_path / "wd"))
+    assert code == 3
+    assert "parse error: line 1: modulus must be below 2**15" in err
 
 
 def test_cohomology_and_reduce_workflow(tmp_path, capsys):
@@ -656,6 +663,22 @@ def test_library_imports_no_numpy():
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[]"]
+
+
+def test_core_modules_import_no_level_arithmetic():
+    """The reduction core imports nothing from predict, the level
+    arithmetic above it; primality lives in gfp, and predict and the
+    package export that one function."""
+    src = os.path.dirname(smithy.__file__)
+    for name in ("gfp", "sparse", "transcript", "reduce", "cohomo"):
+        with open(os.path.join(src, name + ".py")) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]  # from . import predict
+                assert "predict" not in {n.split(".")[-1] for n in names}, name
+    assert smithy.is_prime is smithy.predict.is_prime is smithy.gfp.is_prime
 
 
 def test_star_import_binds_all():

@@ -38,6 +38,11 @@ def test_modulus_validation():
     FieldSpec(32749)  # largest prime below 2^15
     with pytest.raises(ValueError):
         FieldSpec(32771)  # prime but too wide
+    # refused by its width before any trial division: a prime of 61 bits
+    # would take about 7.6e8 of them
+    for wide in (2 ** 61 - 1, 40000):
+        with pytest.raises(ValueError, match=r"below 2\*\*15"):
+            FieldSpec(wide)
 
 
 def test_inverse_exhaustive_small():

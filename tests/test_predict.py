@@ -20,6 +20,10 @@ def test_primality_and_factorization():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
+    # trial division agrees with factorize, and its divisors reach the
+    # square root: the square of a prime is composite
+    assert all(is_prime(n) == (factorize(n) == [(n, 1)]) for n in range(1, 3000))
+    assert not is_prime(32749 ** 2) and not is_prime(-7)
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(211) == [(211, 1)]
 

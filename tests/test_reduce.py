@@ -544,6 +544,50 @@ def test_row_count_changes_keep_every_key_current(f7):
     assert mixed > 100
 
 
+def test_add_col_long_src_and_emptied_column(f7):
+    """Two add_col edits at the scale of a disk echelon: a src of several
+    hundred entries added into a column of a few, mixing cancels, updates
+    and inserts, and a column of a few hundred entries emptied by
+    add_col(j, cols[j][:], p - 1), as _disk_echelon empties a spilled
+    column.  Each is what axpy makes of a copy, and every key stays
+    current."""
+    rng = random.Random(71)
+    m, n = 600, 8
+    for trial in range(3):
+        rows = random_dense(rng, m, n, 7, 0.05)
+        for i in rng.sample(range(m), 400):  # column 1 holds a few hundred
+            rows[i][1] = rng.randrange(1, 7)
+        eng = _Engine(SparseMatrix.from_dense(rows, f7))
+        k = eng.k
+        assert eng.find_pivot() == eng.reference_pivot()
+        # src of 500 rows into column 0 (about 30 entries), s = 3
+        col, s = eng.cols[0], 3
+        own = {e >> k: e & 7 for e in col}
+        src, kinds = [], set()
+        for i in sorted(set(rng.sample(range(m), 500)) | set(own)):
+            kind = rng.choice(("cancel", "change")) if i in own else "insert"
+            if kind == "cancel":
+                src.append(i << k | -own[i] * pow(s, -1, 7) % 7)
+            else:  # any value that leaves the entry nonzero
+                src.append(i << k | rng.choice(
+                    [v for v in range(1, 7) if (own.get(i, 0) + s * v) % 7]))
+            kinds.add(kind)
+        assert len(src) >= 500 and kinds == {"cancel", "change", "insert"}
+        want = axpy(col[:], src, s, f7)
+        eng.add_col(0, src, s)
+        assert eng.cols[0] is col and col == want
+        eng.recheck()
+        assert eng.find_pivot() == eng.reference_pivot()
+        # empty column 1 by adding (p - 1) times a copy of itself
+        col = eng.cols[1]
+        assert len(col) >= 400
+        assert axpy(col[:], col[:], 6, f7) == []
+        eng.add_col(1, col[:], 6)
+        assert eng.cols[1] is col and col == []
+        eng.recheck()
+        assert eng.find_pivot() == eng.reference_pivot()
+
+
 def test_torus_coboundary_paranoid(tmp_path):
     """delta_1 of the (3, 4) torus (768 x 448) under paranoid checks: its
     merges and pivot-column clears leave about 2,600 dirty rows to refresh.

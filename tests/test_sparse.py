@@ -129,6 +129,8 @@ def test_format_blank_lines_ok(tmp_path):
     ("", 1),                                # missing header
     ("2 2\n0 0 0\n", 1),                    # short header
     ("2 2 6\n0 0 0\n", 1),                  # modulus not prime
+    ("2 2 40000\n0 0 0\n", 1),              # modulus too wide
+    ("2 2 2305843009213693951\n0 0 0\n", 1),  # ... and prime: 2**61 - 1
     ("-1 2 7\n0 0 0\n", 1),                 # negative row count
     ("2 -1 7\n0 0 0\n", 1),                 # negative column count
     ("2 2 7\n3 1 1\n0 0 0\n", 2),           # row out of range

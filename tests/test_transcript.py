@@ -158,6 +158,13 @@ def test_open_errors(tmp_path, f7):
     # the old dilation case: no record kind holds one, so a scalar >= p
     bad.write_bytes(trn_file(ROW, 3, 7, [(0, 1, 0), (1, 0, 7)]))
     refused(bad, f7, "exceeds dimension 3 or modulus 7")
+    # a modulus FieldSpec refuses: compared with the expected one first, and
+    # without one refused as a TranscriptError, not a plain ValueError
+    for p, why in ((4, "an odd prime"), (40000, r"below 2\*\*15"), (2 ** 61 - 1, r"below 2\*\*15")):
+        bad.write_bytes(trn_signed(trn_header(ROW, 3, p), 0))
+        refused(bad, f7, "modulus %d does not match expected 7" % p)
+        with pytest.raises(TranscriptError, match="modulus must be " + why):
+            Transcript.open(bad)
     good = tmp_path / "good.trn"
     good.write_bytes(trn_file(ROW, 3, 7, [(0, 1, 0)]))
     with pytest.raises(TranscriptError, match="modulus 7 does not match expected 11"):
